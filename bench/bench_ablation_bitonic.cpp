@@ -7,6 +7,7 @@
 
 #include <iostream>
 
+#include "apps/calibration.hpp"
 #include "apps/trfd.hpp"
 #include "bench_common.hpp"
 #include "core/runtime.hpp"
@@ -54,7 +55,7 @@ int main(int argc, char** argv) {
                         "loaded GDDLB [s]", "GDDLB syncs"});
   for (const bool folded : {false, true}) {
     const auto app = folded ? make_folded_loop2(n) : make_unfolded_loop2(n);
-    auto params = bench::trfd_cluster(4);
+    auto params = apps::kTrfdCalibration.cluster(4);
 
     // Dedicated cluster: only the *algorithmic* (triangular) imbalance acts.
     auto dedicated = params;

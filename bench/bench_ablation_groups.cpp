@@ -6,6 +6,7 @@
 
 #include <iostream>
 
+#include "apps/calibration.hpp"
 #include "apps/mxm.hpp"
 #include "bench_common.hpp"
 #include "core/runtime.hpp"
@@ -17,7 +18,7 @@ int main(int argc, char** argv) {
   const auto args = bench::parse_bench_args(argc, argv);
 
   const auto app = apps::make_mxm({1600, 400, 400});
-  auto params = bench::mxm_cluster(16);
+  auto params = apps::kMxmCalibration.cluster(16);
 
   std::cout << "Ablation A1: group size K (MXM R=1600, P=16, " << args.seeds << " seeds)\n\n";
   support::Table table({"K", "LCDLB [norm]", "LDDLB [norm]", "LD syncs", "LD iters moved"});

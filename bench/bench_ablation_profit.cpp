@@ -6,6 +6,7 @@
 
 #include <iostream>
 
+#include "apps/calibration.hpp"
 #include "apps/mxm.hpp"
 #include "bench_common.hpp"
 #include "core/runtime.hpp"
@@ -17,7 +18,7 @@ int main(int argc, char** argv) {
   const auto args = bench::parse_bench_args(argc, argv);
 
   const auto app = apps::make_mxm({400, 400, 400});
-  auto params = bench::mxm_cluster(4);
+  auto params = apps::kMxmCalibration.cluster(4);
 
   const auto sweep = [&](const char* title, auto configure, const auto& values) {
     std::cout << title << "\n\n";

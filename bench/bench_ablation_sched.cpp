@@ -7,6 +7,7 @@
 
 #include <iostream>
 
+#include "apps/calibration.hpp"
 #include "apps/mxm.hpp"
 #include "bench_common.hpp"
 #include "sched/task_queue.hpp"
@@ -19,7 +20,7 @@ int main(int argc, char** argv) {
   const auto args = bench::parse_bench_args(argc, argv);
 
   const auto app = apps::make_mxm({400, 400, 400});
-  auto params = bench::mxm_cluster(4);
+  auto params = apps::kMxmCalibration.cluster(4);
 
   std::cout << "Ablation A4: DLB vs task-queue schedulers (MXM P=4, " << args.seeds
             << " seeds)\n\n";

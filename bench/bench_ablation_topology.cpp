@@ -7,6 +7,7 @@
 
 #include <iostream>
 
+#include "apps/calibration.hpp"
 #include "apps/mxm.hpp"
 #include "bench_common.hpp"
 #include "cluster/cluster.hpp"
@@ -25,7 +26,7 @@ int main(int argc, char** argv) {
   support::Table table({"topology", "strategy", "time [s]", "normalized", "bridge msgs"});
 
   for (const int segments : {1, 2}) {
-    auto params = bench::mxm_cluster(16);
+    auto params = apps::kMxmCalibration.cluster(16);
     params.network_segments = segments;
     double baseline = 0.0;
     for (const auto strategy :

@@ -1,51 +1,15 @@
 #include "bench_common.hpp"
 
-#include <iostream>
-#include <ostream>
+#include <vector>
 
 #include "core/runtime.hpp"
-#include "exp/grid.hpp"
-#include "exp/runner.hpp"
-#include "model/predictor.hpp"
-#include "support/csv.hpp"
-#include "support/ranking.hpp"
+#include "support/cli.hpp"
 #include "support/stats.hpp"
-#include "support/table.hpp"
 
 namespace dlb::bench {
 
-cluster::ClusterParams mxm_cluster(int procs) {
-  cluster::ClusterParams p;
-  p.procs = procs;
-  p.base_ops_per_sec = 3e6;
-  p.external_load = true;
-  p.load.max_load = 5;  // the paper's m_l
-  // Long-lived multi-user load (t_l comparable to the run) preserves the
-  // imbalance MXM's global schemes exploit; swept in bench_ablation_load.
-  p.load.persistence = sim::from_seconds(16.0);
-  return p;
-}
-
-cluster::ClusterParams trfd_cluster(int procs) {
-  cluster::ClusterParams p;
-  p.procs = procs;
-  p.base_ops_per_sec = 1e6;
-  p.external_load = true;
-  p.load.max_load = 5;
-  p.load.persistence = sim::from_seconds(2.0);
-  return p;
-}
-
-const std::vector<core::Strategy>& figure_strategies() {
-  static const std::vector<core::Strategy> strategies{
-      core::Strategy::kNoDlb, core::Strategy::kGCDLB, core::Strategy::kGDDLB,
-      core::Strategy::kLCDLB, core::Strategy::kLDDLB};
-  return strategies;
-}
-
 SchemeResult measure_scheme(cluster::ClusterParams params, const core::AppDescriptor& app,
-                            core::Strategy strategy, int seeds, std::uint64_t seed0,
-                            int loop_index) {
+                            core::Strategy strategy, int seeds, std::uint64_t seed0) {
   core::DlbConfig config;
   config.strategy = strategy;
   SchemeResult out;
@@ -53,121 +17,13 @@ SchemeResult measure_scheme(cluster::ClusterParams params, const core::AppDescri
   std::vector<double> times;
   for (int s = 0; s < seeds; ++s) {
     params.seed = seed0 + static_cast<std::uint64_t>(s);
-    const auto result =
-        loop_index < 0 ? core::run_app(params, app, config)
-                       : core::run_app_loop(params, app, config,
-                                            static_cast<std::size_t>(loop_index));
+    const auto result = core::run_app(params, app, config);
     times.push_back(result.exec_seconds);
     out.mean_syncs += result.total_syncs();
-    out.mean_moved += static_cast<double>(result.total_iterations_moved());
   }
   out.mean_seconds = support::mean_of(times);
   out.mean_syncs /= seeds;
-  out.mean_moved /= seeds;
   return out;
-}
-
-void print_figure(std::ostream& os, const std::string& title,
-                  const std::vector<FigureRow>& rows) {
-  os << title << "\n\n";
-  std::vector<std::string> header{"configuration"};
-  for (const auto s : figure_strategies()) header.emplace_back(core::strategy_name(s));
-  support::Table table(header);
-  for (const auto& row : rows) {
-    const double baseline = row.schemes.front().mean_seconds;
-    std::vector<std::string> cells{row.label};
-    for (const auto& scheme : row.schemes) {
-      cells.push_back(support::fmt_fixed(scheme.mean_seconds / baseline, 3));
-    }
-    table.add_row(std::move(cells));
-  }
-  table.print(os);
-  os << "(normalized execution time; NoDLB = 1.000, as in the paper's figures)\n\n";
-
-  os << "csv:\n";
-  support::CsvWriter csv(os);
-  std::vector<std::string> csv_header{"configuration"};
-  for (const auto s : figure_strategies()) {
-    csv_header.push_back(std::string(core::strategy_name(s)) + "_seconds");
-  }
-  csv.write_row(csv_header);
-  for (const auto& row : rows) {
-    std::vector<std::string> cells{row.label};
-    for (const auto& scheme : row.schemes) {
-      cells.push_back(support::fmt_fixed(scheme.mean_seconds, 6));
-    }
-    csv.write_row(cells);
-  }
-  os << "\n";
-}
-
-OrderRow order_row(const std::string& label, cluster::ClusterParams params,
-                   const core::AppDescriptor& app, const net::CollectiveCosts& costs,
-                   int seeds, std::uint64_t seed0, int loop_index) {
-  OrderRow row;
-  row.label = label;
-
-  // Actual: mean measured times over the seeds, ranked.
-  std::vector<double> actual_costs(static_cast<std::size_t>(core::kRankedStrategyCount), 0.0);
-  for (int id = 0; id < core::kRankedStrategyCount; ++id) {
-    const auto r = measure_scheme(params, app, core::ranked_strategy(id), seeds, seed0,
-                                  loop_index);
-    actual_costs[static_cast<std::size_t>(id)] = r.mean_seconds;
-  }
-  row.actual = support::rank_by_cost(actual_costs);
-
-  // Predicted: the model evaluated on the same load realizations, means
-  // ranked the same way (§4.3: the observed load is fed into the model).
-  std::vector<double> predicted_costs(static_cast<std::size_t>(core::kRankedStrategyCount),
-                                      0.0);
-  const auto& loops = app.loops;
-  for (int s = 0; s < seeds; ++s) {
-    params.seed = seed0 + static_cast<std::uint64_t>(s);
-    for (std::size_t li = 0; li < loops.size(); ++li) {
-      if (loop_index >= 0 && li != static_cast<std::size_t>(loop_index)) continue;
-      model::PredictorInputs inputs;
-      inputs.cluster = params;
-      inputs.loop = &loops[li];
-      inputs.costs = costs;
-      const model::Predictor predictor(inputs);
-      for (int id = 0; id < core::kRankedStrategyCount; ++id) {
-        predicted_costs[static_cast<std::size_t>(id)] +=
-            predictor.predict(core::ranked_strategy(id)).makespan_seconds;
-      }
-    }
-  }
-  row.predicted = support::rank_by_cost(predicted_costs);
-
-  row.kendall_tau = support::kendall_tau(row.actual, row.predicted);
-  row.positions_matched = support::positions_matched(row.actual, row.predicted);
-  return row;
-}
-
-void print_order_table(std::ostream& os, const std::string& title,
-                       const std::vector<OrderRow>& rows) {
-  os << title << "\n\n";
-  const std::vector<std::string> labels{"GC", "GD", "LC", "LD"};
-  support::Table table({"configuration", "actual (best first)", "predicted (best first)",
-                        "kendall tau", "pos match"});
-  double tau_sum = 0.0;
-  int exact = 0;
-  for (const auto& row : rows) {
-    table.add_row({row.label, support::format_order(row.actual, labels),
-                   support::format_order(row.predicted, labels),
-                   support::fmt_fixed(row.kendall_tau, 2),
-                   std::to_string(row.positions_matched) + "/4"});
-    tau_sum += row.kendall_tau;
-    if (row.positions_matched == 4) ++exact;
-  }
-  table.print(os);
-  os << "mean kendall tau = " << support::fmt_fixed(tau_sum / rows.size(), 3) << ", exact rows "
-     << exact << "/" << rows.size() << "\n\n";
-}
-
-const net::CollectiveCosts& shared_costs() {
-  static const net::CollectiveCosts costs =
-      net::characterize(net::EthernetParams{}, 16).costs;
-  return costs;
 }
 
 BenchArgs parse_bench_args(int argc, char** argv) {
@@ -175,59 +31,7 @@ BenchArgs parse_bench_args(int argc, char** argv) {
   BenchArgs args;
   args.seeds = static_cast<int>(cli.get_int("seeds", 3));
   args.seed0 = static_cast<std::uint64_t>(cli.get_int("seed0", 1000));
-  args.threads = static_cast<int>(cli.get_int("threads", 0));
   return args;
-}
-
-std::vector<FigureRow> measure_figure(const cluster::ClusterParams& base,
-                                      std::vector<FigureSpec> specs, const BenchArgs& args) {
-  exp::ExperimentGrid grid;
-  grid.cluster_template = base;
-  grid.procs = {base.procs};
-  grid.strategies = figure_strategies();
-  grid.max_loads = {base.external_load ? base.load.max_load : 0};
-  grid.seeds = args.seeds;
-  grid.seed0 = args.seed0;
-  for (auto& spec : specs) {
-    exp::AppSpec app;
-    app.name = spec.label;
-    app.app = std::move(spec.app);
-    app.base_ops_per_sec = base.base_ops_per_sec;
-    app.default_tl_seconds = sim::to_seconds(base.load.persistence);
-    grid.apps.push_back(std::move(app));
-  }
-
-  exp::RunnerOptions options;
-  options.threads = args.threads;
-  const auto sweep = exp::Runner(options).run(grid);
-
-  // Fold the canonical cell order (app outer, strategy, seed inner; the
-  // procs/tl/m_l axes are singletons) into figure rows, averaging exactly
-  // the way measure_scheme does.
-  std::vector<FigureRow> rows;
-  const auto& strategies = figure_strategies();
-  std::size_t cell = 0;
-  for (const auto& app : grid.apps) {
-    FigureRow row;
-    row.label = app.name;
-    for (const auto strategy : strategies) {
-      SchemeResult scheme;
-      scheme.strategy = strategy;
-      std::vector<double> times;
-      for (int s = 0; s < args.seeds; ++s, ++cell) {
-        const auto& result = sweep.cells[cell].result;
-        times.push_back(result.exec_seconds);
-        scheme.mean_syncs += result.total_syncs();
-        scheme.mean_moved += static_cast<double>(result.total_iterations_moved());
-      }
-      scheme.mean_seconds = support::mean_of(times);
-      scheme.mean_syncs /= args.seeds;
-      scheme.mean_moved /= args.seeds;
-      row.schemes.push_back(scheme);
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
 }
 
 }  // namespace dlb::bench

@@ -1,92 +1,31 @@
 #pragma once
 
-#include <iosfwd>
-#include <string>
-#include <vector>
+#include <cstdint>
 
 #include "cluster/cluster.hpp"
 #include "core/types.hpp"
-#include "net/characterize.hpp"
-#include "support/cli.hpp"
 
 namespace dlb::bench {
 
-/// Calibrated experiment parameters.  The paper profiles the per-iteration
-/// time T per application (§4.1); the per-app base rates below play that
-/// role (MXM's basic op is a multiply-add at ~3 Mop/s effective on a
-/// SPARC-LX-class node; TRFD's "basic operations" are heavier).  t_l is not
-/// reported in the paper; the values below reproduce its orderings and are
-/// swept in bench_ablation_load.
-[[nodiscard]] cluster::ClusterParams mxm_cluster(int procs);
-[[nodiscard]] cluster::ClusterParams trfd_cluster(int procs);
-
-/// All five schemes in figure order: NoDLB, GC, GD, LC, LD.
-[[nodiscard]] const std::vector<core::Strategy>& figure_strategies();
-
-/// Mean execution time of `app` under `strategy` over `seeds` seeds
-/// (seed = seed0 + s); total app time or a single loop when loop_index >= 0.
+/// Mean execution time and syncs of `app` under `strategy` over `seeds`
+/// seeds (seed = seed0 + s).  The paper's figures and tables run through
+/// `dlb_sweep`; this serial loop serves the ablations whose knobs are not
+/// grid axes.
 struct SchemeResult {
   core::Strategy strategy;
   double mean_seconds = 0.0;
   double mean_syncs = 0.0;
-  double mean_moved = 0.0;
 };
 [[nodiscard]] SchemeResult measure_scheme(cluster::ClusterParams params,
                                           const core::AppDescriptor& app,
                                           core::Strategy strategy, int seeds,
-                                          std::uint64_t seed0, int loop_index = -1);
+                                          std::uint64_t seed0);
 
-
-/// Prints one figure group: normalized mean execution times of the five
-/// schemes (normalized to NoDLB, like the paper's bar charts) and emits a
-/// machine-readable CSV block after the table.
-struct FigureRow {
-  std::string label;
-  std::vector<SchemeResult> schemes;  // figure_strategies() order
-};
-void print_figure(std::ostream& os, const std::string& title,
-                  const std::vector<FigureRow>& rows);
-
-/// Measured + predicted strategy orders for one configuration (a row of
-/// Tables 1-2), with agreement metrics.
-struct OrderRow {
-  std::string label;
-  std::vector<int> actual;     // ranked ids best-first
-  std::vector<int> predicted;  // ranked ids best-first
-  double kendall_tau = 0.0;
-  int positions_matched = 0;
-};
-[[nodiscard]] OrderRow order_row(const std::string& label, cluster::ClusterParams params,
-                                 const core::AppDescriptor& app,
-                                 const net::CollectiveCosts& costs, int seeds,
-                                 std::uint64_t seed0, int loop_index = -1);
-void print_order_table(std::ostream& os, const std::string& title,
-                       const std::vector<OrderRow>& rows);
-
-/// Shared network characterization (computed once per process).
-[[nodiscard]] const net::CollectiveCosts& shared_costs();
-
-/// Common CLI knobs: --seeds, --seed0, --threads (0 = hardware).
+/// Common CLI knobs: --seeds, --seed0.
 struct BenchArgs {
   int seeds = 3;
   std::uint64_t seed0 = 1000;
-  int threads = 0;
 };
 [[nodiscard]] BenchArgs parse_bench_args(int argc, char** argv);
-
-/// One figure configuration: a labelled app measured on a common cluster.
-struct FigureSpec {
-  std::string label;
-  core::AppDescriptor app;
-};
-
-/// Runs a whole figure as a single exp::Runner sweep — the grid
-/// configs x {NoDLB, GC, GD, LC, LD} x seeds on `args.threads` pool
-/// threads — and folds the merged cells into FigureRows in config order.
-/// Produces exactly the numbers of the per-scheme measure_scheme loop
-/// (same seeds, same cluster), just batched through the parallel harness.
-[[nodiscard]] std::vector<FigureRow> measure_figure(const cluster::ClusterParams& base,
-                                                    std::vector<FigureSpec> specs,
-                                                    const BenchArgs& args);
 
 }  // namespace dlb::bench

@@ -5,13 +5,14 @@
 // the simulated NOW under it (§4.3 + §5).
 //
 //   ./annotated_to_run [file] [--R=400] [--C=400] [--R2=400] [--n=...]
-//                      [--procs=4] [--seed=42] [--rate=3e6] [--tl=16]
+//                      [--procs=4] [--seed=42] [--rate=<ops/s>] [--tl=<s>]
+//   (--rate and --tl default to MXM's calibration)
 
 #include <fstream>
 #include <iostream>
 #include <sstream>
 
-#include "cluster/cluster.hpp"
+#include "apps/calibration.hpp"
 #include "codegen/compile.hpp"
 #include "codegen/emitter.hpp"
 #include "core/runtime.hpp"
@@ -71,11 +72,11 @@ int main(int argc, char** argv) {
               << (loop.uniform ? "uniform" : "non-uniform") << "), "
               << support::fmt_sig(loop.bytes_per_iteration, 4) << " bytes moved/iteration\n\n";
 
-    cluster::ClusterParams params;
-    params.procs = static_cast<int>(cli.get_int("procs", 4));
-    params.base_ops_per_sec = cli.get_double("rate", 3e6);
-    params.external_load = true;
-    params.load.persistence = sim::from_seconds(cli.get_double("tl", 16.0));
+    // MXM's calibration (apps/calibration.hpp) unless overridden.
+    const auto& mxm_cal = apps::kMxmCalibration;
+    auto params = mxm_cal.cluster(static_cast<int>(cli.get_int("procs", 4)));
+    params.base_ops_per_sec = cli.get_double("rate", mxm_cal.base_ops_per_sec);
+    params.load.persistence = sim::from_seconds(cli.get_double("tl", mxm_cal.tl_seconds));
     params.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
 
     std::cout << "=== 2. characterize the network, 3. model + commit, 4. run ===\n\n";

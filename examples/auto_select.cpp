@@ -3,9 +3,10 @@
 // the four DLB strategies, commit to the best, and run under it — then
 // compare against actually running every strategy.
 //
-//   ./auto_select [--app=mxm|trfd] [--procs=4] [--seed=42] [--tl=4.0]
-//                 [--rate=3e6] [--n=30] [--R=400] [--C=400] [--R2=400]
+//   ./auto_select [--app=mxm|trfd] [--procs=4] [--seed=42] [--tl=<s>]
+//                 [--rate=<ops/s>] [--n=30] [--R=400] [--C=400] [--R2=400]
 //                 [--threads=0]
+//   (--tl and --rate default to the app's calibration)
 //
 // The four verification runs execute as one exp::Runner sweep on a pool of
 // --threads workers (0 = hardware); results come back in strategy order
@@ -15,9 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "apps/calibration.hpp"
 #include "apps/mxm.hpp"
 #include "apps/trfd.hpp"
-#include "cluster/cluster.hpp"
 #include "core/runtime.hpp"
 #include "decision/selector.hpp"
 #include "exp/grid.hpp"
@@ -33,21 +34,16 @@ int main(int argc, char** argv) {
   const std::string app_name = cli.get("app", "mxm");
   const int procs = static_cast<int>(cli.get_int("procs", 4));
 
-  cluster::ClusterParams params;
-  params.procs = procs;
-  params.external_load = true;
+  // The app's calibration (apps/calibration.hpp) unless overridden.
+  const bool trfd = app_name == "trfd";
+  const auto app =
+      trfd ? apps::make_trfd({static_cast<int>(cli.get_int("n", 30))})
+           : apps::make_mxm({cli.get_int("R", 400), cli.get_int("C", 400), cli.get_int("R2", 400)});
+  const auto& defaults = trfd ? apps::kTrfdCalibration : apps::kMxmCalibration;
+  const apps::Calibration calibration{cli.get_double("rate", defaults.base_ops_per_sec),
+                                      cli.get_double("tl", defaults.tl_seconds)};
+  auto params = calibration.cluster(procs);
   params.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
-
-  core::AppDescriptor app;
-  if (app_name == "trfd") {
-    app = apps::make_trfd({static_cast<int>(cli.get_int("n", 30))});
-    params.base_ops_per_sec = cli.get_double("rate", 1e6);
-    params.load.persistence = sim::from_seconds(cli.get_double("tl", 2.0));
-  } else {
-    app = apps::make_mxm({cli.get_int("R", 400), cli.get_int("C", 400), cli.get_int("R2", 400)});
-    params.base_ops_per_sec = cli.get_double("rate", 3e6);
-    params.load.persistence = sim::from_seconds(cli.get_double("tl", 16.0));
-  }
 
   std::cout << "Characterizing the network (P = 2.." << std::max(procs, 16) << ")...\n";
   const auto characterization = net::characterize(params.network, std::max(procs, 16));
@@ -74,12 +70,7 @@ int main(int argc, char** argv) {
   grid.max_loads = {params.load.max_load};
   grid.seeds = 1;
   grid.seed0 = params.seed;
-  exp::AppSpec app_spec;
-  app_spec.name = app.name;
-  app_spec.app = app;
-  app_spec.base_ops_per_sec = params.base_ops_per_sec;
-  app_spec.default_tl_seconds = sim::to_seconds(params.load.persistence);
-  grid.apps.push_back(std::move(app_spec));
+  grid.apps.push_back({app.name, app, calibration, {}});
 
   exp::RunnerOptions options;
   options.threads = static_cast<int>(cli.get_int("threads", 0));

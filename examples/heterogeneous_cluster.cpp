@@ -9,8 +9,8 @@
 #include <iostream>
 #include <vector>
 
+#include "apps/calibration.hpp"
 #include "apps/mxm.hpp"
-#include "cluster/cluster.hpp"
 #include "core/runtime.hpp"
 #include "support/cli.hpp"
 #include "support/stats.hpp"
@@ -23,10 +23,9 @@ int main(int argc, char** argv) {
   const std::int64_t R = cli.get_int("R", 400);
 
   // Two "new" machines (2x base speed), two older ones (1x, 0.5x).
-  cluster::ClusterParams params;
-  params.procs = 4;
+  // MXM's rate; a shorter t_l than its calibration.
+  auto params = apps::kMxmCalibration.cluster(4);
   params.speeds = {2.0, 2.0, 1.0, 0.5};
-  params.base_ops_per_sec = 3e6;
   params.load.persistence = sim::from_seconds(4.0);
 
   const auto app = apps::make_mxm({R, 400, 400});

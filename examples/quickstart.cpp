@@ -3,13 +3,14 @@
 // normalized execution times (one row of the paper's Fig. 5).
 //
 //   ./quickstart [--procs=4] [--R=400] [--C=400] [--R2=400] [--seeds=5]
-//                [--tl=16.0] [--ml=5] [--rate=3e6]
+//                [--tl=<s>] [--ml=<m_l>] [--rate=<ops/s>]
+//   (--tl, --ml and --rate default to MXM's calibration)
 
 #include <iostream>
 #include <vector>
 
+#include "apps/calibration.hpp"
 #include "apps/mxm.hpp"
-#include "cluster/cluster.hpp"
 #include "core/runtime.hpp"
 #include "core/types.hpp"
 #include "support/cli.hpp"
@@ -27,12 +28,12 @@ int main(int argc, char** argv) {
   mxm.R2 = cli.get_int("R2", 400);
   const int seeds = static_cast<int>(cli.get_int("seeds", 5));
 
-  cluster::ClusterParams params;
-  params.procs = procs;
-  params.base_ops_per_sec = cli.get_double("rate", 3e6);
-  params.external_load = true;
-  params.load.max_load = static_cast<int>(cli.get_int("ml", 5));
-  params.load.persistence = sim::from_seconds(cli.get_double("tl", 16.0));
+  // MXM's calibration (apps/calibration.hpp) unless overridden.
+  const auto& mxm_cal = apps::kMxmCalibration;
+  auto params = mxm_cal.cluster(procs);
+  params.base_ops_per_sec = cli.get_double("rate", mxm_cal.base_ops_per_sec);
+  params.load.max_load = static_cast<int>(cli.get_int("ml", params.load.max_load));
+  params.load.persistence = sim::from_seconds(cli.get_double("tl", mxm_cal.tl_seconds));
 
   const auto app = apps::make_mxm(mxm);
 

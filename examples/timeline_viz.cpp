@@ -3,13 +3,13 @@
 // ('#' compute, 's' synchronize, 'm' move work, '.' idle) plus utilization.
 //
 //   ./timeline_viz [--procs=4] [--R=200] [--strategy=GDDLB] [--seed=42]
-//                  [--tl=16] [--width=100]
+//                  [--tl=<s>] [--width=100]   (--tl defaults to MXM's calibration)
 
 #include <iostream>
 #include <string>
 
+#include "apps/calibration.hpp"
 #include "apps/mxm.hpp"
-#include "cluster/cluster.hpp"
 #include "core/runtime.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
@@ -34,11 +34,9 @@ int main(int argc, char** argv) {
   const int procs = static_cast<int>(cli.get_int("procs", 4));
   const int width = static_cast<int>(cli.get_int("width", 100));
 
-  cluster::ClusterParams params;
-  params.procs = procs;
-  params.base_ops_per_sec = 3e6;
-  params.external_load = true;
-  params.load.persistence = sim::from_seconds(cli.get_double("tl", 16.0));
+  auto params = apps::kMxmCalibration.cluster(procs);
+  params.load.persistence =
+      sim::from_seconds(cli.get_double("tl", apps::kMxmCalibration.tl_seconds));
   params.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
 
   const auto app = apps::make_mxm({cli.get_int("R", 200), 400, 400});

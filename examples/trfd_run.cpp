@@ -2,14 +2,15 @@
 // parallel loops with a sequentialized transpose in between.  Prints total
 // normalized execution time plus per-loop times and strategy rankings.
 //
-//   ./trfd_run [--n=30] [--procs=4] [--seeds=5] [--tl=2.0] [--rate=1e6]
+//   ./trfd_run [--n=30] [--procs=4] [--seeds=5] [--tl=<s>] [--rate=<ops/s>]
+//   (--tl and --rate default to TRFD's calibration)
 
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "apps/calibration.hpp"
 #include "apps/trfd.hpp"
-#include "cluster/cluster.hpp"
 #include "core/runtime.hpp"
 #include "core/types.hpp"
 #include "support/cli.hpp"
@@ -25,11 +26,11 @@ int main(int argc, char** argv) {
   const int procs = static_cast<int>(cli.get_int("procs", 4));
   const int seeds = static_cast<int>(cli.get_int("seeds", 5));
 
-  cluster::ClusterParams params;
-  params.procs = procs;
-  params.base_ops_per_sec = cli.get_double("rate", 1e6);
-  params.external_load = true;
-  params.load.persistence = sim::from_seconds(cli.get_double("tl", 2.0));
+  // TRFD's calibration (apps/calibration.hpp) unless overridden.
+  const auto& trfd_cal = apps::kTrfdCalibration;
+  auto params = trfd_cal.cluster(procs);
+  params.base_ops_per_sec = cli.get_double("rate", trfd_cal.base_ops_per_sec);
+  params.load.persistence = sim::from_seconds(cli.get_double("tl", trfd_cal.tl_seconds));
 
   const auto app = apps::make_trfd({n});
   std::cout << "TRFD n=" << n << " (array " << apps::trfd_array_dim(n) << ")  P=" << procs

@@ -2,6 +2,7 @@
 // strategy x app x processors x load parameters x seeds.
 //
 //   ./dlb_sweep --figure=5                 # the paper's Fig. 5 grid (MXM, P=4)
+//   ./dlb_sweep --figure=table1            # Table 1: actual vs predicted order
 //   ./dlb_sweep --figure=scale             # weak-scaling: strategy x P x topology
 //   ./dlb_sweep --figure=service           # open stream: latency vs rho x
 //               strategy x arrival shape, with the service flag family
@@ -87,6 +88,9 @@ int main(int argc, char** argv) {
       exp::write_csv(std::cout, sweep, report);
     } else if (format == "json") {
       exp::write_json(std::cout, sweep, report);
+    } else if (format == "summary" && cli.get("figure", "").starts_with("table")) {
+      // Tables 1-2 summarize as the actual-vs-predicted order table.
+      exp::write_order_table(std::cout, exp::order_rows(grid, sweep));
     } else if (format == "summary") {
       exp::write_summary(std::cout, sweep, grid.seeds, report.include_topology,
                          report.include_service);

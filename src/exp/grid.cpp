@@ -1,10 +1,13 @@
 #include "exp/grid.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
-#include <algorithm>
-
+#include "apps/calibration.hpp"
 #include "apps/mxm.hpp"
 #include "apps/synthetic.hpp"
 #include "apps/trfd.hpp"
@@ -109,9 +112,15 @@ void ExperimentGrid::validate() const {
   if (strategies.empty()) throw std::invalid_argument("ExperimentGrid: no strategies");
   if (max_loads.empty()) throw std::invalid_argument("ExperimentGrid: no load amplitudes");
   if (seeds <= 0) throw std::invalid_argument("ExperimentGrid: seeds must be positive");
-  for (const auto& a : apps) a.app.validate();
   for (const auto p : procs) {
     if (p <= 0) throw std::invalid_argument("ExperimentGrid: procs must be positive");
+  }
+  for (const auto& a : apps) {
+    if (!a.per_proc) {
+      a.app.validate();
+      continue;
+    }
+    for (const auto p : procs) a.per_proc(p).validate();
   }
   for (const auto s : strategies) {
     if (s == core::Strategy::kAuto && !service.armed) {
@@ -183,12 +192,12 @@ CellSpec ExperimentGrid::cell(std::size_t index) const {
 
   const AppSpec& spec = apps[c.app_i];
   c.app_name = spec.name;
-  c.tl_seconds = tl_seconds.empty() ? spec.default_tl_seconds : tl_seconds[c.tl_i];
+  c.tl_seconds = tl_seconds.empty() ? spec.calibration.tl_seconds : tl_seconds[c.tl_i];
 
   c.params = cluster_template;
   c.params.procs = procs[c.proc_i];
   c.params.topology = topologies[c.topo_i];
-  c.params.base_ops_per_sec = spec.base_ops_per_sec;
+  c.params.base_ops_per_sec = spec.calibration.base_ops_per_sec;
   c.params.load.max_load = max_loads[c.load_i];
   c.params.load.persistence = sim::from_seconds(c.tl_seconds);
   c.params.external_load = max_loads[c.load_i] > 0;
@@ -197,11 +206,7 @@ CellSpec ExperimentGrid::cell(std::size_t index) const {
   c.config = config;
   c.config.strategy = strategies[c.strat_i];
   c.loop_index = loop_index;
-  if (spec.weak_iters_per_proc > 0) {
-    c.app_override = apps::make_uniform(
-        static_cast<std::int64_t>(spec.weak_iters_per_proc) * c.params.procs,
-        spec.weak_ops_per_iteration, spec.weak_bytes_per_iteration);
-  }
+  if (spec.per_proc) c.app_override = spec.per_proc(c.params.procs);
   if (service.armed) {
     svc::ServiceParams sp;
     sp.jobs = service.jobs;
@@ -237,85 +242,104 @@ std::vector<core::Strategy> parse_strategies(const std::string& spec) {
   return out;
 }
 
+namespace {
+
+std::string mxm_name(const std::string& rows, std::int64_t c, std::int64_t r2) {
+  return "mxm[R=" + rows + ",C=" + std::to_string(c) + ",R2=" + std::to_string(r2) + "]";
+}
+
+AppSpec mxm_spec(const apps::MxmParams& p) {
+  return {mxm_name(std::to_string(p.R), p.C, p.R2), apps::make_mxm(p), apps::kMxmCalibration, {}};
+}
+
+AppSpec trfd_spec(int n) {
+  return {"trfd[n=" + std::to_string(n) + "]", apps::make_trfd({n}), apps::kTrfdCalibration, {}};
+}
+
+std::vector<int> parse_procs(const support::Cli& cli, const char* fallback) {
+  std::vector<int> procs;
+  for (const auto& p : split_commas(cli.get("procs", fallback))) {
+    procs.push_back(strict_int(p, "procs"));
+  }
+  return procs;
+}
+
+}  // namespace
+
 AppSpec make_app_spec(const std::string& name, const support::Cli& cli) {
-  AppSpec spec;
   if (name == "mxm") {
-    apps::MxmParams p;
-    p.R = cli.get_int("R", 400);
-    p.C = cli.get_int("C", 400);
-    p.R2 = cli.get_int("R2", 400);
-    spec.app = apps::make_mxm(p);
-    spec.name = "mxm[R=" + std::to_string(p.R) + ",C=" + std::to_string(p.C) +
-                ",R2=" + std::to_string(p.R2) + "]";
-    spec.base_ops_per_sec = 3e6;
-    spec.default_tl_seconds = 16.0;
-  } else if (name == "trfd") {
-    apps::TrfdParams p;
-    p.n = static_cast<int>(cli.get_int("n", 30));
-    spec.app = apps::make_trfd(p);
-    spec.name = "trfd[n=" + std::to_string(p.n) + "]";
-    spec.base_ops_per_sec = 1e6;
-    spec.default_tl_seconds = 2.0;
-  } else if (name == "uniform") {
+    return mxm_spec({cli.get_int("R", 400), cli.get_int("C", 400), cli.get_int("R2", 400)});
+  }
+  if (name == "trfd") return trfd_spec(static_cast<int>(cli.get_int("n", 30)));
+  if (name == "uniform") {
     const auto iters = cli.get_int("iters", 400);
     const auto ops = cli.get_double("ops", 100e3);
     const auto bytes = cli.get_double("bytes", 1024.0);
-    spec.app = apps::make_uniform(iters, ops, bytes);
-    spec.name = "uniform[I=" + std::to_string(iters) + "]";
-    spec.base_ops_per_sec = 20e6;
-    spec.default_tl_seconds = 1.0;
-  } else {
-    throw std::invalid_argument("make_app_spec: unknown app '" + name +
-                                "' (expected mxm|trfd|uniform)");
+    return {"uniform[I=" + std::to_string(iters) + "]", apps::make_uniform(iters, ops, bytes),
+            apps::kSyntheticCalibration, {}};
   }
-  return spec;
+  throw std::invalid_argument("make_app_spec: unknown app '" + name +
+                              "' (expected mxm|trfd|uniform)");
 }
 
 namespace {
 
-/// The paper's figure grids (EXPERIMENTS.md): app shapes, P and rates.
-ExperimentGrid figure_grid(int figure, const support::Cli& cli) {
+/// The MXM shapes of Figs. 5-6 and Table 1, R2 = 400: the paper keeps
+/// R/P at 100 or 200 (§6.2).
+struct MxmShape {
+  std::int64_t rows_per_proc;
+  std::int64_t C;
+};
+constexpr MxmShape kMxmShapes[] = {{100, 400}, {100, 800}, {200, 400}, {200, 800}};
+constexpr std::int64_t kMxmR2 = 400;
+/// TRFD's n for Figs. 7-8 and Table 2.
+constexpr int kTrfdSizes[] = {30, 40, 50};
+
+/// Table 1's row: an MXM shape sized for each cell's P.
+AppSpec mxm_per_proc_spec(MxmShape shape) {
+  AppSpec spec;
+  spec.name = mxm_name(std::to_string(shape.rows_per_proc) + "P", shape.C, kMxmR2);
+  spec.calibration = apps::kMxmCalibration;
+  spec.per_proc = [shape](int procs) {
+    return apps::make_mxm({shape.rows_per_proc * procs, shape.C, kMxmR2});
+  };
+  return spec;
+}
+
+/// The paper's figure and table grids (EXPERIMENTS.md): app shapes, P and
+/// calibrations.
+ExperimentGrid paper_grid(const std::string& figure) {
   ExperimentGrid grid;
-  grid.strategies = parse_strategies("all");
-  switch (figure) {
-    case 5:
-    case 6: {
-      grid.procs = {figure == 5 ? 4 : 16};
-      // Fig. 6 scales R so R/P stays at 100/200 (paper §6.2).
-      const std::int64_t r_scale = figure == 5 ? 1 : 4;
-      for (const auto& [r, c] : {std::pair<std::int64_t, std::int64_t>{400, 400},
-                                 {400, 800},
-                                 {800, 400},
-                                 {800, 800}}) {
-        AppSpec spec;
-        const apps::MxmParams p{r * r_scale, c, 400};
-        spec.app = apps::make_mxm(p);
-        spec.name = "mxm[R=" + std::to_string(p.R) + ",C=" + std::to_string(p.C) +
-                    ",R2=" + std::to_string(p.R2) + "]";
-        spec.base_ops_per_sec = 3e6;
-        spec.default_tl_seconds = 16.0;
+  if (figure == "5" || figure == "6") {
+    const int procs = figure == "5" ? 4 : 16;
+    grid.procs = {procs};
+    for (const auto shape : kMxmShapes) {
+      grid.apps.push_back(mxm_spec({shape.rows_per_proc * procs, shape.C, kMxmR2}));
+    }
+  } else if (figure == "7" || figure == "8") {
+    grid.procs = {figure == "7" ? 4 : 16};
+    for (const int n : kTrfdSizes) grid.apps.push_back(trfd_spec(n));
+  } else if (figure == "table1") {
+    grid.procs = {4, 16};
+    for (const auto shape : kMxmShapes) grid.apps.push_back(mxm_per_proc_spec(shape));
+  } else if (figure == "table2") {
+    grid.procs = {4, 16};
+    for (const int n : kTrfdSizes) {
+      for (std::size_t loop = 0; loop < 2; ++loop) {
+        // Each loop ranked alone: a one-loop app runs exactly as
+        // Runtime::run_single_loop runs that loop of the whole app.
+        AppSpec spec = trfd_spec(n);
+        spec.name = "trfd[n=" + std::to_string(n) + ",L" + std::to_string(loop + 1) + "]";
+        spec.app.loops = {spec.app.loops[loop]};
+        spec.app.phases.clear();
         grid.apps.push_back(std::move(spec));
       }
-      break;
     }
-    case 7:
-    case 8: {
-      grid.procs = {figure == 7 ? 4 : 16};
-      for (const int n : {30, 40, 50}) {
-        AppSpec spec;
-        spec.app = apps::make_trfd({n});
-        spec.name = "trfd[n=" + std::to_string(n) + "]";
-        spec.base_ops_per_sec = 1e6;
-        spec.default_tl_seconds = 2.0;
-        grid.apps.push_back(std::move(spec));
-      }
-      break;
-    }
-    default:
-      throw std::invalid_argument("parse_grid: --figure must be 5, 6, 7, 8, scale or service");
+  } else {
+    throw std::invalid_argument(
+        "parse_grid: --figure must be 5, 6, 7, 8, table1, table2, scale or service");
   }
-  grid.seeds = static_cast<int>(cli.get_int("seeds", 3));
-  grid.seed0 = static_cast<std::uint64_t>(cli.get_int("seed0", 1000));
+  grid.strategies = parse_strategies(figure.starts_with("table") ? "ranked" : "all");
   return grid;
 }
 
@@ -328,45 +352,22 @@ ExperimentGrid figure_grid(int figure, const support::Cli& cli) {
 ExperimentGrid scale_grid(const support::Cli& cli) {
   ExperimentGrid grid;
   grid.strategies = parse_strategies(cli.get("strategies", "nodlb,gc"));
-  grid.procs.clear();
-  for (const auto& p : split_commas(cli.get("procs", "256,1024,4096"))) {
-    grid.procs.push_back(strict_int(p, "procs"));
-  }
+  grid.procs = parse_procs(cli, "256,1024,4096");
   grid.topologies = {net::TopologyKind::kShared, net::TopologyKind::kSwitched};
 
-  AppSpec spec;
-  spec.weak_iters_per_proc = static_cast<int>(cli.get_int("iters-per-proc", 32));
-  spec.weak_ops_per_iteration = cli.get_double("ops", 50e3);
-  spec.weak_bytes_per_iteration = cli.get_double("bytes", 256.0);
-  if (spec.weak_iters_per_proc <= 0) {
+  const auto iters_per_proc = cli.get_int("iters-per-proc", 32);
+  const auto ops = cli.get_double("ops", 50e3);
+  const auto bytes = cli.get_double("bytes", 256.0);
+  if (iters_per_proc <= 0) {
     throw std::invalid_argument("parse_grid: --iters-per-proc must be positive");
   }
-  // Placeholder descriptor for validate(); every cell overrides it with its
-  // own P-sized instance.
-  spec.app = apps::make_uniform(spec.weak_iters_per_proc, spec.weak_ops_per_iteration,
-                                spec.weak_bytes_per_iteration);
-  spec.name = "weak[i/P=" + std::to_string(spec.weak_iters_per_proc) + "]";
-  spec.base_ops_per_sec = 20e6;
-  spec.default_tl_seconds = 1.0;
+  AppSpec spec;
+  spec.name = "weak[i/P=" + std::to_string(iters_per_proc) + "]";
+  spec.per_proc = [iters_per_proc, ops, bytes](int procs) {
+    return apps::make_uniform(iters_per_proc * procs, ops, bytes);
+  };
   grid.apps.push_back(std::move(spec));
-
-  grid.seeds = static_cast<int>(cli.get_int("seeds", 1));
-  grid.seed0 = static_cast<std::uint64_t>(cli.get_int("seed0", 1000));
   return grid;
-}
-
-/// Service flags are only meaningful on the service preset; anywhere else a
-/// stray --arrivals would silently run a conventional sweep.
-constexpr const char* kServiceFlags[] = {"arrivals", "rate",           "jobs", "hysteresis",
-                                         "load-variants", "mix", "service-backend"};
-
-void reject_service_flags(const support::Cli& cli) {
-  for (const char* flag : kServiceFlags) {
-    if (cli.has(flag)) {
-      throw std::invalid_argument(std::string("parse_grid: --") + flag +
-                                  " requires --figure=service");
-    }
-  }
 }
 
 /// Applies the service flag family to the armed preset grid.
@@ -407,67 +408,118 @@ void apply_service_flags(ExperimentGrid& grid, const support::Cli& cli) {
 ExperimentGrid service_grid(const support::Cli& cli) {
   ExperimentGrid grid;
   grid.strategies = parse_strategies(cli.get("strategies", "gc,gd,lc,ld,online"));
-  grid.procs.clear();
-  for (const auto& p : split_commas(cli.get("procs", "16"))) {
-    grid.procs.push_back(strict_int(p, "procs"));
-  }
+  grid.procs = parse_procs(cli, "16");
   apply_service_flags(grid, cli);
-
-  AppSpec spec;
   // Placeholder descriptor for validate(); service cells admit per-class
   // loops from the mix, not this app.
-  spec.app = apps::make_uniform(64, 100e3, 64.0);
+  AppSpec spec;
   spec.name = "svc[" + grid.service.mix.name + "]";
-  spec.base_ops_per_sec = 20e6;
-  spec.default_tl_seconds = grid.service.mix.classes.front().tl_seconds;
+  spec.app = apps::make_uniform(64, 100e3, 64.0);
+  spec.calibration.tl_seconds = grid.service.mix.classes.front().tl_seconds;
   grid.apps.push_back(std::move(spec));
-
-  grid.seeds = static_cast<int>(cli.get_int("seeds", 1));
-  grid.seed0 = static_cast<std::uint64_t>(cli.get_int("seed0", 1000));
   return grid;
+}
+
+/// A grid from the axis flags alone (no --figure).
+ExperimentGrid custom_grid(const support::Cli& cli) {
+  ExperimentGrid grid;
+  for (const auto& name : split_commas(cli.get("app", "mxm"))) {
+    grid.apps.push_back(make_app_spec(name, cli));
+  }
+  grid.procs = parse_procs(cli, "4");
+  grid.strategies = parse_strategies(cli.get("strategies", "all"));
+  for (const auto& tl : split_commas(cli.get("tl", ""))) {
+    grid.tl_seconds.push_back(strict_double(tl, "tl"));
+  }
+  if (cli.has("max-load")) {
+    grid.max_loads.clear();
+    for (const auto& ml : split_commas(cli.get("max-load", ""))) {
+      grid.max_loads.push_back(strict_int(ml, "max-load"));
+    }
+  }
+  grid.loop_index = static_cast<int>(cli.get_int("loop", -1));
+  return grid;
+}
+
+/// The grids, as a bit set over which the flag table below says who reads
+/// what.  kPaper is --figure=5..8, table1 and table2.
+enum GridKind : unsigned { kPaper = 1, kScale = 2, kService = 4, kCustom = 8 };
+constexpr unsigned kEveryGrid = kPaper | kScale | kService | kCustom;
+
+/// Every grid flag and the grids that read it.  dlb_sweep's output flags
+/// (--format, --threads, --timing, --trace-out, --metrics) apply to every
+/// grid and are not grid flags.
+struct GridFlag {
+  const char* name;
+  unsigned grids;
+};
+constexpr GridFlag kGridFlags[] = {
+    {"seeds", kEveryGrid},
+    {"seed0", kEveryGrid},
+    {"topology", kEveryGrid},
+    {"rack-size", kEveryGrid},
+    {"shards", kEveryGrid},
+    {"faults", kEveryGrid},
+    {"procs", kScale | kService | kCustom},
+    {"strategies", kScale | kService | kCustom},
+    {"ops", kScale | kCustom},
+    {"bytes", kScale | kCustom},
+    {"iters-per-proc", kScale},
+    {"app", kCustom},
+    {"tl", kCustom},
+    {"max-load", kCustom},
+    {"loop", kCustom},
+    {"R", kCustom},
+    {"C", kCustom},
+    {"R2", kCustom},
+    {"n", kCustom},
+    {"iters", kCustom},
+    {"arrivals", kService},
+    {"rate", kService},
+    {"jobs", kService},
+    {"hysteresis", kService},
+    {"load-variants", kService},
+    {"mix", kService},
+    {"service-backend", kService},
+};
+
+/// A grid flag the grid does not read would otherwise be silently ignored,
+/// running the stock grid instead of the one asked for.
+void reject_unread_flags(const support::Cli& cli, GridKind kind, const std::string& grid_name) {
+  std::string unread;
+  for (const auto& flag : kGridFlags) {
+    if ((flag.grids & kind) == 0 && cli.has(flag.name)) {
+      unread += (unread.empty() ? "--" : ", --") + std::string(flag.name);
+    }
+  }
+  if (!unread.empty()) {
+    throw std::invalid_argument("parse_grid: " + grid_name + " does not read " + unread);
+  }
 }
 
 }  // namespace
 
 ExperimentGrid parse_grid(const support::Cli& cli) {
-  if (cli.has("figure")) {
-    const auto figure = cli.get("figure", "5");
-    if (figure == "service") {
-      auto grid = service_grid(cli);
-      apply_topology(grid, cli);
-      apply_faults(grid, cli);
-      grid.validate();
-      return grid;
-    }
-    reject_service_flags(cli);
-    auto grid = figure == "scale" ? scale_grid(cli)
-                                  : figure_grid(strict_int(figure, "figure"), cli);
-    apply_topology(grid, cli);
-    apply_faults(grid, cli);
-    grid.validate();
-    return grid;
-  }
-  reject_service_flags(cli);
-
+  const auto figure = cli.get("figure", "");
+  GridKind kind = kPaper;
   ExperimentGrid grid;
-  for (const auto& name : split_commas(cli.get("app", "mxm"))) {
-    grid.apps.push_back(make_app_spec(name, cli));
+  if (!cli.has("figure")) {
+    kind = kCustom;
+    grid = custom_grid(cli);
+  } else if (figure == "scale") {
+    kind = kScale;
+    grid = scale_grid(cli);
+  } else if (figure == "service") {
+    kind = kService;
+    grid = service_grid(cli);
+  } else {
+    grid = paper_grid(figure);
   }
-  grid.procs.clear();
-  for (const auto& p : split_commas(cli.get("procs", "4"))) {
-    grid.procs.push_back(strict_int(p, "procs"));
-  }
-  grid.strategies = parse_strategies(cli.get("strategies", "all"));
-  for (const auto& tl : split_commas(cli.get("tl", ""))) {
-    grid.tl_seconds.push_back(strict_double(tl, "tl"));
-  }
-  grid.max_loads.clear();
-  for (const auto& ml : split_commas(cli.get("max-load", "5"))) {
-    grid.max_loads.push_back(strict_int(ml, "max-load"));
-  }
-  grid.seeds = static_cast<int>(cli.get_int("seeds", 3));
+  reject_unread_flags(cli, kind,
+                      kind == kCustom ? "a grid without --figure" : "--figure=" + figure);
+  const bool one_seed = kind == kScale || kind == kService;
+  grid.seeds = static_cast<int>(cli.get_int("seeds", one_seed ? 1 : 3));
   grid.seed0 = static_cast<std::uint64_t>(cli.get_int("seed0", 1000));
-  grid.loop_index = static_cast<int>(cli.get_int("loop", -1));
   apply_topology(grid, cli);
   apply_faults(grid, cli);
   grid.validate();

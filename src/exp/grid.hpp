@@ -2,12 +2,15 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "apps/calibration.hpp"
 #include "cluster/cluster.hpp"
 #include "core/types.hpp"
+#include "load/load_function.hpp"
 #include "support/cli.hpp"
 #include "svc/service.hpp"
 
@@ -20,17 +23,13 @@ namespace dlb::exp {
 struct AppSpec {
   std::string name;  // row label, e.g. "mxm[R=400,C=400,R2=400]"
   core::AppDescriptor app;
-  double base_ops_per_sec = 20e6;
-  /// Load persistence t_l used when the grid has no explicit tl axis.
-  double default_tl_seconds = 1.0;
-  /// Weak-scaling hook (--figure=scale): when > 0, each cell runs a fresh
-  /// uniform synthetic of weak_iters_per_proc * procs iterations (via
-  /// CellSpec::app_override) instead of `app`, so per-processor work stays
-  /// constant along the procs axis and wall time measures overhead, not
-  /// problem growth.
-  int weak_iters_per_proc = 0;
-  double weak_ops_per_iteration = 0.0;
-  double weak_bytes_per_iteration = 0.0;
+  apps::Calibration calibration = apps::kSyntheticCalibration;
+  /// Per-P builder: when set, each cell runs the descriptor it returns for
+  /// the cell's processor count (via CellSpec::app_override) and `app` is
+  /// unused.  The scale preset keeps per-processor work constant this way,
+  /// so wall time measures overhead, not problem growth; Table 1 sizes MXM
+  /// as R = 100·P or 200·P.
+  std::function<core::AppDescriptor(int procs)> per_proc;
 };
 
 /// Fully resolved coordinates + parameters of one experiment cell.  Cells
@@ -45,8 +44,8 @@ struct CellSpec {
   core::DlbConfig config;         // strategy resolved
   int loop_index = -1;            // -1: whole app; else single loop
   double tl_seconds = 0.0;
-  /// Set when the app spec weak-scales (see AppSpec): the descriptor the
-  /// cell actually runs, sized for this cell's processor count.
+  /// Set when the app spec has a per-P builder (see AppSpec): the
+  /// descriptor the cell actually runs, sized for its processor count.
   std::optional<core::AppDescriptor> app_override;
   /// Set when the grid runs in service mode: the fully resolved open-stream
   /// parameters for this cell (arrival shape, offered load, strategy or
@@ -87,7 +86,7 @@ struct ExperimentGrid {
   /// Load persistence axis; empty means one point at each app's default.
   std::vector<double> tl_seconds;
   /// Load amplitude axis (the paper's m_l; 0 = dedicated machines).
-  std::vector<int> max_loads{5};
+  std::vector<int> max_loads{load::LoadParams{}.max_load};
   int seeds = 1;
   std::uint64_t seed0 = 1000;
   /// Template for every cell's cluster; the axes override procs, the app's
@@ -130,6 +129,11 @@ struct ExperimentGrid {
 ///   --topology=shared,switched --rack-size=32 --shards=1 (engine shards;
 ///     only a switched topology ever shards — see ClusterParams)
 ///   --figure=5|6|7|8 presets the paper grids (app shapes, procs, rates).
+///   --figure=table1 presets Table 1: the four ranked strategies on Figs.
+///     5-6's MXM shapes at P = 4 and 16 (R = 100·P or 200·P).
+///   --figure=table2 presets Table 2: the ranked strategies on each TRFD
+///     loop alone (a one-loop app per loop), n = 30, 40, 50, P = 4 and 16.
+///     Both rank through exp::order_rows.
 ///   --figure=scale presets the weak-scaling grid: strategy x P x topology
 ///     with a uniform app whose iterations grow with P (fixed per-proc
 ///     work); defaults procs=256,1024,4096, strategies=nodlb,gc (the
@@ -148,7 +152,9 @@ struct ExperimentGrid {
 ///       --rate=0.3,0.9                           (offered-load axis rho)
 ///       --jobs=N --hysteresis=<margin>,<k> --load-variants=N
 ///       --mix=default|hetero --service-backend=model|sim
-///     Service flags outside --figure=service are rejected.
+/// Each grid reads only its own flags (the paper presets: --seeds, --seed0,
+/// the topology flags and --faults); a grid flag the chosen grid does not
+/// read is rejected instead of silently running the stock grid.
 /// Throws std::invalid_argument on unknown app, strategy or fault names.
 [[nodiscard]] ExperimentGrid parse_grid(const support::Cli& cli);
 

@@ -1,12 +1,18 @@
 #include "exp/report.hpp"
 
+#include <algorithm>
 #include <iomanip>
 #include <map>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
+#include "model/predictor.hpp"
+#include "net/characterize.hpp"
 #include "net/topology.hpp"
 #include "support/csv.hpp"
+#include "support/ranking.hpp"
+#include "support/stats.hpp"
 #include "support/table.hpp"
 
 namespace dlb::exp {
@@ -130,6 +136,21 @@ std::vector<std::string> cell_row(const CellResult& c, const ReportOptions& opti
   return row;
 }
 
+/// Mean exec_seconds of the grid point whose seeds start at cell `base`.
+double mean_exec(const SweepResult& sweep, std::size_t base, int seeds) {
+  double exec = 0.0;
+  for (int s = 0; s < seeds; ++s) {
+    exec += sweep.cells[base + static_cast<std::size_t>(s)].result.exec_seconds;
+  }
+  return exec / seeds;
+}
+
+/// Key shared by the grid points that differ only in strategy: the index of
+/// the point's first strategy and seed.
+std::size_t strategy_group(const CellSpec& spec, int seeds) {
+  return spec.index - spec.strat_i * static_cast<std::size_t>(seeds);
+}
+
 /// A JSON numeric token for an already-formatted value.  IEEE infinities and
 /// NaNs have no JSON spelling — "inf"/"nan" in the output used to make the
 /// whole document unparseable — so they become null.
@@ -211,13 +232,29 @@ void write_summary(std::ostream& os, const SweepResult& sweep, int seeds, bool i
       csv_header.emplace_back(col);
     }
   }
-  for (const auto* col : {"strategy", "tl", "m_l", "mean exec [s]", "mean syncs", "mean moved"}) {
-    table_header.emplace_back(col);
+  // NoDLB's mean exec per strategy group, the baseline Figs. 5-8 normalize
+  // to; empty (and no normalized column) when the grid has no NoDLB.
+  std::map<std::size_t, double> nodlb;
+  if (!include_service) {
+    for (std::size_t base = 0; base < sweep.cells.size();
+         base += static_cast<std::size_t>(seeds)) {
+      const auto& spec = sweep.cells[base].spec;
+      if (spec.config.strategy == core::Strategy::kNoDlb) {
+        nodlb[strategy_group(spec, seeds)] = mean_exec(sweep, base, seeds);
+      }
+    }
   }
-  for (const auto* col : {"strategy", "tl_seconds", "max_load", "mean_exec_seconds", "mean_syncs",
-                          "mean_iterations_moved"}) {
+  const bool normalized = !nodlb.empty();
+  for (const auto* col : {"strategy", "tl", "m_l", "mean exec [s]"}) table_header.emplace_back(col);
+  for (const auto* col : {"strategy", "tl_seconds", "max_load", "mean_exec_seconds"}) {
     csv_header.emplace_back(col);
   }
+  if (normalized) {
+    table_header.emplace_back("vs NoDLB");
+    csv_header.emplace_back("normalized_exec");
+  }
+  for (const auto* col : {"mean syncs", "mean moved"}) table_header.emplace_back(col);
+  for (const auto* col : {"mean_syncs", "mean_iterations_moved"}) csv_header.emplace_back(col);
   if (include_service) {
     for (const auto* col : {"p50 [s]", "p99 [s]", "p999 [s]", "jobs/s", "util"}) {
       table_header.emplace_back(col);
@@ -235,12 +272,12 @@ void write_summary(std::ostream& os, const SweepResult& sweep, int seeds, bool i
 
   // Seeds are the innermost axis, so each grid point is a contiguous block.
   for (std::size_t base = 0; base < sweep.cells.size(); base += static_cast<std::size_t>(seeds)) {
-    double exec = 0.0, syncs = 0.0, moved = 0.0;
+    const double exec = mean_exec(sweep, base, seeds);
+    double syncs = 0.0, moved = 0.0;
     double p50 = 0.0, p99 = 0.0, p999 = 0.0, throughput = 0.0, util = 0.0;
     for (int s = 0; s < seeds; ++s) {
       const auto& cell = sweep.cells[base + static_cast<std::size_t>(s)];
       const auto& r = cell.result;
-      exec += r.exec_seconds;
       syncs += r.total_syncs();
       moved += static_cast<double>(r.total_iterations_moved());
       if (cell.service) {
@@ -251,7 +288,6 @@ void write_summary(std::ostream& os, const SweepResult& sweep, int seeds, bool i
         util += cell.service->utilization;
       }
     }
-    exec /= seeds;
     syncs /= seeds;
     moved /= seeds;
     p50 /= seeds;
@@ -275,18 +311,23 @@ void write_summary(std::ostream& os, const SweepResult& sweep, int seeds, bool i
       csv_row.push_back(arrivals);
       csv_row.push_back(rate);
     }
-    for (auto& value :
-         {strategy_label(cell0),
-          support::fmt_fixed(spec.tl_seconds, 1), std::to_string(spec.params.load.max_load),
-          support::fmt_fixed(exec, 4), support::fmt_fixed(syncs, 2),
-          support::fmt_fixed(moved, 1)}) {
+    for (auto& value : {strategy_label(cell0), support::fmt_fixed(spec.tl_seconds, 1),
+                        std::to_string(spec.params.load.max_load), support::fmt_fixed(exec, 4)}) {
       table_row.push_back(value);
     }
-    for (auto& value : {strategy_label(cell0),
-                        fmt_exact(spec.tl_seconds), std::to_string(spec.params.load.max_load),
-                        fmt_exact(exec), fmt_exact(syncs), fmt_exact(moved)}) {
+    for (auto& value : {strategy_label(cell0), fmt_exact(spec.tl_seconds),
+                        std::to_string(spec.params.load.max_load), fmt_exact(exec)}) {
       csv_row.push_back(value);
     }
+    if (normalized) {
+      const double ratio = exec / nodlb.at(strategy_group(spec, seeds));
+      table_row.push_back(support::fmt_fixed(ratio, 3));
+      csv_row.push_back(fmt_exact(ratio));
+    }
+    table_row.push_back(support::fmt_fixed(syncs, 2));
+    table_row.push_back(support::fmt_fixed(moved, 1));
+    csv_row.push_back(fmt_exact(syncs));
+    csv_row.push_back(fmt_exact(moved));
     if (include_service) {
       for (auto& value : {support::fmt_fixed(p50, 4), support::fmt_fixed(p99, 4),
                           support::fmt_fixed(p999, 4), support::fmt_fixed(throughput, 3),
@@ -303,6 +344,91 @@ void write_summary(std::ostream& os, const SweepResult& sweep, int seeds, bool i
   }
   table.print(os);
   os << "\ncsv:\n" << csv_buf.str();
+}
+
+std::vector<OrderRow> order_rows(const ExperimentGrid& grid, const SweepResult& sweep) {
+  const auto seeds = static_cast<std::size_t>(grid.seeds);
+  // Strategy-axis position of each ranked strategy.
+  std::vector<std::size_t> slot;
+  for (int id = 0; id < core::kRankedStrategyCount; ++id) {
+    const auto strategy = core::ranked_strategy(id);
+    const auto it = std::find(grid.strategies.begin(), grid.strategies.end(), strategy);
+    if (it == grid.strategies.end()) {
+      throw std::invalid_argument(std::string("order_rows: the strategy axis lacks ") +
+                                  core::strategy_name(strategy));
+    }
+    slot.push_back(static_cast<std::size_t>(it - grid.strategies.begin()));
+  }
+  const auto costs = net::characterize(grid.cluster_template.network, 16).costs;
+
+  std::vector<OrderRow> rows;
+  // Strategy and seed are the innermost axes, so each grid point is one
+  // contiguous block of cells.
+  const std::size_t block = grid.strategies.size() * seeds;
+  for (std::size_t base = 0; base < sweep.cells.size(); base += block) {
+    std::vector<double> actual;
+    for (const auto k : slot) {
+      std::vector<double> times;
+      for (std::size_t s = 0; s < seeds; ++s) {
+        times.push_back(sweep.cells[base + k * seeds + s].result.exec_seconds);
+      }
+      actual.push_back(support::mean_of(times));
+    }
+
+    // The model on each seed's load realization (§4.3 feeds the observed
+    // load into the model), summed over the seeds.
+    std::vector<double> predicted(slot.size(), 0.0);
+    for (std::size_t s = 0; s < seeds; ++s) {
+      const CellSpec& spec = sweep.cells[base + s].spec;
+      const core::AppDescriptor& app =
+          spec.app_override ? *spec.app_override : grid.apps[spec.app_i].app;
+      for (std::size_t li = 0; li < app.loops.size(); ++li) {
+        if (spec.loop_index >= 0 && li != static_cast<std::size_t>(spec.loop_index)) continue;
+        model::PredictorInputs inputs;
+        inputs.cluster = spec.params;
+        inputs.loop = &app.loops[li];
+        inputs.costs = costs;
+        inputs.config = spec.config;
+        const model::Predictor predictor(inputs);
+        for (int id = 0; id < core::kRankedStrategyCount; ++id) {
+          predicted[static_cast<std::size_t>(id)] +=
+              predictor.predict(core::ranked_strategy(id)).makespan_seconds;
+        }
+      }
+    }
+
+    OrderRow row;
+    row.app = sweep.cells[base].spec.app_name;
+    row.procs = sweep.cells[base].spec.params.procs;
+    row.actual = support::rank_by_cost(actual);
+    row.predicted = support::rank_by_cost(predicted);
+    row.kendall_tau = support::kendall_tau(row.actual, row.predicted);
+    row.positions_matched = support::positions_matched(row.actual, row.predicted);
+    rows.push_back(std::move(row));
+  }
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const OrderRow& a, const OrderRow& b) { return a.procs < b.procs; });
+  return rows;
+}
+
+void write_order_table(std::ostream& os, const std::vector<OrderRow>& rows) {
+  const std::vector<std::string> labels{"GC", "GD", "LC", "LD"};
+  support::Table table({"app", "P", "actual (best first)", "predicted (best first)",
+                        "kendall tau", "pos match"});
+  double tau_sum = 0.0;
+  int exact = 0;
+  for (const auto& row : rows) {
+    table.add_row({row.app, std::to_string(row.procs), support::format_order(row.actual, labels),
+                   support::format_order(row.predicted, labels),
+                   support::fmt_fixed(row.kendall_tau, 2),
+                   std::to_string(row.positions_matched) + "/4"});
+    tau_sum += row.kendall_tau;
+    if (row.positions_matched == core::kRankedStrategyCount) ++exact;
+  }
+  table.print(os);
+  os << "mean kendall tau = "
+     << support::fmt_fixed(rows.empty() ? 0.0 : tau_sum / static_cast<double>(rows.size()), 3)
+     << ", exact rows " << exact << "/" << rows.size() << "\n";
 }
 
 void write_timing(std::ostream& os, const SweepResult& sweep) {

@@ -48,10 +48,38 @@ void write_json(std::ostream& os, const SweepResult& sweep, const ReportOptions&
 
 /// Aggregated view: one row per grid point (all axes except seed), mean
 /// exec/syncs/moved over the seed axis — the shape the paper's figures
-/// plot.  Written as an aligned table plus a trailing CSV block, mirroring
-/// the bench output style.  include_topology mirrors ReportOptions.
+/// plot.  When the strategy axis holds NoDLB (and the grid is not in
+/// service mode), each point's mean time is also shown normalized to the
+/// NoDLB point that differs from it only in strategy, as Figs. 5-8 plot it.
+/// Written as an aligned table plus a trailing CSV block.
+/// include_topology mirrors ReportOptions.
 void write_summary(std::ostream& os, const SweepResult& sweep, int seeds,
                    bool include_topology = false, bool include_service = false);
+
+/// One row of Tables 1-2: the measured and the model-predicted order of the
+/// four ranked strategies (ids of core::ranked_strategy, best first) at one
+/// grid point, with their agreement.
+struct OrderRow {
+  std::string app;
+  int procs = 0;
+  std::vector<int> actual;
+  std::vector<int> predicted;
+  double kendall_tau = 0.0;
+  int positions_matched = 0;
+};
+
+/// Tables 1-2 (§4.3).  For every grid point: the ranked strategies' mean
+/// measured times over the seeds, ranked, against model::Predictor's
+/// makespans on the same load realizations (one per seed, summed over the
+/// loops each cell ran) with the P = 16 network characterization.  Rows run
+/// in ascending P, grid order within one P, as the paper's tables do.
+/// Throws std::invalid_argument unless the strategy axis holds the four
+/// ranked strategies.
+[[nodiscard]] std::vector<OrderRow> order_rows(const ExperimentGrid& grid,
+                                               const SweepResult& sweep);
+
+/// The order table, then "mean kendall tau = ..., exact rows k/n".
+void write_order_table(std::ostream& os, const std::vector<OrderRow>& rows);
 
 /// Host-timing summary (total wall, serial-equivalent sum, speedup,
 /// cells/s).  Separate from the deterministic result streams.

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/types.hpp"
+#include "load/load_function.hpp"
 
 namespace dlb::svc {
 
@@ -20,7 +21,7 @@ struct JobClass {
   double ops_per_iteration = 200e3;
   double bytes_per_iteration = 64.0;
   double tl_seconds = 4.0;
-  int max_load = 5;
+  int max_load = load::LoadParams{}.max_load;
   double weight = 1.0;
 
   void validate() const;

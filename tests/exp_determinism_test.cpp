@@ -30,15 +30,13 @@ ExperimentGrid property_grid() {
   dlb::exp::AppSpec sawtooth;
   sawtooth.name = "sawtooth";
   sawtooth.app = dlb::apps::make_sawtooth(48, 80e3, 20e3, 8.0);
-  sawtooth.base_ops_per_sec = 1e6;
-  sawtooth.default_tl_seconds = 0.5;
+  sawtooth.calibration = {1e6, 0.5};
   grid.apps.push_back(std::move(sawtooth));
 
   dlb::exp::AppSpec trfd;
   trfd.name = "trfd";
   trfd.app = dlb::apps::make_trfd({8});  // two loops + transpose
-  trfd.base_ops_per_sec = 1e6;
-  trfd.default_tl_seconds = 0.5;
+  trfd.calibration = {1e6, 0.5};
   grid.apps.push_back(std::move(trfd));
 
   grid.procs = {4};

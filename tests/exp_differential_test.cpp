@@ -7,12 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "apps/mxm.hpp"
 #include "apps/synthetic.hpp"
+#include "apps/trfd.hpp"
 #include "cluster/cluster.hpp"
 #include "core/runtime.hpp"
 #include "exp/grid.hpp"
 #include "exp/runner.hpp"
+#include "support/cli.hpp"
 
 namespace {
 
@@ -26,15 +30,13 @@ ExperimentGrid small_grid() {
   dlb::exp::AppSpec uniform;
   uniform.name = "uniform";
   uniform.app = dlb::apps::make_uniform(64, 50e3, 16.0);
-  uniform.base_ops_per_sec = 1e6;
-  uniform.default_tl_seconds = 1.0;
+  uniform.calibration = {1e6, 1.0};
   grid.apps.push_back(std::move(uniform));
 
   dlb::exp::AppSpec mxm;
   mxm.name = "mxm";
   mxm.app = dlb::apps::make_mxm({48, 24, 24});
-  mxm.base_ops_per_sec = 1e6;
-  mxm.default_tl_seconds = 1.0;
+  mxm.calibration = {1e6, 1.0};
   grid.apps.push_back(std::move(mxm));
 
   grid.procs = {2, 4};
@@ -116,6 +118,36 @@ TEST(ExpDifferential, SingleLoopGridMatchesRunAppLoop) {
     const auto reference =
         dlb::core::run_app_loop(spec.params, grid.apps[spec.app_i].app, spec.config, 0);
     expect_identical(sweep.cells[i].result, reference, i);
+  }
+}
+
+TEST(ExpDifferential, OneLoopAppMatchesRunSingleLoop) {
+  // --figure=table2 ranks each TRFD loop as a one-loop app instead of
+  // sweeping a loop axis; that is sound only if the one-loop app runs
+  // exactly as Runtime::run_single_loop runs that loop of the whole app.
+  const char* argv[] = {"exp_differential_test", "--figure=table2", "--seeds=1"};
+  const dlb::support::Cli cli(3, argv);
+  const auto grid = dlb::exp::parse_grid(cli);
+  ASSERT_EQ(grid.apps.size(), 6u);  // n = 30, 40, 50 x loops L1, L2
+  RunnerOptions options;
+  options.threads = 2;
+  const auto sweep = Runner(options).run(grid);
+  for (std::size_t i = 0; i < grid.cell_count(); ++i) {
+    const auto& spec = sweep.cells[i].spec;
+    const int n = 30 + 10 * static_cast<int>(spec.app_i / 2);
+    const std::size_t loop = spec.app_i % 2;
+    const auto reference =
+        dlb::core::run_app_loop(spec.params, dlb::apps::make_trfd({n}), spec.config, loop);
+    const auto& result = sweep.cells[i].result;
+    SCOPED_TRACE(spec.app_name + " P=" + std::to_string(spec.params.procs) + " " +
+                 result.strategy_name);
+    EXPECT_EQ(result.exec_seconds, reference.exec_seconds);
+    EXPECT_EQ(result.messages, reference.messages);
+    EXPECT_EQ(result.bytes, reference.bytes);
+    EXPECT_EQ(result.total_syncs(), reference.total_syncs());
+    EXPECT_EQ(result.total_iterations_moved(), reference.total_iterations_moved());
+    ASSERT_EQ(result.loops.size(), 1u);
+    EXPECT_EQ(result.loops[0].executed_per_proc, reference.loops[0].executed_per_proc);
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/calibration.hpp"
 #include "apps/synthetic.hpp"
 #include "core/ft_protocol.hpp"
 #include "core/protocol.hpp"
@@ -21,6 +23,7 @@
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 #include "exp/trace_export.hpp"
+#include "support/cli.hpp"
 
 namespace {
 
@@ -36,8 +39,7 @@ ExperimentGrid small_grid(bool observe, bool record_trace = false) {
   dlb::exp::AppSpec uniform;
   uniform.name = "uniform[iters=32]";
   uniform.app = dlb::apps::make_uniform(32, 20e3, 16.0);
-  uniform.base_ops_per_sec = 1e6;
-  uniform.default_tl_seconds = 0.5;
+  uniform.calibration = {1e6, 0.5};
   grid.apps.push_back(std::move(uniform));
   grid.procs = {4};
   grid.strategies = {dlb::core::Strategy::kGDDLB};
@@ -148,6 +150,154 @@ TEST(ExpGrid, ListFlagsRejectTrailingJunk) {
   const auto grid = dlb::exp::parse_grid(cli);
   EXPECT_EQ(grid.procs, (std::vector<int>{4, 16}));
   EXPECT_EQ(grid.tl_seconds, (std::vector<double>{2.0, 16.0}));
+}
+
+ExperimentGrid parse(std::vector<std::string> flags) {
+  flags.insert(flags.begin(), "prog");
+  std::vector<const char*> argv;
+  for (const auto& f : flags) argv.push_back(f.c_str());
+  const dlb::support::Cli cli(static_cast<int>(argv.size()), argv.data());
+  return dlb::exp::parse_grid(cli);
+}
+
+TEST(ExpGrid, PresetsRejectFlagsTheyDoNotRead) {
+  const std::vector<std::vector<std::string>> cases{
+      {"--figure=5", "--procs=16"},
+      {"--figure=5", "--strategies=gc"},
+      {"--figure=6", "--tl=2"},
+      {"--figure=7", "--max-load=1"},
+      {"--figure=8", "--loop=0"},
+      {"--figure=5", "--app=trfd"},
+      {"--figure=5", "--R=800"},
+      {"--figure=table1", "--procs=4"},
+      {"--figure=table2", "--loop=1"},
+      {"--figure=table2", "--n=40"},
+      {"--figure=scale", "--app=trfd"},
+      {"--figure=scale", "--tl=2"},
+      {"--figure=scale", "--max-load=1"},
+      {"--figure=scale", "--loop=0"},
+      {"--figure=service", "--app=mxm"},
+      {"--figure=service", "--tl=2"},
+      {"--figure=service", "--max-load=1"},
+      {"--figure=service", "--loop=0"},
+      {"--figure=service", "--iters-per-proc=8"},
+      {"--app=mxm", "--iters-per-proc=8"},
+  };
+  for (const auto& flags : cases) {
+    SCOPED_TRACE(flags[0] + " " + flags[1]);
+    try {
+      (void)parse(flags);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      const auto name = flags[1].substr(0, flags[1].find('='));
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+    }
+  }
+  // One error names every flag the grid would have ignored.
+  try {
+    (void)parse({"--figure=5", "--procs=16", "--strategies=gc", "--tl=2", "--max-load=1",
+                 "--loop=0", "--app=trfd"});
+    ADD_FAILURE() << "accepted";
+  } catch (const std::invalid_argument& e) {
+    for (const char* name : {"--procs", "--strategies", "--tl", "--max-load", "--loop", "--app"}) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(ExpGrid, PresetsAcceptTheFlagsTheyRead) {
+  const std::vector<std::vector<std::string>> cases{
+      {"--figure=5", "--seeds=5", "--seed0=2000", "--faults=crash-loss"},
+      {"--figure=table1", "--seeds=2", "--topology=switched", "--rack-size=2", "--shards=2"},
+      {"--figure=scale", "--topology=switched", "--strategies=lc", "--procs=256",
+       "--iters-per-proc=8", "--ops=1000", "--bytes=8"},
+      {"--figure=service", "--arrivals=poisson", "--rate=0.9", "--strategies=gd,online",
+       "--jobs=500", "--service-backend=sim", "--procs=4", "--hysteresis=0.1,2",
+       "--load-variants=2", "--mix=hetero"},
+      {"--app=mxm,trfd,uniform", "--procs=4", "--strategies=all", "--tl=2", "--max-load=5",
+       "--loop=0", "--R=40", "--C=40", "--R2=40", "--n=8", "--iters=10", "--ops=1",
+       "--bytes=1"},
+  };
+  for (const auto& flags : cases) {
+    SCOPED_TRACE(flags[0]);
+    EXPECT_NO_THROW((void)parse(flags));
+  }
+}
+
+TEST(ExpGrid, TablePresetsRankEveryShapeAtBothSizes) {
+  const auto table1 = parse({"--figure=table1"});
+  EXPECT_EQ(table1.procs, (std::vector<int>{4, 16}));
+  EXPECT_EQ(table1.strategies, dlb::exp::parse_strategies("ranked"));
+  EXPECT_EQ(table1.seeds, 3);
+  ASSERT_EQ(table1.apps.size(), 4u);
+  // R = 100·P or 200·P: the last shape (R/P = 200) at P = 16 has R = 3200.
+  const auto last = table1.cell(table1.cell_count() - 1);
+  EXPECT_EQ(last.params.procs, 16);
+  ASSERT_TRUE(last.app_override.has_value());
+  EXPECT_EQ(last.app_override->loops[0].iterations, 3200);
+  EXPECT_EQ(last.params.base_ops_per_sec, dlb::apps::kMxmCalibration.base_ops_per_sec);
+
+  const auto table2 = parse({"--figure=table2"});
+  EXPECT_EQ(table2.procs, (std::vector<int>{4, 16}));
+  ASSERT_EQ(table2.apps.size(), 6u);
+  for (const auto& app : table2.apps) {
+    EXPECT_EQ(app.app.loops.size(), 1u) << app.name;
+    EXPECT_TRUE(app.app.phases.empty()) << app.name;
+  }
+  EXPECT_EQ(table2.apps[0].name, "trfd[n=30,L1]");
+  EXPECT_EQ(table2.apps[1].app.loops[0].name, "trfd-l2");
+}
+
+/// uniform app under two strategies at P = 8 and 4, one seed.
+ExperimentGrid two_size_grid(const char* strategies) {
+  auto grid = small_grid(false);
+  grid.procs = {8, 4};
+  grid.strategies = dlb::exp::parse_strategies(strategies);
+  grid.seeds = 1;
+  return grid;
+}
+
+TEST(ExpReport, SummaryNormalizesToNoDlbWhenSwept) {
+  const auto with = two_size_grid("gd,nodlb");
+  std::ostringstream os;
+  dlb::exp::write_summary(os, Runner(RunnerOptions{}).run(with), with.seeds);
+  const std::string text = os.str();
+  EXPECT_NE(text.find("vs NoDLB"), std::string::npos);
+  EXPECT_NE(text.find(",normalized_exec,"), std::string::npos);
+  // NoDLB sits after GD on the axis; its own row still normalizes to 1.
+  EXPECT_NE(text.find("NoDLB,0.5,5,"), std::string::npos);
+  EXPECT_NE(text.find(",1,0,0\n"), std::string::npos) << text;
+
+  const auto without = two_size_grid("gd,ld");
+  std::ostringstream os2;
+  dlb::exp::write_summary(os2, Runner(RunnerOptions{}).run(without), without.seeds);
+  EXPECT_EQ(os2.str().find("normalized"), std::string::npos);
+}
+
+TEST(ExpReport, OrderRowsRankEachPointByAscendingP) {
+  const auto grid = two_size_grid("ranked");
+  const auto rows = dlb::exp::order_rows(grid, Runner(RunnerOptions{}).run(grid));
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].procs, 4);
+  EXPECT_EQ(rows[1].procs, 8);
+  for (const auto& row : rows) {
+    auto actual = row.actual;
+    auto predicted = row.predicted;
+    std::sort(actual.begin(), actual.end());
+    std::sort(predicted.begin(), predicted.end());
+    EXPECT_EQ(actual, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(predicted, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_GE(row.kendall_tau, -1.0);
+    EXPECT_LE(row.kendall_tau, 1.0);
+  }
+  std::ostringstream os;
+  dlb::exp::write_order_table(os, rows);
+  EXPECT_NE(os.str().find("mean kendall tau = "), std::string::npos);
+  EXPECT_NE(os.str().find("/2\n"), std::string::npos);
+
+  const auto unranked = two_size_grid("nodlb,gd");
+  EXPECT_THROW((void)dlb::exp::order_rows(unranked, Runner(RunnerOptions{}).run(unranked)),
+               std::invalid_argument);
 }
 
 TEST(ExpTraceExport, FileNamesAreDeterministic) {

@@ -68,11 +68,29 @@ TEST(ServiceGrid, FlagFamilyRefinesThePreset) {
 }
 
 TEST(ServiceGrid, ServiceFlagsAreRejectedOutsideServiceFigures) {
-  EXPECT_THROW((void)grid_from({"--figure=5", "--rate=0.5"}), std::invalid_argument);
-  EXPECT_THROW((void)grid_from({"--app=mxm", "--arrivals=poisson"}), std::invalid_argument);
-  EXPECT_THROW((void)grid_from({"--app=mxm", "--jobs=100"}), std::invalid_argument);
-  EXPECT_THROW((void)grid_from({"--app=mxm", "--hysteresis=0.1,2"}), std::invalid_argument);
-  EXPECT_THROW((void)grid_from({"--app=mxm", "--service-backend=sim"}), std::invalid_argument);
+  const auto expect_rejected = [](const std::string& grid, const std::string& flag) {
+    SCOPED_TRACE(grid + " " + flag);
+    try {
+      (void)grid_from({grid, flag});
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(flag.substr(0, flag.find('='))), std::string::npos)
+          << e.what();
+    }
+  };
+  // Every other grid: the custom grid (no --figure) and each other preset.
+  std::vector<std::string> grids{"--app=mxm"};
+  for (const char* figure : {"5", "6", "7", "8", "table1", "table2", "scale"}) {
+    grids.push_back(std::string("--figure=") + figure);
+  }
+  for (const auto& grid : grids) {
+    for (const char* flag : {"--arrivals=poisson", "--rate=0.5", "--jobs=100", "--mix=hetero"}) {
+      expect_rejected(grid, flag);
+    }
+    for (const char* flag : {"--hysteresis=0.1,2", "--load-variants=2", "--service-backend=sim"}) {
+      expect_rejected(grid, flag);
+    }
+  }
 }
 
 TEST(ServiceGrid, OnlineStrategyRequiresAServiceGrid) {

@@ -3,40 +3,33 @@
 // the simulator's measured ordering.  The checked-in Kendall-tau floor
 // catches silent Predictor drift: if the model or the runtime changes in
 // a way that decouples them, this fails before the tables quietly rot.
+// The orders come from exp::order_rows, the code behind
+// `dlb_sweep --figure=table1|table2`.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "apps/calibration.hpp"
 #include "apps/mxm.hpp"
 #include "exp/grid.hpp"
+#include "exp/report.hpp"
 #include "exp/runner.hpp"
-#include "model/predictor.hpp"
-#include "net/characterize.hpp"
-#include "support/ranking.hpp"
 
 namespace {
 
-using dlb::core::kRankedStrategyCount;
-using dlb::core::ranked_strategy;
 using dlb::exp::ExperimentGrid;
 
-const dlb::net::CollectiveCosts& costs() {
-  static const auto value = dlb::net::characterize(dlb::net::EthernetParams{}, 16).costs;
-  return value;
-}
-
-/// The Fig. 5 / Table 1 style grid at P = 4, two MXM shapes, 3 seeds —
-/// the regime where the paper (and our Table 1) report perfect agreement.
-ExperimentGrid consistency_grid(const dlb::apps::MxmParams& shape) {
+/// The Fig. 5 / Table 1 style grid at P = 4, one app per MXM shape, 3
+/// seeds — the regime where the paper (and our Table 1) report perfect
+/// agreement.
+ExperimentGrid consistency_grid(const std::vector<dlb::apps::MxmParams>& shapes) {
   ExperimentGrid grid;
-  dlb::exp::AppSpec spec;
-  spec.name = "mxm";
-  spec.app = dlb::apps::make_mxm(shape);
-  spec.base_ops_per_sec = 3e6;
-  spec.default_tl_seconds = 16.0;
-  grid.apps.push_back(std::move(spec));
+  for (const auto& shape : shapes) {
+    grid.apps.push_back({"R=" + std::to_string(shape.R) + " C=" + std::to_string(shape.C),
+                         dlb::apps::make_mxm(shape), dlb::apps::kMxmCalibration, {}});
+  }
   grid.procs = {4};
   grid.strategies = dlb::exp::parse_strategies("ranked");
   grid.seeds = 3;
@@ -44,66 +37,28 @@ ExperimentGrid consistency_grid(const dlb::apps::MxmParams& shape) {
   return grid;
 }
 
-struct Agreement {
-  std::vector<int> actual;
-  std::vector<int> predicted;
-  double tau = 0.0;
-};
-
-Agreement measure_agreement(const dlb::apps::MxmParams& shape) {
-  const auto grid = consistency_grid(shape);
-  dlb::exp::RunnerOptions options;
-  options.threads = 2;
-  const auto sweep = dlb::exp::Runner(options).run(grid);
-
-  // Actual: per-strategy mean simulated makespan (strategy axis is outer,
-  // seed inner in the canonical order).
-  std::vector<double> actual_costs(kRankedStrategyCount, 0.0);
-  for (const auto& cell : sweep.cells) {
-    actual_costs[cell.spec.strat_i] += cell.result.exec_seconds;
-  }
-
-  // Predicted: the model on the same load realizations (§4.3 feeds the
-  // observed load into the model), summed over the same seeds.
-  std::vector<double> predicted_costs(kRankedStrategyCount, 0.0);
-  const auto& app = grid.apps[0].app;
-  for (int s = 0; s < grid.seeds; ++s) {
-    auto params = grid.cell(static_cast<std::size_t>(s)).params;  // seed resolved per cell
-    dlb::model::PredictorInputs inputs;
-    inputs.cluster = params;
-    inputs.loop = &app.loops[0];
-    inputs.costs = costs();
-    const dlb::model::Predictor predictor(inputs);
-    for (int id = 0; id < kRankedStrategyCount; ++id) {
-      predicted_costs[static_cast<std::size_t>(id)] +=
-          predictor.predict(ranked_strategy(id)).makespan_seconds;
-    }
-  }
-
-  Agreement out;
-  out.actual = dlb::support::rank_by_cost(actual_costs);
-  out.predicted = dlb::support::rank_by_cost(predicted_costs);
-  out.tau = dlb::support::kendall_tau(out.actual, out.predicted);
-  return out;
-}
-
 TEST(ModelRankConsistency, KendallTauMeetsFloorAcrossSeededGrid) {
   const std::vector<dlb::apps::MxmParams> shapes{{400, 400, 400}, {400, 800, 400}};
+  const auto grid = consistency_grid(shapes);
+  dlb::exp::RunnerOptions options;
+  options.threads = 2;
+  const auto rows = dlb::exp::order_rows(grid, dlb::exp::Runner(options).run(grid));
+  ASSERT_EQ(rows.size(), shapes.size());
+
   double tau_sum = 0.0;
-  for (const auto& shape : shapes) {
-    const auto agreement = measure_agreement(shape);
-    SCOPED_TRACE("R=" + std::to_string(shape.R) + " C=" + std::to_string(shape.C));
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.app);
     // Per-configuration floor: never worse than one adjacent transposition
     // away from the measured order (tau of a single swap on 4 items = 2/3).
-    EXPECT_GE(agreement.tau, 2.0 / 3.0 - 1e-12);
+    EXPECT_GE(row.kendall_tau, 2.0 / 3.0 - 1e-12);
     // The model must nail first place in this regime (Table 1: GD first).
-    EXPECT_EQ(agreement.predicted.front(), agreement.actual.front());
-    tau_sum += agreement.tau;
+    EXPECT_EQ(row.predicted.front(), row.actual.front());
+    tau_sum += row.kendall_tau;
   }
   // Grid-level floor, deliberately below the currently measured mean
   // (1.00 at P=4, see EXPERIMENTS.md Table 1) to allow small calibration
   // shifts while still catching real model/simulator divergence.
-  EXPECT_GE(tau_sum / static_cast<double>(shapes.size()), 0.80);
+  EXPECT_GE(tau_sum / static_cast<double>(rows.size()), 0.80);
 }
 
 }  // namespace
