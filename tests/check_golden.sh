@@ -1,12 +1,12 @@
 #!/bin/sh
-# Reruns one dlb_sweep invocation and compares its stdout with a committed
-# golden byte for byte.  On a mismatch the first differing lines are shown.
+# Reruns one result command and compares its stdout with a committed golden
+# byte for byte.  On a mismatch the first differing lines are shown.
 #
-# usage: check_golden.sh <golden-file> <dlb_sweep> [flags...]
+# usage: check_golden.sh <golden-file> <program> [flags...]
 GOLDEN="$1"
 shift
 if [ -z "$GOLDEN" ] || [ "$#" -eq 0 ]; then
-  echo "usage: check_golden.sh <golden-file> <dlb_sweep> [flags...]" >&2
+  echo "usage: check_golden.sh <golden-file> <program> [flags...]" >&2
   exit 2
 fi
 
