@@ -57,12 +57,6 @@ Cluster::Cluster(ClusterParams params)
   }
 }
 
-double Cluster::total_speed() const noexcept {
-  double total = 0.0;
-  for (const auto& s : stations_) total += s->speed();
-  return total;
-}
-
 std::vector<std::vector<int>> Cluster::kblock_groups(int procs, int group_size) {
   if (procs < 1) throw std::invalid_argument("kblock_groups: procs < 1");
   if (group_size < 1 || group_size > procs) {

@@ -73,9 +73,6 @@ class Cluster {
   /// single-shard engine).  Runtime wraps each spawn in a ShardScope on this.
   [[nodiscard]] int shard_of(int i) const { return network_.shard_of(i); }
 
-  /// Sum of the relative speeds (used for proportional splits).
-  [[nodiscard]] double total_speed() const noexcept;
-
   /// K-block fixed group partition (paper §3.5): processors {0..P-1} split
   /// into contiguous blocks of size `group_size` (the last group takes the
   /// remainder).  group_size == P yields the single global group.

@@ -23,10 +23,6 @@ Workstation::Workstation(int id, double speed, double base_ops_per_sec,
   network_.attach(id, mailbox_);
 }
 
-double Workstation::effective_rate_at(sim::SimTime t) {
-  return base_ops_per_sec_ * speed_ / load_.slowdown_at(t);
-}
-
 sim::Task<void> Workstation::compute(double ops) {
   if (ops < 0.0) throw std::invalid_argument("Workstation: negative work");
   if (ops == 0.0) co_return;

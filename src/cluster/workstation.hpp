@@ -85,9 +85,6 @@ class Workstation {
   void power_on() noexcept { off_ = false; }
   [[nodiscard]] bool powered_off() const noexcept { return off_; }
 
-  /// Effective ops/sec at time `t` given the current external load level.
-  [[nodiscard]] double effective_rate_at(sim::SimTime t);
-
   /// Total operations this station has executed.
   [[nodiscard]] double ops_executed() const noexcept { return ops_executed_; }
   /// Total virtual time this station has spent computing.

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <set>
 #include <stdexcept>
-#include <vector>
 
 namespace dlb::codegen {
 
@@ -229,13 +228,6 @@ bool SymExpr::depends_on_index() const {
   std::set<std::string> names;
   collect(*root_, &uses_index, &names);
   return uses_index;
-}
-
-std::vector<std::string> SymExpr::symbols() const {
-  bool uses_index = false;
-  std::set<std::string> names;
-  collect(*root_, &uses_index, &names);
-  return {names.begin(), names.end()};
 }
 
 }  // namespace dlb::codegen

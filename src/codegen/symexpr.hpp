@@ -3,7 +3,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 namespace dlb::codegen {
 
@@ -35,9 +34,6 @@ class SymExpr {
   /// True iff the expression references the iteration index `i` (i.e., the
   /// loop is non-uniform).
   [[nodiscard]] bool depends_on_index() const;
-
-  /// The free symbols (excluding `i`).
-  [[nodiscard]] std::vector<std::string> symbols() const;
 
   /// Implementation node (exposed for the parser in the implementation
   /// file; not part of the public API surface).

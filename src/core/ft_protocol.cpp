@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -1013,11 +1014,10 @@ sim::Process ft_recovery_slave(FtState& ft, FtState::Recovery& rec) {
 // Death handling: the simulation-side sweep that makes exactly-once hold.
 // ---------------------------------------------------------------------------
 
+/// Runs after the caller's death handler, which has already powered the
+/// station off and flushed its mailbox waiters.
 void on_death(FtState& ft, int p) {
   auto& ctx = *ft.ctx;
-  auto& station = ctx.cluster->station(p);
-  station.power_off();
-  station.mailbox().cancel_waiters();
   if (ft.hb_sleep[static_cast<std::size_t>(p)]) ft.hb_sleep[static_cast<std::size_t>(p)]->cancel();
   if (ft.ctx->centralized && p == ft.balancer) {
     // Retire the incarnation now: its coroutine may be parked mid-send or
@@ -1195,7 +1195,14 @@ LoopRunStats run_ft_loop(const LoopDescriptor& loop, const DlbConfig& config,
   }
   if (ctx.centralized) ft.balancer = injector.first_alive();
 
-  injector.set_death_handler([&ft](int p) { on_death(ft, p); });
+  // Chain to the caller's handler (power-off, mailbox flush, the death
+  // instant) and restore it on exit: the chained handler must not outlive
+  // the state it captures.
+  std::function<void(int)> outer;
+  outer = injector.set_death_handler([&ft, &outer](int p) {
+    if (outer) outer(p);
+    on_death(ft, p);
+  });
 
   if (ft.groups_done < ngroups) {
     if (ctx.centralized) {
@@ -1214,12 +1221,7 @@ LoopRunStats run_ft_loop(const LoopDescriptor& loop, const DlbConfig& config,
     engine.run();
   }
 
-  // The handler must not outlive the state it captures; between loops a
-  // death still powers the station off and flushes its mailbox.
-  injector.set_death_handler([&cluster](int p) {
-    cluster.station(p).power_off();
-    cluster.station(p).mailbox().cancel_waiters();
-  });
+  injector.set_death_handler(std::move(outer));
 
   // The acceptance oracle: every iteration covered exactly once by a proc
   // whose results survived, nothing lost, nothing still in flight.
@@ -1299,9 +1301,9 @@ sim::Process ft_phase_slave(cluster::Cluster& cluster, fault::FaultInjector& inj
 
 }  // namespace
 
-void run_ft_phase(cluster::Cluster& cluster, const SequentialPhase& phase,
-                  const std::vector<double>& gather_bytes_per_proc,
-                  fault::FaultInjector& injector) {
+int run_ft_phase(cluster::Cluster& cluster, const SequentialPhase& phase,
+                 const std::vector<double>& gather_bytes_per_proc,
+                 fault::FaultInjector& injector) {
   auto& engine = cluster.engine();
   const int master = injector.first_alive();
   engine.spawn(ft_phase_master(cluster, phase, injector, master));
@@ -1311,6 +1313,7 @@ void run_ft_phase(cluster::Cluster& cluster, const SequentialPhase& phase,
                                 master));
   }
   engine.run();
+  return master;
 }
 
 }  // namespace dlb::core

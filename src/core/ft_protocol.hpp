@@ -40,7 +40,9 @@ inline constexpr int kFtCentralProfileBase = 4000;
 /// failover (lowest surviving rank), and re-execution of dead workstations'
 /// iterations.  Throws std::logic_error if the run violates exactly-once
 /// coverage — that check is the acceptance oracle, not an assertion of
-/// convenience.
+/// convenience.  The injector's death handler (Runtime installs one) powers
+/// a dead station off and flushes its mailbox; the loop chains its own
+/// bookkeeping after it and restores it on exit.
 [[nodiscard]] LoopRunStats run_ft_loop(const LoopDescriptor& loop, const DlbConfig& config,
                                        cluster::Cluster& cluster, fault::FaultInjector& injector,
                                        int loop_index, Trace* trace,
@@ -50,8 +52,9 @@ inline constexpr int kFtCentralProfileBase = 4000;
 /// ground-truth liveness checks.  The master is the lowest surviving rank at
 /// phase start; slaves that lose the master mid-phase proceed without its
 /// scatter (documented degradation — the phase data is modelled, not real).
-void run_ft_phase(cluster::Cluster& cluster, const SequentialPhase& phase,
-                  const std::vector<double>& gather_bytes_per_proc,
-                  fault::FaultInjector& injector);
+/// Returns the master's rank.
+[[nodiscard]] int run_ft_phase(cluster::Cluster& cluster, const SequentialPhase& phase,
+                               const std::vector<double>& gather_bytes_per_proc,
+                               fault::FaultInjector& injector);
 
 }  // namespace dlb::core

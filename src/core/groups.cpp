@@ -1,45 +1,11 @@
 #include "core/groups.hpp"
 
-#include <algorithm>
-#include <numeric>
-#include <stdexcept>
-
 #include "cluster/cluster.hpp"
-#include "support/rng.hpp"
 
 namespace dlb::core {
 
-std::vector<std::vector<int>> form_groups(int procs, int group_size, GroupMode mode,
-                                          std::uint64_t seed) {
-  if (mode == GroupMode::kBlock) {
-    return cluster::Cluster::kblock_groups(procs, group_size);
-  }
-
-  if (procs < 1) throw std::invalid_argument("form_groups: procs < 1");
-  if (group_size < 1 || group_size > procs) {
-    throw std::invalid_argument("form_groups: group_size out of range");
-  }
-  std::vector<int> ids(static_cast<std::size_t>(procs));
-  std::iota(ids.begin(), ids.end(), 0);
-  support::Rng rng(seed);
-  for (std::size_t i = ids.size(); i > 1; --i) {
-    const auto j = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
-    std::swap(ids[i - 1], ids[j]);
-  }
-  std::vector<std::vector<int>> groups;
-  for (int start = 0; start < procs; start += group_size) {
-    std::vector<int> group(ids.begin() + start,
-                           ids.begin() + std::min(start + group_size, procs));
-    // Sorted membership: the protocols rely on ascending active lists.
-    std::sort(group.begin(), group.end());
-    groups.push_back(std::move(group));
-  }
-  return groups;
-}
-
 std::vector<std::vector<int>> form_groups(int procs, const DlbConfig& config) {
-  return form_groups(procs, config.effective_group_size(procs), config.group_mode,
-                     config.group_seed);
+  return cluster::Cluster::kblock_groups(procs, config.effective_group_size(procs));
 }
 
 }  // namespace dlb::core

@@ -1,21 +1,16 @@
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "core/types.hpp"
 
 namespace dlb::core {
 
-/// Forms the static group partition for the local strategies (§3.5).
-/// kBlock: contiguous blocks of `group_size` (remainder to the last group);
-/// kRandom: a seeded Fisher-Yates shuffle of the processor ids, then blocks
-/// — deterministic for a given seed so the run-time protocols and the cost
-/// model agree on membership.
-[[nodiscard]] std::vector<std::vector<int>> form_groups(int procs, int group_size,
-                                                        GroupMode mode, std::uint64_t seed);
-
-/// Convenience: groups as dictated by `config` for a cluster of `procs`.
+/// The static group partition for the local strategies (§3.5): contiguous
+/// K-blocks of `config.effective_group_size(procs)` (remainder to the last
+/// group), the paper's experiments' choice.  On the fully connected uniform
+/// network K-nearest neighbours coincide with K-blocks; the global
+/// strategies get one group of P.
 [[nodiscard]] std::vector<std::vector<int>> form_groups(int procs, const DlbConfig& config);
 
 }  // namespace dlb::core

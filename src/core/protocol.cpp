@@ -398,8 +398,65 @@ sim::Process static_slave(LoopContext& ctx, int self) {
   ctx.finished_at[static_cast<std::size_t>(self)] = me.engine().now();
 }
 
-sim::Process phase_master(cluster::Cluster& cluster, SequentialPhase phase,
-                          std::vector<double> gather_bytes_per_proc) {
+LoopRunStats drive_loop(LoopContext& ctx) {
+  auto& cluster = *ctx.cluster;
+  auto& engine = cluster.engine();
+
+  // Each spawn is wrapped in a ShardScope pinning the process (and its
+  // coroutine frames) to its station's shard; a no-op on unsharded engines.
+  if (ctx.config.strategy == Strategy::kNoDlb) {
+    for (int p = 0; p < cluster.size(); ++p) {
+      sim::Engine::ShardScope scope(engine, cluster.shard_of(p));
+      engine.spawn(static_slave(ctx, p));
+    }
+  } else {
+    if (ctx.centralized) {
+      sim::Engine::ShardScope scope(engine, cluster.shard_of(ctx.balancer_proc));
+      engine.spawn(central_balancer(ctx));
+    }
+    for (int p = 0; p < cluster.size(); ++p) {
+      sim::Engine::ShardScope scope(engine, cluster.shard_of(p));
+      engine.spawn(dlb_slave(ctx, p));
+    }
+  }
+  engine.run();
+
+  if (ctx.sharded) {
+    // Merge the per-group staged sync events into the canonical order:
+    // time, then group, then round.  The key is unique (a group records at
+    // most one event per round), so the result is independent of the shard
+    // count and of which worker ran which group.
+    auto& events = ctx.stats.events;
+    for (auto& staged : ctx.events_by_group) {
+      events.insert(events.end(), staged.begin(), staged.end());
+    }
+    std::stable_sort(events.begin(), events.end(), [](const SyncEvent& a, const SyncEvent& b) {
+      if (a.at_seconds != b.at_seconds) return a.at_seconds < b.at_seconds;
+      if (a.group != b.group) return a.group < b.group;
+      return a.round < b.round;
+    });
+  }
+
+  LoopRunStats stats = std::move(ctx.stats);
+  stats.finish_seconds = sim::to_seconds(engine.now());
+  stats.executed_per_proc = ctx.executed;
+  stats.finish_per_proc.reserve(ctx.finished_at.size());
+  for (const auto t : ctx.finished_at) stats.finish_per_proc.push_back(sim::to_seconds(t));
+  stats.syncs = static_cast<int>(stats.events.size());
+  for (const auto& e : stats.events) {
+    if (e.redistributed) ++stats.redistributions;
+    stats.iterations_moved += e.iterations_moved;
+  }
+
+  std::int64_t executed_total = 0;
+  for (const auto n : stats.executed_per_proc) executed_total += n;
+  if (executed_total != ctx.loop->iterations) {
+    throw std::logic_error("drive_loop: iterations executed != iterations scheduled");
+  }
+  return stats;
+}
+
+sim::Process phase_master(cluster::Cluster& cluster, SequentialPhase phase) {
   auto& me = cluster.station(0);
   for (int p = 1; p < cluster.size(); ++p) {
     (void)co_await me.receive(kTagPhaseData, p);
@@ -409,15 +466,12 @@ sim::Process phase_master(cluster::Cluster& cluster, SequentialPhase phase,
   for (int p = 1; p < cluster.size(); ++p) {
     co_await me.send(p, kTagPhaseScatter, std::any{}, static_cast<std::size_t>(share));
   }
-  (void)gather_bytes_per_proc;
 }
 
-sim::Process phase_slave(cluster::Cluster& cluster, SequentialPhase phase, int self,
-                         double gather_bytes) {
+sim::Process phase_slave(cluster::Cluster& cluster, int self, double gather_bytes) {
   auto& me = cluster.station(self);
   co_await me.send(0, kTagPhaseData, std::any{}, static_cast<std::size_t>(gather_bytes));
   (void)co_await me.receive(kTagPhaseScatter, 0);
-  (void)phase;
 }
 
 }  // namespace dlb::core

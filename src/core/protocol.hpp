@@ -114,14 +114,18 @@ struct LoopContext {
 /// Static slave for the NoDLB baseline: executes its block, no communication.
 [[nodiscard]] sim::Process static_slave(LoopContext& ctx, int self);
 
+/// The fault-free loop driver shared by Runtime and StreamRuntime: spawns
+/// the strategy's processes (each pinned to its station's engine shard),
+/// drains the engine, merges sharded sync events canonically, and checks
+/// work conservation — every iteration executed exactly once.
+[[nodiscard]] LoopRunStats drive_loop(LoopContext& ctx);
+
 /// Sequential inter-loop phase (TRFD's transpose, §6.3): slaves gather their
 /// data to the master, the master computes, then scatters.
 /// Coroutine parameters are taken by value: the caller's locals may die
 /// before the process body resumes, so references would dangle (dlblint
 /// coro-ref-param).
-[[nodiscard]] sim::Process phase_master(cluster::Cluster& cluster, SequentialPhase phase,
-                                        std::vector<double> gather_bytes_per_proc);
-[[nodiscard]] sim::Process phase_slave(cluster::Cluster& cluster, SequentialPhase phase, int self,
-                                       double gather_bytes);
+[[nodiscard]] sim::Process phase_master(cluster::Cluster& cluster, SequentialPhase phase);
+[[nodiscard]] sim::Process phase_slave(cluster::Cluster& cluster, int self, double gather_bytes);
 
 }  // namespace dlb::core

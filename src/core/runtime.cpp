@@ -41,8 +41,8 @@ Runtime::Runtime(cluster::Cluster& cluster, AppDescriptor app, DlbConfig config)
     injector_ = std::make_unique<fault::FaultInjector>(config_.faults, cluster_.size(),
                                                        cluster_.params().seed);
     injector_->arm(cluster_.engine(), cluster_.network());
-    // Baseline handlers; run_ft_loop swaps in its bookkeeping handler for the
-    // duration of each loop and restores this one on exit.
+    // Baseline handlers.  run_ft_loop chains its bookkeeping after this death
+    // handler for the duration of each loop and restores it on exit.
     injector_->set_death_handler([this](int p) {
       cluster_.station(p).power_off();
       cluster_.station(p).mailbox().cancel_waiters();
@@ -64,61 +64,7 @@ LoopRunStats Runtime::execute_loop(const LoopDescriptor& loop, int loop_index) {
   LoopContext ctx = LoopContext::make(loop, config_, cluster_);
   ctx.trace = trace_.get();
   ctx.obs = obs_.get();
-  auto& engine = cluster_.engine();
-
-  // Each spawn is wrapped in a ShardScope pinning the process (and its
-  // coroutine frames) to its station's shard; a no-op on unsharded engines.
-  if (config_.strategy == Strategy::kNoDlb) {
-    for (int p = 0; p < cluster_.size(); ++p) {
-      sim::Engine::ShardScope scope(engine, cluster_.shard_of(p));
-      engine.spawn(static_slave(ctx, p));
-    }
-  } else {
-    if (ctx.centralized) {
-      sim::Engine::ShardScope scope(engine, cluster_.shard_of(ctx.balancer_proc));
-      engine.spawn(central_balancer(ctx));
-    }
-    for (int p = 0; p < cluster_.size(); ++p) {
-      sim::Engine::ShardScope scope(engine, cluster_.shard_of(p));
-      engine.spawn(dlb_slave(ctx, p));
-    }
-  }
-  engine.run();
-
-  if (ctx.sharded) {
-    // Merge the per-group staged sync events into the canonical order:
-    // time, then group, then round.  The key is unique (a group records at
-    // most one event per round), so the result is independent of the shard
-    // count and of which worker ran which group.
-    auto& events = ctx.stats.events;
-    for (auto& staged : ctx.events_by_group) {
-      events.insert(events.end(), staged.begin(), staged.end());
-    }
-    std::stable_sort(events.begin(), events.end(), [](const SyncEvent& a, const SyncEvent& b) {
-      if (a.at_seconds != b.at_seconds) return a.at_seconds < b.at_seconds;
-      if (a.group != b.group) return a.group < b.group;
-      return a.round < b.round;
-    });
-  }
-
-  LoopRunStats stats = std::move(ctx.stats);
-  stats.finish_seconds = sim::to_seconds(engine.now());
-  stats.executed_per_proc = ctx.executed;
-  stats.finish_per_proc.reserve(ctx.finished_at.size());
-  for (const auto t : ctx.finished_at) stats.finish_per_proc.push_back(sim::to_seconds(t));
-  stats.syncs = static_cast<int>(stats.events.size());
-  for (const auto& e : stats.events) {
-    if (e.redistributed) ++stats.redistributions;
-    stats.iterations_moved += e.iterations_moved;
-  }
-
-  // Work conservation: every iteration executed exactly once.
-  std::int64_t executed_total = 0;
-  for (const auto n : stats.executed_per_proc) executed_total += n;
-  if (executed_total != loop.iterations) {
-    throw std::logic_error("Runtime: iterations executed != iterations scheduled");
-  }
-  return stats;
+  return drive_loop(ctx);
 }
 
 void Runtime::execute_phase(const SequentialPhase& phase, const LoopRunStats& previous) {
@@ -129,22 +75,23 @@ void Runtime::execute_phase(const SequentialPhase& phase, const LoopRunStats& pr
                       phase.gather_bytes_per_iteration;
   }
   const sim::SimTime phase_began = engine.now();
+  int master = 0;
   if (injector_ != nullptr) {
-    run_ft_phase(cluster_, phase, gather_bytes, *injector_);
+    master = run_ft_phase(cluster_, phase, gather_bytes, *injector_);
   } else {
     {
       sim::Engine::ShardScope scope(engine, cluster_.shard_of(0));
-      engine.spawn(phase_master(cluster_, phase, gather_bytes));
+      engine.spawn(phase_master(cluster_, phase));
     }
     for (int p = 1; p < cluster_.size(); ++p) {
       sim::Engine::ShardScope scope(engine, cluster_.shard_of(p));
-      engine.spawn(phase_slave(cluster_, phase, p, gather_bytes[static_cast<std::size_t>(p)]));
+      engine.spawn(phase_slave(cluster_, p, gather_bytes[static_cast<std::size_t>(p)]));
     }
     engine.run();
   }
   if (obs_) {
     // One span on the master's track covering the whole gather/compute/scatter.
-    obs_->phase(0, obs::PhaseKind::kSequential, phase_began, engine.now());
+    obs_->phase(master, obs::PhaseKind::kSequential, phase_began, engine.now());
   }
 }
 

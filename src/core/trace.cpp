@@ -52,18 +52,9 @@ void Trace::record(int proc, ActivityKind kind, sim::SimTime begin, sim::SimTime
   span_end_ = std::max(span_end_, end);
 }
 
-std::vector<double> Trace::busy_seconds(int procs) const {
+std::vector<double> Trace::compute_seconds(int procs) const {
   // A negative count used to be cast straight to size_t — a ~2^64 element
   // vector and a bad_alloc — instead of being diagnosed.
-  if (procs < 0) throw std::invalid_argument("Trace: negative procs");
-  std::vector<double> out(static_cast<std::size_t>(procs), 0.0);
-  for (const auto& s : segments_) {
-    if (s.proc < procs) out[static_cast<std::size_t>(s.proc)] += sim::to_seconds(s.end - s.begin);
-  }
-  return out;
-}
-
-std::vector<double> Trace::compute_seconds(int procs) const {
   if (procs < 0) throw std::invalid_argument("Trace: negative procs");
   std::vector<double> out(static_cast<std::size_t>(procs), 0.0);
   for (const auto& s : segments_) {

@@ -42,8 +42,6 @@ class Trace {
   [[nodiscard]] bool empty() const noexcept { return segments_.empty(); }
   [[nodiscard]] sim::SimTime span_end() const noexcept { return span_end_; }
 
-  /// Busy time (all activity kinds) per processor, seconds.
-  [[nodiscard]] std::vector<double> busy_seconds(int procs) const;
   /// Compute-only time per processor, seconds.
   [[nodiscard]] std::vector<double> compute_seconds(int procs) const;
   /// Compute utilization per processor: compute time / trace span.

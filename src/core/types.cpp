@@ -68,16 +68,6 @@ int ranked_id(Strategy s) {
   }
 }
 
-const char* group_mode_name(GroupMode m) noexcept {
-  switch (m) {
-    case GroupMode::kBlock:
-      return "k-block";
-    case GroupMode::kRandom:
-      return "random";
-  }
-  return "?";
-}
-
 double LoopDescriptor::ops_of(std::int64_t iteration) const {
   if (iteration < 0 || iteration >= iterations) {
     throw std::out_of_range("LoopDescriptor: iteration index out of range");

@@ -33,18 +33,6 @@ inline constexpr int kRankedStrategyCount = 4;
 [[nodiscard]] Strategy ranked_strategy(int id);
 [[nodiscard]] int ranked_id(Strategy s);
 
-/// How the local strategies form their groups (§3.5: "this partition can be
-/// done by considering the physical proximity of the machines, as in
-/// K-nearest neighbors ... in a K-block fashion, or the group members can be
-/// selected randomly").  On our fully connected uniform network K-nearest
-/// coincides with K-block.
-enum class GroupMode {
-  kBlock,   // contiguous K-blocks (the paper's experiments)
-  kRandom,  // seeded random partition into groups of K
-};
-
-[[nodiscard]] const char* group_mode_name(GroupMode m) noexcept;
-
 /// One parallel loop to be load balanced (paper §4.1 program parameters).
 struct LoopDescriptor {
   std::string name;
@@ -103,11 +91,6 @@ struct DlbConfig {
   /// Group size K for the local strategies (ignored by global ones, where
   /// K = P).  The paper's experiments use two K-block groups.
   int group_size = 0;  // 0 means P/2 rounded up (two groups)
-  /// Group formation for the local strategies.
-  GroupMode group_mode = GroupMode::kBlock;
-  /// Seed for kRandom group formation (kept separate from the load seed so
-  /// group draws do not perturb the load realization).
-  std::uint64_t group_seed = 12345;
   /// Work is moved only when the predicted completion time improves by at
   /// least this margin, movement cost excluded (§3.3-§3.4: 10 %).
   double profitability_margin = 0.10;

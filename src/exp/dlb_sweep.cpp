@@ -6,7 +6,7 @@
 //   ./dlb_sweep --figure=scale             # weak-scaling: strategy x P x topology
 //   ./dlb_sweep --figure=service           # open stream: latency vs rho x
 //               strategy x arrival shape, with the service flag family
-//               [--arrivals=poisson,bursty,trace:<path>] [--rate=0.3,...]
+//               [--arrivals=poisson,bursty] [--rate=0.3,...]
 //               [--jobs=1000000] [--hysteresis=0.05,3] [--load-variants=8]
 //               [--mix=default|hetero] [--service-backend=model|sim]
 //   ./dlb_sweep --app=mxm,trfd --procs=4,16 --strategies=all --seeds=3

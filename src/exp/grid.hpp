@@ -148,7 +148,7 @@ struct ExperimentGrid {
 ///     strategies=gc,gd,lc,ld,online, --arrivals=poisson,bursty,
 ///     --rate=0.3,0.5,0.7,0.8,0.9,0.95, --jobs=1000000, seeds=1).  The
 ///     service flag family refines it:
-///       --arrivals=poisson,bursty,trace:<path>   (arrival-shape axis)
+///       --arrivals=poisson,bursty                (arrival-shape axis)
 ///       --rate=0.3,0.9                           (offered-load axis rho)
 ///       --jobs=N --hysteresis=<margin>,<k> --load-variants=N
 ///       --mix=default|hetero --service-backend=model|sim

@@ -48,12 +48,6 @@ void FaultInjector::arm(sim::Engine& engine, net::Network& network) {
       });
 }
 
-int FaultInjector::alive_count() const noexcept {
-  int n = 0;
-  for (const char a : alive_) n += a != 0;
-  return n;
-}
-
 int FaultInjector::first_alive() const {
   for (int p = 0; p < procs_; ++p) {
     if (alive_[static_cast<std::size_t>(p)] != 0) return p;

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "fault/plan.hpp"
@@ -49,7 +50,6 @@ class FaultInjector {
   void arm(sim::Engine& engine, net::Network& network);
 
   [[nodiscard]] bool alive(int p) const { return alive_.at(static_cast<std::size_t>(p)) != 0; }
-  [[nodiscard]] int alive_count() const noexcept;
   /// Lowest surviving rank — the deterministic successor-election rule.
   /// Throws std::runtime_error when every workstation is gone.
   [[nodiscard]] int first_alive() const;
@@ -61,8 +61,12 @@ class FaultInjector {
   /// may kill the calling proc itself — callers re-check `alive` afterwards.
   void on_progress(int loop_index, std::int64_t covered, std::int64_t total);
 
-  /// Reaction hooks, run synchronously inside the fault event.
-  void set_death_handler(std::function<void(int)> handler) { on_death_ = std::move(handler); }
+  /// Reaction hooks, run synchronously inside the fault event.  Installing a
+  /// death handler returns the previous one, so a caller can chain to it and
+  /// restore it afterwards.
+  std::function<void(int)> set_death_handler(std::function<void(int)> handler) {
+    return std::exchange(on_death_, std::move(handler));
+  }
   void set_rejoin_handler(std::function<void(int)> handler) { on_rejoin_ = std::move(handler); }
 
   /// Applies a fault now (also used directly by tests).

@@ -1,12 +1,10 @@
 #include "load/load_function.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace dlb::load {
 
-LoadFunction::LoadFunction(LoadParams params, support::Rng rng)
-    : params_(params), rng_(rng), prefix_inv_{0.0} {
+LoadFunction::LoadFunction(LoadParams params, support::Rng rng) : params_(params), rng_(rng) {
   if (params_.max_load < 0) throw std::invalid_argument("LoadFunction: negative max_load");
   if (params_.persistence <= 0) throw std::invalid_argument("LoadFunction: persistence must be > 0");
 }
@@ -15,11 +13,8 @@ LoadFunction::LoadFunction(LoadParams params, std::vector<int> scripted_levels)
     : params_(params), rng_(0), levels_(std::move(scripted_levels)), scripted_(true) {
   if (params_.persistence <= 0) throw std::invalid_argument("LoadFunction: persistence must be > 0");
   if (levels_.empty()) throw std::invalid_argument("LoadFunction: empty script");
-  prefix_inv_.reserve(levels_.size() + 1);
-  prefix_inv_.push_back(0.0);
   for (const int level : levels_) {
     if (level < 0) throw std::invalid_argument("LoadFunction: negative scripted level");
-    prefix_inv_.push_back(prefix_inv_.back() + 1.0 / (1.0 + level));
   }
 }
 
@@ -27,7 +22,6 @@ void LoadFunction::ensure_generated(std::int64_t block) {
   while (static_cast<std::int64_t>(levels_.size()) <= block) {
     levels_.push_back(scripted_ ? levels_.back()
                                 : static_cast<int>(rng_.uniform_int(0, params_.max_load)));
-    prefix_inv_.push_back(prefix_inv_.back() + 1.0 / (1.0 + levels_.back()));
   }
 }
 
@@ -45,73 +39,6 @@ int LoadFunction::level_at(sim::SimTime t) {
 LoadFunction::Segment LoadFunction::segment_at(sim::SimTime t) {
   const std::int64_t k = t / params_.persistence;
   return Segment{level_of_block(k), k * params_.persistence, (k + 1) * params_.persistence};
-}
-
-double LoadFunction::effective_load(sim::SimTime t0, sim::SimTime t1) {
-  if (t1 < t0) throw std::invalid_argument("LoadFunction: reversed window");
-  if (t0 < 0) throw std::invalid_argument("LoadFunction: negative time");
-  if (t1 == t0) return slowdown_at(t0);
-  const std::int64_t first = t0 / params_.persistence;
-  const std::int64_t last = (t1 - 1) / params_.persistence;  // block containing t1's last ns
-  ensure_generated(last);
-  double integral;  // of 1/(l+1) dt, in seconds
-  if (first == last) {
-    integral = sim::to_seconds(t1 - t0) / (1.0 + levels_[static_cast<std::size_t>(first)]);
-  } else {
-    // Partial edge blocks walked directly; interior whole blocks in O(1)
-    // from the prefix sum.
-    integral =
-        sim::to_seconds((first + 1) * params_.persistence - t0) /
-            (1.0 + levels_[static_cast<std::size_t>(first)]) +
-        sim::to_seconds(t1 - last * params_.persistence) /
-            (1.0 + levels_[static_cast<std::size_t>(last)]);
-    if (last - first > 1) {
-      integral += sim::to_seconds(params_.persistence) *
-                  (prefix_inv_[static_cast<std::size_t>(last)] -
-                   prefix_inv_[static_cast<std::size_t>(first) + 1]);
-    }
-  }
-  return sim::to_seconds(t1 - t0) / integral;
-}
-
-double LoadFunction::effective_load_blocks(sim::SimTime t0, sim::SimTime t1) {
-  if (t1 < t0) throw std::invalid_argument("LoadFunction: reversed window");
-  // a = ceil(t0 / t_l), b = ceil(t1 / t_l), per the paper's §4.2.
-  const auto ceil_div = [](sim::SimTime num, sim::SimTime den) {
-    return (num + den - 1) / den;
-  };
-  const std::int64_t a = ceil_div(t0, params_.persistence);
-  const std::int64_t b = std::max(ceil_div(t1, params_.persistence), a);
-  ensure_generated(b);
-  const double inv_sum = prefix_inv_[static_cast<std::size_t>(b) + 1] -
-                         prefix_inv_[static_cast<std::size_t>(a)];
-  return static_cast<double>(b - a + 1) / inv_sum;
-}
-
-double LoadFunction::effective_load_naive(sim::SimTime t0, sim::SimTime t1) {
-  if (t1 < t0) throw std::invalid_argument("LoadFunction: reversed window");
-  if (t1 == t0) return slowdown_at(t0);
-  const std::int64_t first = t0 / params_.persistence;
-  const std::int64_t last = (t1 - 1) / params_.persistence;
-  double integral = 0.0;
-  for (std::int64_t k = first; k <= last; ++k) {
-    const sim::SimTime begin = std::max(t0, k * params_.persistence);
-    const sim::SimTime end = std::min(t1, (k + 1) * params_.persistence);
-    integral += sim::to_seconds(end - begin) / (1.0 + level_of_block(k));
-  }
-  return sim::to_seconds(t1 - t0) / integral;
-}
-
-double LoadFunction::effective_load_blocks_naive(sim::SimTime t0, sim::SimTime t1) {
-  if (t1 < t0) throw std::invalid_argument("LoadFunction: reversed window");
-  const auto ceil_div = [](sim::SimTime num, sim::SimTime den) {
-    return (num + den - 1) / den;
-  };
-  const std::int64_t a = ceil_div(t0, params_.persistence);
-  const std::int64_t b = std::max(ceil_div(t1, params_.persistence), a);
-  double inv_sum = 0.0;
-  for (std::int64_t k = a; k <= b; ++k) inv_sum += 1.0 / (1.0 + level_of_block(k));
-  return static_cast<double>(b - a + 1) / inv_sum;
 }
 
 LoadFunction constant_load(int level, sim::SimTime persistence) {

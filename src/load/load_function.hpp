@@ -47,28 +47,6 @@ class LoadFunction {
   /// Slowdown factor l(t) + 1 (>= 1).
   [[nodiscard]] double slowdown_at(sim::SimTime t) { return 1.0 + level_at(t); }
 
-  /// Effective load mu over the window [t0, t1]: the paper's §4.2 definition
-  /// generalized to exact time weighting —
-  ///   mu = (t1 - t0) / integral_{t0}^{t1} dt / (l(t) + 1),
-  /// so that the average effective speed over the window is S / mu.
-  /// For block-aligned windows this equals the paper's
-  ///   (b - a + 1) / sum_{k=a}^{b} 1/(l(k)+1).
-  ///
-  /// Interior whole blocks are served from a cached prefix sum of 1/(l(k)+1),
-  /// so a window query costs O(1) once its blocks are generated — the cost
-  /// model issues thousands of overlapping window queries per prediction and
-  /// would otherwise re-walk the same blocks every time.
-  [[nodiscard]] double effective_load(sim::SimTime t0, sim::SimTime t1);
-
-  /// The paper's literal block formula with a = ceil(t0/t_l), b = ceil(t1/t_l).
-  /// O(1) amortized via the same prefix sum.
-  [[nodiscard]] double effective_load_blocks(sim::SimTime t0, sim::SimTime t1);
-
-  /// Reference implementations that re-walk every block; the prefix-summed
-  /// fast paths are differential-tested against these.
-  [[nodiscard]] double effective_load_naive(sim::SimTime t0, sim::SimTime t1);
-  [[nodiscard]] double effective_load_blocks_naive(sim::SimTime t0, sim::SimTime t1);
-
   [[nodiscard]] const LoadParams& params() const noexcept { return params_; }
 
   /// Levels generated so far (grows as queried).
@@ -80,8 +58,6 @@ class LoadFunction {
   LoadParams params_;
   support::Rng rng_;
   std::vector<int> levels_;
-  // prefix_inv_[k] = sum_{j<k} 1/(l(j)+1); maintained alongside levels_.
-  std::vector<double> prefix_inv_;
   bool scripted_ = false;
 };
 

@@ -52,18 +52,6 @@ sim::Process sender_then_receiver(sim::Engine& engine, Network& network, sim::Ma
 
 }  // namespace
 
-const char* pattern_name(Pattern p) noexcept {
-  switch (p) {
-    case Pattern::kOneToAll:
-      return "one-to-all";
-    case Pattern::kAllToOne:
-      return "all-to-one";
-    case Pattern::kAllToAll:
-      return "all-to-all";
-  }
-  return "?";
-}
-
 double alltoall_analytic(int procs, std::size_t bytes, const EthernetParams& params) {
   if (procs < 2) throw std::invalid_argument("alltoall_analytic: need at least 2 processors");
   const int last_round = procs - 1;  // every sender ships one frame per round

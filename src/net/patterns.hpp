@@ -13,8 +13,6 @@ namespace dlb::net {
 ///   AllToAll : everyone -> everyone      (profile broadcast, distributed)
 enum class Pattern { kOneToAll, kAllToOne, kAllToAll };
 
-[[nodiscard]] const char* pattern_name(Pattern p) noexcept;
-
 /// Largest processor count measure_pattern simulates all-to-all event by
 /// event; beyond it the closed form below is returned instead.  The two are
 /// exactly equal (a differential test pins them together bit for bit), so

@@ -45,8 +45,6 @@ const char* instant_name(InstantKind k) noexcept {
       return "retry";
     case InstantKind::kDrop:
       return "drop";
-    case InstantKind::kHandout:
-      return "handout";
   }
   return "?";
 }

@@ -10,16 +10,17 @@
 namespace dlb::obs {
 
 /// Protocol phases a workstation can be observed in.  One span kind per
-/// phase of the paper's run-time library (plus the fault layer's recovery
-/// and the central-task-queue handout), so a Chrome trace shows *why* a
-/// processor was not computing, not just that it wasn't.
+/// phase of the paper's run-time library (plus the fault layer's recovery),
+/// so a Chrome trace shows *why* a processor was not computing, not just
+/// that it wasn't.
 enum class PhaseKind {
   kSync,        // whole synchronization round (interrupt to verdict applied)
   kProfile,     // profile exchange inside a round
   kShipment,    // shipping / collecting migrated work
   kRecovery,    // re-executing a dead workstation's iterations
   kSequential,  // inter-loop sequential phase (gather/compute/scatter)
-  kChunk,       // central-task-queue chunk handout
+  kChunk,       // unrecorded; its proto.chunk_seconds histogram is a column
+                // of every --metrics CSV
 };
 inline constexpr int kPhaseKindCount = 6;
 [[nodiscard]] const char* phase_name(PhaseKind k) noexcept;
@@ -31,7 +32,6 @@ enum class InstantKind {
   kRejoin,     // revoked workstation returned
   kRetry,      // fault-tolerant protocol retransmission
   kDrop,       // frame lost on the wire
-  kHandout,    // central queue handed a chunk to a worker
 };
 [[nodiscard]] const char* instant_name(InstantKind k) noexcept;
 

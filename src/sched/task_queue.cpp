@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 
-#include "fault/injector.hpp"
 #include "net/params.hpp"
-#include "obs/recorder.hpp"
 #include "sim/process.hpp"
 #include "sim/time.hpp"
 
@@ -20,15 +17,7 @@ constexpr int kTagChunkReply = 201;
 
 struct ChunkReply {
   std::int64_t lo = 0;
-  std::int64_t hi = 0;  // lo == hi means "queue empty, stop"; lo < 0 "retry later"
-};
-
-/// Under faults, a request doubles as the completion ack of the previous
-/// chunk (rDLB-style: results travel back with the next request, so a chunk
-/// is committed only when its ack reaches the master).
-struct ChunkRequest {
-  std::int64_t lo = 0;
-  std::int64_t hi = 0;  // lo == hi: first request, nothing to ack
+  std::int64_t hi = 0;  // lo == hi means "queue empty, stop"
 };
 
 struct QueueState {
@@ -39,13 +28,6 @@ struct QueueState {
   std::vector<std::int64_t> executed;
   std::vector<sim::SimTime> finished_at;
   core::LoopRunStats stats;
-  std::shared_ptr<obs::Recorder> obs;  // armed only when TaskQueueConfig::observe
-
-  // Fault mode only.
-  fault::FaultInjector* injector = nullptr;
-  std::vector<ChunkReply> outstanding;  // handed out, not yet acked (per proc)
-  std::vector<ChunkReply> reissue;      // reclaimed from dead workers, FIFO
-  std::int64_t completed = 0;           // iterations committed via acks
 };
 
 void record_handout(QueueState& q, int source, const ChunkReply& reply, std::int64_t remaining) {
@@ -58,13 +40,6 @@ void record_handout(QueueState& q, int source, const ChunkReply& reply, std::int
   e.redistributed = true;
   e.transfer_messages = 1;
   q.stats.events.push_back(e);
-  if (q.obs != nullptr) {
-    q.obs->instant(source, obs::InstantKind::kHandout, q.cluster->engine().now(),
-                   reply.hi - reply.lo);
-    q.obs->metrics().counter("sched.chunks").increment();
-    q.obs->metrics().counter("sched.iterations_handed")
-        .add(static_cast<double>(reply.hi - reply.lo));
-  }
 }
 
 sim::Process queue_master(QueueState& q) {
@@ -94,109 +69,8 @@ sim::Process queue_slave(QueueState& q, int self) {
     const sim::Message m = co_await me.receive(kTagChunkReply, 0);
     const auto& reply = m.as<ChunkReply>();
     if (reply.lo == reply.hi) break;
-    const sim::SimTime began = me.engine().now();
     co_await me.compute(q.loop->ops_in_range(reply.lo, reply.hi));
-    if (q.obs != nullptr) {
-      q.obs->phase(self, obs::PhaseKind::kChunk, began, me.engine().now(),
-                   reply.hi - reply.lo);
-    }
     q.executed[static_cast<std::size_t>(self)] += reply.hi - reply.lo;
-  }
-  q.finished_at[static_cast<std::size_t>(self)] = me.engine().now();
-}
-
-// ---------------------------------------------------------------------------
-// Fault-tolerant variants.  The master keeps a chunk ledger: a chunk is
-// outstanding from handout until its ack arrives with the worker's next
-// request; a worker's death requeues its outstanding chunk for reissue, so
-// every iteration is committed exactly once no matter who dies.  The master
-// (processor 0, which also hosts the queue) is assumed fault-free, as the
-// paper's central queue lives on the submitting host — run_task_queue
-// rejects plans that target it.
-// ---------------------------------------------------------------------------
-
-sim::Process ft_queue_master(QueueState& q) {
-  auto& me = q.cluster->station(0);
-  const std::int64_t total = q.loop->iterations;
-  const sim::SimTime step =
-      sim::from_seconds(q.injector->plan().heartbeat_period_seconds);
-  std::vector<char> stopped(static_cast<std::size_t>(q.cluster->size()), 0);
-  const auto all_stopped = [&] {
-    for (int p = 0; p < q.cluster->size(); ++p) {
-      if (q.injector->alive(p) && stopped[static_cast<std::size_t>(p)] == 0) return false;
-    }
-    return true;
-  };
-  while (q.completed < total || !all_stopped()) {
-    // Bounded wait: a death while we are parked refills the reissue list
-    // without a message, so periodically fall through and re-check.
-    auto m = co_await me.receive_until(me.engine().now() + step, kTagChunkRequest,
-                                       kTagChunkRequest);
-    if (!m) continue;
-    const int src = m->source;
-    const auto& req = m->as<ChunkRequest>();
-    auto& mine = q.outstanding[static_cast<std::size_t>(src)];
-    if (req.lo < req.hi && mine.lo == req.lo && mine.hi == req.hi) {
-      // The ack commits the chunk.  A mismatched ack is from a worker whose
-      // death already requeued the chunk — ignore it, the reissue wins.
-      mine = {};
-      q.completed += req.hi - req.lo;
-      q.executed[static_cast<std::size_t>(src)] += req.hi - req.lo;
-      q.injector->on_progress(0, q.completed, total);
-    }
-    if (!q.injector->alive(src)) continue;  // request outlived its sender
-
-    ChunkReply reply;
-    if (!q.reissue.empty()) {
-      reply = q.reissue.front();
-      q.reissue.erase(q.reissue.begin());
-      record_handout(q, src, reply, total - q.completed - (reply.hi - reply.lo));
-    } else if (q.next_index < total) {
-      const std::int64_t chunk = q.policy->next(total - q.next_index);
-      reply.lo = q.next_index;
-      reply.hi = q.next_index + std::min(chunk, total - q.next_index);
-      q.next_index = reply.hi;
-      record_handout(q, src, reply, total - q.next_index);
-    } else if (q.completed == total) {
-      stopped[static_cast<std::size_t>(src)] = 1;  // stop: reply.lo == reply.hi
-    } else {
-      reply = {-1, -1};  // fresh work may still reappear from a death: retry
-    }
-    if (reply.lo < reply.hi) q.outstanding[static_cast<std::size_t>(src)] = reply;
-    co_await me.send(src, kTagChunkReply, reply, net::kControlMessageBytes,
-                     /*droppable=*/false);
-  }
-}
-
-sim::Process ft_queue_slave(QueueState& q, int self) {
-  auto& me = q.cluster->station(self);
-  const sim::SimTime step =
-      sim::from_seconds(q.injector->plan().heartbeat_period_seconds);
-  ChunkRequest ack;
-  while (!me.powered_off()) {
-    co_await me.send(0, kTagChunkRequest, ack, net::kControlMessageBytes,
-                     /*droppable=*/false);
-    ack = {};
-    if (me.powered_off()) break;
-    std::optional<sim::Message> m;
-    while (!m && !me.powered_off()) {
-      m = co_await me.receive_until(me.engine().now() + step, kTagChunkReply, kTagChunkReply, 0);
-    }
-    if (!m) break;
-    const auto& reply = m->as<ChunkReply>();
-    if (reply.lo < 0) {
-      co_await me.busy(step);  // nothing to hand out right now; ask again
-      continue;
-    }
-    if (reply.lo == reply.hi) break;
-    const sim::SimTime began = me.engine().now();
-    co_await me.compute(q.loop->ops_in_range(reply.lo, reply.hi));
-    if (me.powered_off()) break;  // died mid-chunk: unacked, master reissues
-    if (q.obs != nullptr) {
-      q.obs->phase(self, obs::PhaseKind::kChunk, began, me.engine().now(),
-                   reply.hi - reply.lo);
-    }
-    ack = {reply.lo, reply.hi};
   }
   q.finished_at[static_cast<std::size_t>(self)] = me.engine().now();
 }
@@ -218,14 +92,6 @@ core::RunResult finish_result(QueueState& q, const core::AppDescriptor& app,
   result.loops.push_back(std::move(q.stats));
   result.messages = cluster.network().messages_sent();
   result.bytes = cluster.network().bytes_sent();
-  if (q.obs != nullptr) {
-    auto& metrics = q.obs->metrics();
-    metrics.gauge("engine.events").set(static_cast<double>(cluster.engine().events_executed()));
-    metrics.gauge("engine.peak_queue")
-        .set(static_cast<double>(cluster.engine().peak_queue_depth()));
-    result.obs = q.obs;
-    result.metrics = metrics.snapshot();
-  }
   return result;
 }
 
@@ -248,56 +114,6 @@ core::RunResult run_task_queue(const cluster::ClusterParams& params,
   q.executed.assign(static_cast<std::size_t>(cluster.size()), 0);
   q.finished_at.assign(static_cast<std::size_t>(cluster.size()), 0);
   q.stats.loop_name = loop.name;
-  if (config.observe) {
-    q.obs = std::make_shared<obs::Recorder>();
-    cluster.network().set_recorder(q.obs.get());
-  }
-
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (config.faults.armed()) {
-    config.faults.validate(cluster.size());
-    for (const auto& spec : config.faults.events) {
-      const int victim = spec.proc == -1 ? cluster.size() - 1 : spec.proc;
-      if (victim == 0) {
-        throw std::invalid_argument(
-            "run_task_queue: processor 0 hosts the central queue and is assumed "
-            "fault-free; pick another victim");
-      }
-    }
-    injector = std::make_unique<fault::FaultInjector>(config.faults, cluster.size(),
-                                                      params.seed);
-    injector->arm(cluster.engine(), cluster.network());
-    q.injector = injector.get();
-    q.outstanding.assign(static_cast<std::size_t>(cluster.size()), ChunkReply{});
-    injector->set_death_handler([&q, &cluster](int p) {
-      cluster.station(p).power_off();
-      cluster.station(p).mailbox().cancel_waiters();
-      auto& held = q.outstanding[static_cast<std::size_t>(p)];
-      if (held.lo < held.hi) {
-        q.reissue.push_back(held);
-        held = {};
-      }
-    });
-
-    cluster.engine().spawn(ft_queue_master(q));
-    for (int p = 0; p < cluster.size(); ++p) cluster.engine().spawn(ft_queue_slave(q, p));
-    cluster.engine().run();
-
-    if (q.completed != loop.iterations) {
-      throw std::logic_error("run_task_queue: committed iterations != scheduled under faults");
-    }
-    q.stats.finish_seconds = 0.0;
-    for (int p = 0; p < cluster.size(); ++p) {
-      if (injector->alive(p)) {
-        q.stats.finish_seconds = std::max(
-            q.stats.finish_seconds, sim::to_seconds(q.finished_at[static_cast<std::size_t>(p)]));
-      }
-    }
-    auto result = finish_result(q, app, config);
-    result.exec_seconds = result.loops[0].finish_seconds;
-    result.faults = injector->stats();
-    return result;
-  }
 
   cluster.engine().spawn(queue_master(q));
   for (int p = 0; p < cluster.size(); ++p) cluster.engine().spawn(queue_slave(q, p));

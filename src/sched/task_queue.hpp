@@ -5,7 +5,6 @@
 #include "cluster/cluster.hpp"
 #include "core/run_stats.hpp"
 #include "core/types.hpp"
-#include "fault/plan.hpp"
 #include "sched/chunk_policy.hpp"
 
 namespace dlb::sched {
@@ -14,16 +13,6 @@ namespace dlb::sched {
 struct TaskQueueConfig {
   QueueScheme scheme = QueueScheme::kGuided;
   std::int64_t fixed_chunk = 8;  // K for kFixedChunk
-  /// Armed plan: workers may crash or be revoked; the master ledgers every
-  /// handed-out chunk and reissues unacked chunks of dead workers (a chunk
-  /// is committed when its ack rides back on the worker's next request).
-  /// Processor 0 hosts the queue and must not be a fault victim.  Within a
-  /// single queue run a revoked worker does not rejoin (no loop boundary),
-  /// so revocation degrades to a crash with its own counter.
-  fault::FaultPlan faults;
-  /// Arm the observability layer: chunk handout marks, per-chunk compute
-  /// spans, network frame records and metrics (RunResult::obs / ::metrics).
-  bool observe = false;
 };
 
 /// Runs a single-loop application under a central task queue on the

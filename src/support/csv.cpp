@@ -6,8 +6,9 @@ namespace dlb::support {
 
 namespace {
 
-// Appends `cell` to `out`, quoting only when required — same contract as
-// csv_escape but without materializing a temporary string per cell.
+// Appends `cell` to `out`, quoting only when required: a cell holding a
+// separator, quote or newline is wrapped in quotes with embedded quotes
+// doubled (RFC 4180).
 void append_escaped(std::string& out, const std::string& cell) {
   if (cell.find_first_of(",\"\n\r") == std::string::npos) {
     out += cell;
@@ -22,15 +23,6 @@ void append_escaped(std::string& out, const std::string& cell) {
 }
 
 }  // namespace
-
-std::string csv_escape(const std::string& cell) {
-  const bool needs_quotes = cell.find_first_of(",\"\n\r") != std::string::npos;
-  if (!needs_quotes) return cell;
-  std::string out;
-  out.reserve(cell.size() + 2);
-  append_escaped(out, cell);
-  return out;
-}
 
 void CsvWriter::write_row(const std::vector<std::string>& cells) {
   row_buf_.clear();

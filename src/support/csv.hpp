@@ -22,6 +22,4 @@ class CsvWriter {
   std::string row_buf_;
 };
 
-[[nodiscard]] std::string csv_escape(const std::string& cell);
-
 }  // namespace dlb::support

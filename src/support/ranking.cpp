@@ -53,10 +53,6 @@ double kendall_tau(std::span<const int> order_a, std::span<const int> order_b) {
   return static_cast<double>(concordant - discordant) / pairs;
 }
 
-bool exact_match(std::span<const int> order_a, std::span<const int> order_b) {
-  return order_a.size() == order_b.size() && std::equal(order_a.begin(), order_a.end(), order_b.begin());
-}
-
 int positions_matched(std::span<const int> order_a, std::span<const int> order_b) {
   if (order_a.size() != order_b.size()) throw std::invalid_argument("ranking: size mismatch");
   int matched = 0;

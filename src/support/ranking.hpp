@@ -16,9 +16,6 @@ namespace dlb::support {
 /// same ids.
 [[nodiscard]] double kendall_tau(std::span<const int> order_a, std::span<const int> order_b);
 
-/// True iff both orderings are identical.
-[[nodiscard]] bool exact_match(std::span<const int> order_a, std::span<const int> order_b);
-
 /// Number of positions at which the orderings agree.
 [[nodiscard]] int positions_matched(std::span<const int> order_a, std::span<const int> order_b);
 

@@ -1,8 +1,6 @@
 #include "svc/arrivals.hpp"
 
 #include <cmath>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace dlb::svc {
@@ -15,17 +13,9 @@ constexpr std::uint64_t kArrivalStream = 0x41525256ULL;  // "ARRV"
 constexpr std::uint64_t kClassStream = 0x434c5353ULL;    // "CLSS"
 constexpr std::uint64_t kVariantStream = 0x56524e54ULL;  // "VRNT"
 
-std::string trace_label(const std::string& path) {
-  const auto slash = path.find_last_of('/');
-  return "trace:" + (slash == std::string::npos ? path : path.substr(slash + 1));
-}
-
 }  // namespace
 
 void ArrivalSpec::validate() const {
-  if (kind == ArrivalKind::kTrace && trace_path.empty()) {
-    throw std::invalid_argument("ArrivalSpec: trace arrivals require a path");
-  }
   if (!(on_fraction > 0.0) || !(on_fraction <= 1.0)) {
     throw std::invalid_argument("ArrivalSpec: on_fraction must be in (0, 1]");
   }
@@ -42,84 +32,12 @@ ArrivalSpec parse_arrival_spec(const std::string& text) {
   } else if (text == "bursty") {
     spec.kind = ArrivalKind::kBursty;
     spec.label = "bursty";
-  } else if (text.rfind("trace:", 0) == 0) {
-    spec.kind = ArrivalKind::kTrace;
-    spec.trace_path = text.substr(6);
-    if (spec.trace_path.empty()) {
-      throw std::invalid_argument("parse_arrival_spec: empty trace path in '" + text + "'");
-    }
-    spec.label = trace_label(spec.trace_path);
   } else {
     throw std::invalid_argument("parse_arrival_spec: unknown arrival shape '" + text +
-                                "' (try poisson|bursty|trace:<path>)");
+                                "' (try poisson|bursty)");
   }
   spec.validate();
   return spec;
-}
-
-ArrivalTrace ArrivalTrace::parse_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::invalid_argument("ArrivalTrace: cannot open '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_text(buffer.str(), path);
-}
-
-ArrivalTrace ArrivalTrace::parse_text(const std::string& text, const std::string& origin) {
-  ArrivalTrace trace;
-  std::istringstream in(text);
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream fields(line);
-    double at = 0.0;
-    if (!(fields >> at)) continue;  // blank / comment-only line
-    int cls = -1;                   // -1: draw from the mix
-    std::string token;
-    if (fields >> token) {
-      std::size_t used = 0;
-      try {
-        cls = std::stoi(token, &used);
-      } catch (const std::exception&) {
-        used = 0;
-      }
-      if (used != token.size() || cls < 0) {
-        throw std::invalid_argument("ArrivalTrace: bad class index at " + origin + ":" +
-                                    std::to_string(line_no));
-      }
-      if (fields >> token) {
-        throw std::invalid_argument("ArrivalTrace: trailing tokens at " + origin + ":" +
-                                    std::to_string(line_no));
-      }
-    }
-    if (!(at >= 0.0) || !std::isfinite(at)) {
-      throw std::invalid_argument("ArrivalTrace: bad arrival time at " + origin + ":" +
-                                  std::to_string(line_no));
-    }
-    if (!trace.at_seconds.empty() && at <= trace.at_seconds.back()) {
-      throw std::invalid_argument("ArrivalTrace: times must be strictly increasing at " + origin +
-                                  ":" + std::to_string(line_no));
-    }
-    trace.at_seconds.push_back(at);
-    trace.class_index.push_back(cls);
-  }
-  if (trace.at_seconds.empty()) {
-    throw std::invalid_argument("ArrivalTrace: no arrivals in " + origin);
-  }
-  return trace;
-}
-
-double ArrivalTrace::period_seconds() const {
-  const double last = at_seconds.back();
-  const auto n = at_seconds.size();
-  // Wrap period = last + the mean inter-arrival gap, so the replayed stream
-  // keeps the file's long-run rate across cycles.
-  const double mean_gap =
-      n >= 2 ? last / static_cast<double>(n - 1) : (last > 0.0 ? last : 1.0);
-  return last + mean_gap;
 }
 
 ArrivalGenerator::ArrivalGenerator(ArrivalSpec spec, JobMix mix, double rate_per_sec,
@@ -138,19 +56,6 @@ ArrivalGenerator::ArrivalGenerator(ArrivalSpec spec, JobMix mix, double rate_per
   }
   if (load_variants_ < 1) {
     throw std::invalid_argument("ArrivalGenerator: load_variants must be >= 1");
-  }
-  if (spec_.kind == ArrivalKind::kTrace) {
-    trace_ = ArrivalTrace::parse_file(spec_.trace_path);
-    for (const int cls : trace_.class_index) {
-      if (cls >= static_cast<int>(mix_.classes.size())) {
-        throw std::invalid_argument("ArrivalTrace: class index out of range for mix '" +
-                                    mix_.name + "'");
-      }
-    }
-    // Rescale trace time so the replayed long-run rate equals rate_.
-    const double file_rate = static_cast<double>(trace_.at_seconds.size()) /
-                             trace_.period_seconds();
-    trace_scale_ = file_rate / rate_;
   }
 }
 
@@ -193,17 +98,6 @@ double ArrivalGenerator::next_arrival_seconds() {
         }
       }
     }
-    case ArrivalKind::kTrace: {
-      if (trace_pos_ == trace_.at_seconds.size()) {
-        trace_pos_ = 0;
-        trace_cycle_offset_ += trace_.period_seconds();
-      }
-      const double at = (trace_cycle_offset_ + trace_.at_seconds[trace_pos_]) * trace_scale_;
-      trace_pinned_class_ = trace_.class_index[trace_pos_];
-      ++trace_pos_;
-      clock_seconds_ = at;
-      return at;
-    }
   }
   throw std::logic_error("ArrivalGenerator: unreachable arrival kind");
 }
@@ -211,14 +105,11 @@ double ArrivalGenerator::next_arrival_seconds() {
 Job ArrivalGenerator::next() {
   Job job;
   job.id = next_id_++;
-  trace_pinned_class_ = -1;
   job.arrival_seconds = next_arrival_seconds();
   // The class and variant streams advance once per job regardless of the
-  // arrival shape, so swapping poisson for bursty (or a trace that pins
-  // classes) never perturbs the other streams.
-  const double class_u = class_rng_.uniform01();
-  const int drawn = mix_.class_for(class_u);
-  job.class_index = trace_pinned_class_ >= 0 ? trace_pinned_class_ : drawn;
+  // arrival shape, so swapping poisson for bursty never perturbs the other
+  // streams.
+  job.class_index = mix_.class_for(class_rng_.uniform01());
   job.load_variant =
       static_cast<int>(variant_rng_.uniform_int(0, load_variants_ - 1));
   return job;

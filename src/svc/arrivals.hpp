@@ -1,9 +1,7 @@
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "sim/time.hpp"
 #include "support/rng.hpp"
@@ -11,15 +9,13 @@
 
 namespace dlb::svc {
 
-enum class ArrivalKind { kPoisson, kBursty, kTrace };
+enum class ArrivalKind { kPoisson, kBursty };
 
 /// Shape of the offered traffic.  Parsed from the CLI spelling
-/// `poisson` | `bursty` | `trace:<path>`; `label` keeps the canonical
-/// spelling for reports (trace labels drop the directory).
+/// `poisson` | `bursty`; `label` keeps the canonical spelling for reports.
 struct ArrivalSpec {
   ArrivalKind kind = ArrivalKind::kPoisson;
   std::string label = "poisson";
-  std::string trace_path;
   /// Bursty (MMPP on/off) shape: the stream alternates exponential ON
   /// phases (arrivals at rate lambda / on_fraction) and OFF phases (no
   /// arrivals), with mean cycle length `cycle_seconds`.  The long-run rate
@@ -32,19 +28,6 @@ struct ArrivalSpec {
 };
 
 [[nodiscard]] ArrivalSpec parse_arrival_spec(const std::string& text);
-
-/// A parsed arrival-trace file: lines of `<arrival_seconds> [class_index]`
-/// ('#' comments), strictly increasing times.  Replay cycles the file with
-/// period `last + mean_gap`, and rescales time so the long-run rate matches
-/// the requested lambda — the same trace shape sweeps every rho.
-struct ArrivalTrace {
-  std::vector<double> at_seconds;
-  std::vector<int> class_index;  // -1: draw from the mix
-
-  [[nodiscard]] static ArrivalTrace parse_file(const std::string& path);
-  [[nodiscard]] static ArrivalTrace parse_text(const std::string& text, const std::string& origin);
-  [[nodiscard]] double period_seconds() const;
-};
 
 /// Deterministic virtual-time job stream: arrival instants from the spec at
 /// long-run rate `rate_per_sec`, job class from the mix, and a load-variant
@@ -80,12 +63,6 @@ class ArrivalGenerator {
   bool in_on_phase_ = true;
   double phase_end_seconds_ = 0.0;
   bool phase_initialized_ = false;
-  // Trace replay state.
-  ArrivalTrace trace_;
-  std::size_t trace_pos_ = 0;
-  double trace_cycle_offset_ = 0.0;
-  double trace_scale_ = 1.0;
-  int trace_pinned_class_ = -1;
 };
 
 }  // namespace dlb::svc

@@ -142,13 +142,6 @@ TEST(Cluster, IndependentLoadStreamsPerStation) {
   EXPECT_TRUE(any_difference);
 }
 
-TEST(Cluster, TotalSpeedSumsSpeeds) {
-  auto params = dedicated(3);
-  params.speeds = {1.0, 2.0, 0.5};
-  Cluster c(params);
-  EXPECT_DOUBLE_EQ(c.total_speed(), 3.5);
-}
-
 TEST(Cluster, RejectsBadConfig) {
   auto zero = dedicated(0);
   EXPECT_THROW(Cluster{zero}, std::invalid_argument);

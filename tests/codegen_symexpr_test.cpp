@@ -44,11 +44,6 @@ TEST(SymExpr, IterationIndex) {
   EXPECT_FALSE(SymExpr::parse("n * 2").depends_on_index());
 }
 
-TEST(SymExpr, SymbolListing) {
-  const auto symbols = SymExpr::parse("a * i + b / a").symbols();
-  EXPECT_EQ(symbols, (std::vector<std::string>{"a", "b"}));
-}
-
 TEST(SymExpr, ParseErrors) {
   EXPECT_THROW((void)SymExpr::parse(""), std::runtime_error);
   EXPECT_THROW((void)SymExpr::parse("1 +"), std::runtime_error);

@@ -3,15 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
-
-#include "apps/synthetic.hpp"
-#include "core/runtime.hpp"
+#include <vector>
 
 namespace {
 
 using dlb::core::DlbConfig;
 using dlb::core::form_groups;
-using dlb::core::GroupMode;
 using dlb::core::Strategy;
 
 void expect_partition(const std::vector<std::vector<int>>& groups, int procs) {
@@ -29,99 +26,37 @@ void expect_partition(const std::vector<std::vector<int>>& groups, int procs) {
 }
 
 TEST(FormGroups, BlockModeMatchesKBlock) {
-  const auto groups = form_groups(8, 4, GroupMode::kBlock, 0);
+  DlbConfig config;
+  config.strategy = Strategy::kLDDLB;
+  config.group_size = 4;
+  const auto groups = form_groups(8, config);
   ASSERT_EQ(groups.size(), 2u);
   EXPECT_EQ(groups[0], (std::vector<int>{0, 1, 2, 3}));
   EXPECT_EQ(groups[1], (std::vector<int>{4, 5, 6, 7}));
 }
 
-TEST(FormGroups, RandomModeIsAPartition) {
-  for (const std::uint64_t seed : {1ull, 2ull, 99ull}) {
-    const auto groups = form_groups(16, 4, GroupMode::kRandom, seed);
-    EXPECT_EQ(groups.size(), 4u);
-    expect_partition(groups, 16);
-  }
-}
-
-TEST(FormGroups, RandomModeDeterministicPerSeed) {
-  const auto a = form_groups(16, 8, GroupMode::kRandom, 7);
-  const auto b = form_groups(16, 8, GroupMode::kRandom, 7);
-  EXPECT_EQ(a, b);
-}
-
-TEST(FormGroups, RandomModeVariesAcrossSeeds) {
-  const auto a = form_groups(16, 8, GroupMode::kRandom, 1);
-  const auto b = form_groups(16, 8, GroupMode::kRandom, 2);
-  EXPECT_NE(a, b);
-}
-
-TEST(FormGroups, RandomModeActuallyShuffles) {
-  // With 16 ids, at least one seed in a small set must deviate from blocks.
-  bool deviates = false;
-  for (std::uint64_t seed = 0; seed < 8 && !deviates; ++seed) {
-    deviates = form_groups(16, 8, GroupMode::kRandom, seed) !=
-               form_groups(16, 8, GroupMode::kBlock, seed);
-  }
-  EXPECT_TRUE(deviates);
-}
-
-TEST(FormGroups, Rejections) {
-  EXPECT_THROW((void)form_groups(0, 1, GroupMode::kRandom, 0), std::invalid_argument);
-  EXPECT_THROW((void)form_groups(4, 0, GroupMode::kRandom, 0), std::invalid_argument);
-  EXPECT_THROW((void)form_groups(4, 5, GroupMode::kRandom, 0), std::invalid_argument);
-}
-
+// form_groups(procs, config) reads the strategy and K from the config: K = 2
+// gives four blocks, the default K is P/2 (two groups), and the global
+// strategies form one group of P.
 TEST(FormGroups, ConfigConvenienceUsesMode) {
   DlbConfig config;
   config.strategy = Strategy::kLDDLB;
   config.group_size = 2;
-  config.group_mode = GroupMode::kRandom;
-  config.group_seed = 5;
   const auto groups = form_groups(8, config);
   expect_partition(groups, 8);
   EXPECT_EQ(groups.size(), 4u);
+  config.group_size = 0;
+  EXPECT_EQ(form_groups(8, config).size(), 2u);
+  config.strategy = Strategy::kGDDLB;
+  EXPECT_EQ(form_groups(8, config), (std::vector<std::vector<int>>{{0, 1, 2, 3, 4, 5, 6, 7}}));
 }
 
-TEST(RandomGroups, RuntimeCompletesUnderRandomGroups) {
-  dlb::cluster::ClusterParams params;
-  params.procs = 8;
-  params.base_ops_per_sec = 1e6;
-  params.external_load = true;
-  const auto app = dlb::apps::make_uniform(64, 30e3, 16.0);
-  for (const auto strategy : {Strategy::kLCDLB, Strategy::kLDDLB}) {
-    DlbConfig config;
-    config.strategy = strategy;
-    config.group_size = 4;
-    config.group_mode = GroupMode::kRandom;
-    const auto r = dlb::core::run_app(params, app, config);
-    std::int64_t total = 0;
-    for (const auto n : r.loops[0].executed_per_proc) total += n;
-    EXPECT_EQ(total, 64) << dlb::core::strategy_name(strategy);
-  }
-}
-
-TEST(RandomGroups, MovementStaysWithinRandomGroups) {
-  dlb::cluster::ClusterParams params;
-  params.procs = 8;
-  params.base_ops_per_sec = 1e6;
-  params.speeds = {0.2, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
-  params.external_load = false;
-  const auto app = dlb::apps::make_uniform(80, 30e3, 16.0);
+TEST(FormGroups, Rejections) {
   DlbConfig config;
   config.strategy = Strategy::kLDDLB;
-  config.group_size = 4;
-  config.group_mode = GroupMode::kRandom;
-  config.group_seed = 3;
-  const auto r = dlb::core::run_app(params, app, config);
-
-  // Iterations executed within each random group equal that group's initial
-  // block allocation (10 per processor).
-  const auto groups = form_groups(8, config);
-  for (const auto& g : groups) {
-    std::int64_t executed = 0;
-    for (const int p : g) executed += r.loops[0].executed_per_proc[static_cast<std::size_t>(p)];
-    EXPECT_EQ(executed, static_cast<std::int64_t>(g.size()) * 10);
-  }
+  EXPECT_THROW((void)form_groups(0, config), std::invalid_argument);
+  config.group_size = 5;
+  EXPECT_THROW((void)form_groups(4, config), std::invalid_argument);
 }
 
 }  // namespace

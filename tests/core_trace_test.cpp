@@ -21,9 +21,6 @@ TEST(Trace, RecordsAndAggregates) {
   EXPECT_EQ(t.segments().size(), 3u);
   EXPECT_EQ(t.span_end(), from_seconds(2.0));
 
-  const auto busy = t.busy_seconds(2);
-  EXPECT_DOUBLE_EQ(busy[0], 1.5);
-  EXPECT_DOUBLE_EQ(busy[1], 2.0);
   const auto compute = t.compute_seconds(2);
   EXPECT_DOUBLE_EQ(compute[0], 1.0);
   const auto util = t.utilization(2);
@@ -124,7 +121,6 @@ TEST(Trace, AggregatesRejectNegativeProcs) {
   // and bad_alloc); it must be diagnosed instead.
   Trace t;
   t.record(0, ActivityKind::kCompute, 0, from_seconds(1.0));
-  EXPECT_THROW((void)t.busy_seconds(-1), std::invalid_argument);
   EXPECT_THROW((void)t.compute_seconds(-1), std::invalid_argument);
   EXPECT_THROW((void)t.utilization(-1), std::invalid_argument);
 }

@@ -7,8 +7,6 @@
 namespace {
 
 using dlb::core::DlbConfig;
-using dlb::core::group_mode_name;
-using dlb::core::GroupMode;
 using dlb::core::ranked_id;
 using dlb::core::ranked_strategy;
 using dlb::core::Strategy;
@@ -41,16 +39,10 @@ TEST(RankedStrategies, RoundTrip) {
   EXPECT_THROW((void)ranked_id(Strategy::kAuto), std::invalid_argument);
 }
 
-TEST(GroupModeNames, Defined) {
-  EXPECT_EQ(std::string(group_mode_name(GroupMode::kBlock)), "k-block");
-  EXPECT_EQ(std::string(group_mode_name(GroupMode::kRandom)), "random");
-}
-
 TEST(DlbConfig, DefaultsAreThePapers) {
   const DlbConfig c;
   EXPECT_DOUBLE_EQ(c.profitability_margin, 0.10);  // §3.4
   EXPECT_EQ(c.group_size, 0);                      // -> two K-block groups
-  EXPECT_EQ(c.group_mode, GroupMode::kBlock);
   EXPECT_FALSE(c.record_trace);
 }
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <vector>
 
 #include "apps/synthetic.hpp"
 #include "apps/trfd.hpp"
@@ -16,6 +17,8 @@
 #include "core/runtime.hpp"
 #include "core/types.hpp"
 #include "fault/plan.hpp"
+#include "obs/recorder.hpp"
+#include "sim/time.hpp"
 
 namespace {
 
@@ -29,6 +32,10 @@ using dlb::core::RunResult;
 using dlb::core::Strategy;
 using dlb::fault::FaultKind;
 using dlb::fault::FaultPlan;
+using dlb::obs::InstantEvent;
+using dlb::obs::InstantKind;
+using dlb::obs::PhaseKind;
+using dlb::sim::from_seconds;
 
 ClusterParams base_params(int procs, std::uint64_t seed = 42) {
   ClusterParams p;
@@ -43,6 +50,14 @@ DlbConfig config_for(Strategy s, FaultPlan plan) {
   c.strategy = s;
   c.faults = std::move(plan);
   return c;
+}
+
+std::vector<InstantEvent> instants_of(const RunResult& r, InstantKind kind) {
+  std::vector<InstantEvent> out;
+  for (const auto& e : r.obs->instants()) {
+    if (e.kind == kind) out.push_back(e);
+  }
+  return out;
 }
 
 std::int64_t executed_total(const RunResult& r) {
@@ -84,11 +99,21 @@ TEST_P(FaultMatrix, RevocationRejoinsAtLoopBoundary) {
   auto app = make_uniform(64, 25e3, 8.0);
   app.loops.push_back(app.loops[0]);
   app.loops[1].name = "uniform-2";
-  const auto r = run_app(base_params(4), app, config_for(GetParam(), plan));
+  auto cfg = config_for(GetParam(), plan);
+  cfg.observe = true;
+  const auto r = run_app(base_params(4), app, cfg);
   EXPECT_EQ(r.faults.revocations, 1);
   EXPECT_EQ(r.faults.rejoins, 1);
   EXPECT_EQ(r.faults.crashes, 0);
   EXPECT_GE(executed_total(r), 128);
+  // The trace shows the revoked station leave before it rejoins.
+  const auto deaths = instants_of(r, InstantKind::kDeath);
+  const auto rejoins = instants_of(r, InstantKind::kRejoin);
+  ASSERT_EQ(deaths.size(), 1u);
+  ASSERT_EQ(rejoins.size(), 1u);
+  EXPECT_EQ(deaths[0].proc, 3);
+  EXPECT_EQ(rejoins[0].proc, 3);
+  EXPECT_LT(deaths[0].at, rejoins[0].at);
 }
 
 TEST_P(FaultMatrix, MessageLossTerminates) {
@@ -190,6 +215,46 @@ TEST(FaultProtocol, DeadWorkstationExecutesNothingAfterTheCrash) {
   const auto& per_proc = r.loops[0].executed_per_proc;
   for (std::size_t p = 0; p + 1 < per_proc.size(); ++p) survivors += per_proc[p];
   EXPECT_GE(survivors, 64 - per_proc.back());
+}
+
+TEST(FaultProtocol, ObservedCrashesRecordOneDeathInstantEach) {
+  // Two timed crashes inside the loop: each victim gets exactly one death
+  // instant, on its own track, at its crash time.
+  FaultPlan plan;
+  plan.name = "crash-timed";
+  plan.events.push_back({FaultKind::kCrash, 3, {0.3, -1.0, 0}, 0.0});
+  plan.events.push_back({FaultKind::kCrash, 1, {0.6, -1.0, 0}, 0.0});
+  const auto app = make_uniform(256, 25e3, 8.0);
+  for (const Strategy s : kRanked) {
+    auto cfg = config_for(s, plan);
+    cfg.observe = true;
+    const auto r = run_app(base_params(4), app, cfg);
+    ASSERT_EQ(r.faults.crashes, 2) << dlb::core::strategy_name(s);
+    const auto deaths = instants_of(r, InstantKind::kDeath);
+    ASSERT_EQ(deaths.size(), 2u) << dlb::core::strategy_name(s);
+    EXPECT_EQ(deaths[0].proc, 3);
+    EXPECT_EQ(deaths[0].at, from_seconds(0.3));
+    EXPECT_EQ(deaths[1].proc, 1);
+    EXPECT_EQ(deaths[1].at, from_seconds(0.6));
+  }
+}
+
+TEST(FaultProtocol, SequentialSpanIsOnThePhaseMaster) {
+  // crash-coord kills rank 0 in loop 0, so rank 1 (the lowest survivor)
+  // masters TRFD's sequential phase; fault-free, rank 0 does.
+  const auto app = make_trfd({20});
+  const auto master_of = [&app](FaultPlan plan) {
+    auto cfg = config_for(Strategy::kGDDLB, std::move(plan));
+    cfg.observe = true;
+    const auto r = run_app(base_params(4), app, cfg);
+    std::vector<int> procs;
+    for (const auto& p : r.obs->phases()) {
+      if (p.kind == PhaseKind::kSequential) procs.push_back(p.proc);
+    }
+    return procs;
+  };
+  EXPECT_EQ(master_of(FaultPlan::preset("crash-coord")), std::vector<int>{1});
+  EXPECT_EQ(master_of(FaultPlan{}), std::vector<int>{0});
 }
 
 }  // namespace

@@ -72,37 +72,6 @@ TEST(LoadFunction, ScriptedLevelsThenConstantTail) {
   EXPECT_EQ(f.level_of_block(50), 0);
 }
 
-TEST(LoadFunction, EffectiveLoadConstant) {
-  LoadFunction f = constant_load(2, from_seconds(1.0));
-  EXPECT_NEAR(f.effective_load(0, from_seconds(5.0)), 3.0, 1e-12);
-}
-
-TEST(LoadFunction, EffectiveLoadHarmonicMixing) {
-  // Half the window at level 0 (factor 1), half at level 3 (factor 4):
-  // mu = 2 / (1/1 + 1/4) = 1.6
-  LoadFunction f(second_blocks(), std::vector<int>{0, 3});
-  EXPECT_NEAR(f.effective_load(0, from_seconds(2.0)), 2.0 / (1.0 + 0.25), 1e-9);
-}
-
-TEST(LoadFunction, EffectiveLoadPartialBlocks) {
-  // [0.5s, 1.5s): half a second at level 0, half at level 1.
-  LoadFunction f(second_blocks(), std::vector<int>{0, 1});
-  const double mu = f.effective_load(from_seconds(0.5), from_seconds(1.5));
-  EXPECT_NEAR(mu, 1.0 / (0.5 * 1.0 + 0.5 * 0.5), 1e-9);
-}
-
-TEST(LoadFunction, EffectiveLoadBlocksMatchesPaperFormula) {
-  LoadFunction f(second_blocks(), std::vector<int>{2, 4, 0, 1});
-  // a = ceil(1s/1s) = 1, b = ceil(3s/1s) = 3 -> blocks 1,2,3 with levels 4,0,1
-  const double expected = 3.0 / (1.0 / 5.0 + 1.0 / 1.0 + 1.0 / 2.0);
-  EXPECT_NEAR(f.effective_load_blocks(from_seconds(1.0), from_seconds(3.0)), expected, 1e-9);
-}
-
-TEST(LoadFunction, EffectiveLoadDegenerateWindow) {
-  LoadFunction f = constant_load(3, from_seconds(1.0));
-  EXPECT_DOUBLE_EQ(f.effective_load(from_seconds(1.0), from_seconds(1.0)), 4.0);
-}
-
 TEST(LoadFunction, RejectsBadParameters) {
   EXPECT_THROW(LoadFunction(LoadParams{-1, from_seconds(1.0)}, Rng(0)), std::invalid_argument);
   EXPECT_THROW(LoadFunction(LoadParams{5, 0}, Rng(0)), std::invalid_argument);
@@ -113,59 +82,12 @@ TEST(LoadFunction, RejectsBadParameters) {
 TEST(LoadFunction, RejectsNegativeTime) {
   LoadFunction f(second_blocks(), Rng(1));
   EXPECT_THROW((void)f.level_at(-1), std::invalid_argument);
-  EXPECT_THROW((void)f.effective_load(from_seconds(2.0), from_seconds(1.0)),
-               std::invalid_argument);
+  EXPECT_THROW((void)f.level_of_block(-1), std::invalid_argument);
 }
 
 TEST(LoadFunction, ZeroMaxLoadAlwaysIdle) {
   LoadFunction f(LoadParams{0, from_seconds(1.0)}, Rng(9));
   for (int k = 0; k < 100; ++k) EXPECT_EQ(f.level_of_block(k), 0);
-}
-
-TEST(LoadFunctionPrefix, FastPathMatchesNaiveOnRandomWindows) {
-  // The prefix-summed effective_load/effective_load_blocks must agree with
-  // the block-walking reference on a dense set of misaligned windows.
-  LoadFunction fast(LoadParams{5, from_seconds(0.1)}, Rng(77));
-  for (int i = 0; i < 400; ++i) {
-    const auto t0 = from_seconds(0.001) * ((i * 37) % 1700);
-    const auto t1 = t0 + from_seconds(0.001) * ((i * 53) % 900 + 1);
-    const double a = fast.effective_load(t0, t1);
-    const double b = fast.effective_load_naive(t0, t1);
-    EXPECT_NEAR(a, b, 1e-12 * b) << "window " << t0 << ".." << t1;
-    const double ab = fast.effective_load_blocks(t0, t1);
-    const double bb = fast.effective_load_blocks_naive(t0, t1);
-    EXPECT_NEAR(ab, bb, 1e-12 * bb) << "window " << t0 << ".." << t1;
-  }
-}
-
-TEST(LoadFunctionPrefix, ExactlyEqualForDyadicLevels) {
-  // Levels 0, 1, 3 make 1/(l+1) dyadic (1, 1/2, 1/4): both the prefix sum
-  // and the reference loop are then exact, so equality must be bitwise.
-  std::vector<int> script;
-  for (int i = 0; i < 64; ++i) script.push_back(i % 3 == 0 ? 0 : (i % 3 == 1 ? 1 : 3));
-  LoadFunction f(second_blocks(), script);
-  for (int a = 0; a < 20; ++a) {
-    for (int len = 1; len < 20; ++len) {
-      const auto t0 = from_seconds(1.0) * a;
-      const auto t1 = from_seconds(1.0) * (a + len);
-      EXPECT_DOUBLE_EQ(f.effective_load(t0, t1), f.effective_load_naive(t0, t1));
-      EXPECT_DOUBLE_EQ(f.effective_load_blocks(t0, t1),
-                       f.effective_load_blocks_naive(t0, t1));
-    }
-  }
-}
-
-TEST(LoadFunctionPrefix, QueriesExtendTheCacheOnDemand) {
-  LoadFunction f(second_blocks(), Rng(5));
-  // Query far ahead first, then behind: cache growth must not disturb
-  // earlier prefix entries.
-  const double far_first = f.effective_load_blocks(from_seconds(90.0), from_seconds(99.0));
-  const double near = f.effective_load_blocks(from_seconds(1.0), from_seconds(5.0));
-  EXPECT_NEAR(near, f.effective_load_blocks_naive(from_seconds(1.0), from_seconds(5.0)),
-              1e-12 * near);
-  EXPECT_NEAR(far_first,
-              f.effective_load_blocks_naive(from_seconds(90.0), from_seconds(99.0)),
-              1e-12 * far_first);
 }
 
 TEST(LoadFunction, LongRunDistributionRoughlyUniform) {

@@ -169,7 +169,7 @@ TEST(ChromeTrace, OutputIsDeterministic) {
     Recorder rec;
     rec.phase(0, PhaseKind::kShipment, from_seconds(0.2), from_seconds(0.4), 64);
     rec.message(0, 1, 102, 256, from_seconds(0.1), from_seconds(0.15), false);
-    rec.instant(1, InstantKind::kHandout, from_seconds(0.6), 8);
+    rec.instant(1, InstantKind::kRejoin, from_seconds(0.6), 8);
     std::ostringstream os;
     write_chrome_trace(os, to_activity_spans(&activity), &rec);
     return os.str();

@@ -171,39 +171,4 @@ TEST(TaskQueue, Deterministic) {
   EXPECT_DOUBLE_EQ(a.exec_seconds, b.exec_seconds);
 }
 
-TEST(TaskQueue, ReissuesChunksOfACrashedWorker) {
-  // The highest rank dies at 50% coverage; its unacked chunk must be
-  // reissued and committed by a survivor — the internal ledger check throws
-  // if any iteration is lost or double-committed.
-  const auto app = dlb::apps::make_uniform(64, 20e3, 0.0);
-  TaskQueueConfig config;
-  config.faults = dlb::fault::FaultPlan::preset("crash-half");
-  const auto r = run_task_queue(params_for(4), app, config);
-  EXPECT_EQ(r.faults.crashes, 1);
-  // Committed iterations are ledgered exactly once, so the per-proc counts
-  // sum to the loop total even though the victim's last chunk ran twice.
-  std::int64_t total = 0;
-  for (const auto n : r.loops[0].executed_per_proc) total += n;
-  EXPECT_EQ(total, 64);
-  EXPECT_GT(r.exec_seconds, 0.0);
-}
-
-TEST(TaskQueue, FaultRunsAreDeterministic) {
-  const auto app = dlb::apps::make_uniform(64, 20e3, 0.0);
-  TaskQueueConfig config;
-  config.faults = dlb::fault::FaultPlan::preset("crash-half");
-  const auto a = run_task_queue(params_for(4, true), app, config);
-  const auto b = run_task_queue(params_for(4, true), app, config);
-  EXPECT_EQ(a.exec_seconds, b.exec_seconds);
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.loops[0].executed_per_proc, b.loops[0].executed_per_proc);
-}
-
-TEST(TaskQueue, RejectsFaultsOnTheQueueHost) {
-  const auto app = dlb::apps::make_uniform(8, 1e3, 0.0);
-  TaskQueueConfig config;
-  config.faults = dlb::fault::FaultPlan::preset("crash-coord");  // kills rank 0
-  EXPECT_THROW((void)run_task_queue(params_for(4), app, config), std::invalid_argument);
-}
-
 }  // namespace

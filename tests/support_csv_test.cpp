@@ -3,11 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 namespace {
 
-using dlb::support::csv_escape;
 using dlb::support::CsvWriter;
+
+/// One cell as CsvWriter writes it (without the row's newline).
+std::string csv_escape(const std::string& cell) {
+  std::ostringstream os;
+  CsvWriter(os).write_row({cell});
+  std::string row = os.str();
+  row.pop_back();
+  return row;
+}
 
 TEST(CsvEscape, PlainCellsUntouched) {
   EXPECT_EQ(csv_escape("plain"), "plain");

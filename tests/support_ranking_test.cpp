@@ -8,7 +8,6 @@
 
 namespace {
 
-using dlb::support::exact_match;
 using dlb::support::format_order;
 using dlb::support::kendall_tau;
 using dlb::support::positions_matched;
@@ -42,14 +41,6 @@ TEST(KendallTau, ThrowsOnDuplicateIds) {
   std::vector<int> a{0, 1, 1};
   std::vector<int> b{0, 1, 2};
   EXPECT_THROW((void)kendall_tau(b, a), std::invalid_argument);
-}
-
-TEST(ExactMatch, DetectsEquality) {
-  std::vector<int> a{2, 0, 1};
-  std::vector<int> b{2, 0, 1};
-  std::vector<int> c{2, 1, 0};
-  EXPECT_TRUE(exact_match(a, b));
-  EXPECT_FALSE(exact_match(a, c));
 }
 
 TEST(PositionsMatched, CountsAgreements) {

@@ -261,10 +261,9 @@ SymbolIndex build_index(const std::vector<FileUnit>& units) {
         draws_directly.insert(def.name);
       }
       // Only defs inside shard-isolated modules seed the ingress reach set:
-      // emu's host-thread deliver and test helpers are different runtimes,
-      // and a name-level graph would let their names poison unrelated
-      // callers (e.g. emu's and core's 'participate' are distinct
-      // functions).
+      // test helpers and tools are different runtimes, and a name-level
+      // graph would let their names poison unrelated callers that happen
+      // to share a name.
       if (shard_isolated_module(module_of(unit.path)) &&
           body_touches_ingress(unit, def, sups)) {
         ingress_directly.insert(def.name);

@@ -94,9 +94,7 @@ struct Rule {
 /// Modules that run on top of the cluster/network stack and must route
 /// cross-shard work through the ingress channel.  Shared between the
 /// shard-isolation rule (direct sites) and the symbol index (reach-set
-/// base), so both always agree on the boundary.  src/emu is deliberately
-/// absent: EmuChannel::deliver is a separate host-thread runtime with no
-/// engine shards.
+/// base), so both always agree on the boundary.
 [[nodiscard]] bool shard_isolated_module(const std::string& module);
 
 /// Index of the matching closer for an opener at `open` ('(', '[', '{', '<'),

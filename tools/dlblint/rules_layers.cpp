@@ -251,7 +251,6 @@ const std::map<std::string, std::set<std::string>>& module_deps() {
       {"svc", {"decision", "model", "core", "obs", "support"}},
       {"exp", {"svc", "net", "core", "cluster", "apps", "support"}},
       {"codegen", {"core"}},
-      {"emu", {"core"}},
   };
   return kDeps;
 }
