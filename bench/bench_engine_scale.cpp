@@ -1,5 +1,5 @@
 // Event-core scaling benchmark (google-benchmark): events/sec sustained at
-// 1k / 10k / 100k live processes, reference 4-ary heap vs calendar queue.
+// 1k / 10k / 100k pending events on the engine's 4-ary heap event queue.
 //
 // The queue-level benches use the classic *hold model*: the queue is primed
 // to the target occupancy with offsets drawn from the same increment
@@ -8,10 +8,8 @@
 // some unrelated priming distribution — then every operation pops the
 // minimum and pushes a replacement at a pseudo-random offset.  That is the
 // steady state of a discrete-event simulation with that many live
-// processes, and the regime where a heap pays O(log n) per event while the
-// calendar pays O(1) amortized.  Both implementations run in one binary; the engine-level
-// bench exercises whichever queue the build selected (Engine::
-// event_queue_name() is reported in the label via SetLabel).
+// processes, and the step the replace-top pop serves with one sift.  The
+// engine-level bench runs the same queue under whole coroutine processes.
 //
 // Regenerate the committed baseline with:
 //   ./build/bench/bench_engine_scale --benchmark_out=BENCH_engine_scale.json
@@ -28,18 +26,16 @@
 
 namespace {
 
-using dlb::sim::CalendarEventQueue;
 using dlb::sim::Event;
-using dlb::sim::HeapEventQueue;
+using dlb::sim::EventQueue;
 using dlb::sim::SimTime;
 using dlb::support::Rng;
 
-/// Uniform hold: replacement offsets spread evenly, the textbook calendar
-/// sweet spot and the common shape of desynchronized workstation timers.
-template <typename Queue>
+/// Uniform hold: replacement offsets spread evenly, the common shape of
+/// desynchronized workstation timers.
 void BM_QueueHoldUniform(benchmark::State& state) {
   const auto occupancy = static_cast<std::size_t>(state.range(0));
-  Queue q;
+  EventQueue q;
   Rng rng(occupancy);
   std::uint64_t seq = 0;
   for (std::size_t i = 0; i < occupancy; ++i) {
@@ -52,15 +48,13 @@ void BM_QueueHoldUniform(benchmark::State& state) {
     benchmark::DoNotOptimize(q.size());
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(Queue::kName);
 }
 
 /// Bursty hold: half the replacements land on the popped timestamp (the
 /// iexchange-style same-time resume burst), the rest jump far ahead.
-template <typename Queue>
 void BM_QueueHoldBursty(benchmark::State& state) {
   const auto occupancy = static_cast<std::size_t>(state.range(0));
-  Queue q;
+  EventQueue q;
   Rng rng(occupancy + 1);
   std::uint64_t seq = 0;
   for (std::size_t i = 0; i < occupancy; ++i) {
@@ -75,7 +69,6 @@ void BM_QueueHoldBursty(benchmark::State& state) {
     benchmark::DoNotOptimize(q.size());
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(Queue::kName);
 }
 
 dlb::sim::Process ticker(dlb::sim::Engine& engine, SimTime gap, int hops) {
@@ -84,7 +77,7 @@ dlb::sim::Process ticker(dlb::sim::Engine& engine, SimTime gap, int hops) {
 
 /// Whole-engine throughput with N live coroutine processes sleeping on
 /// desynchronized periods — resume scheduling, queue churn and coroutine
-/// switching included.  Uses the compile-time-selected queue.
+/// switching included.
 void BM_EngineLiveProcs(benchmark::State& state) {
   const auto procs = static_cast<int>(state.range(0));
   constexpr int kHops = 10;
@@ -96,15 +89,12 @@ void BM_EngineLiveProcs(benchmark::State& state) {
     engine.run();
   }
   state.SetItemsProcessed(state.iterations() * procs * kHops);
-  state.SetLabel(dlb::sim::Engine::event_queue_name());
 }
 
 }  // namespace
 
-BENCHMARK_TEMPLATE(BM_QueueHoldUniform, HeapEventQueue)->Arg(1000)->Arg(10000)->Arg(100000);
-BENCHMARK_TEMPLATE(BM_QueueHoldUniform, CalendarEventQueue)->Arg(1000)->Arg(10000)->Arg(100000);
-BENCHMARK_TEMPLATE(BM_QueueHoldBursty, HeapEventQueue)->Arg(1000)->Arg(10000)->Arg(100000);
-BENCHMARK_TEMPLATE(BM_QueueHoldBursty, CalendarEventQueue)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_QueueHoldUniform)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_QueueHoldBursty)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_EngineLiveProcs)->Arg(1000)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -26,40 +26,53 @@ Workstation::Workstation(int id, double speed, double base_ops_per_sec,
 sim::Task<void> Workstation::compute(double ops) {
   if (ops < 0.0) throw std::invalid_argument("Workstation: negative work");
   if (ops == 0.0) co_return;
+  co_await cpu_.acquire();
+  if (off_) {
+    cpu_.release();
+    co_return;
+  }
+  sim::SimTime quantum_end = cpu_quantum_ > 0 ? engine_.now() + cpu_quantum_ : sim::kTimeInfinity;
+  auto segment = load_.segment_at(engine_.now());
+  double rate = base_ops_per_sec_ * speed_ / (1.0 + segment.level);
   double remaining = ops;
   while (remaining > 0.0) {
-    // Hold the CPU for at most one scheduling quantum, then yield through
-    // the FIFO queue: a waiting coroutine (e.g. the centralized balancer)
-    // gets in, approximating Unix round-robin timesharing.
-    co_await cpu_.acquire();
+    if (engine_.now() >= quantum_end) {
+      // Quantum over: yield through the FIFO queue so a waiting coroutine
+      // (e.g. the centralized balancer) gets in, approximating Unix
+      // round-robin timesharing.  With nobody waiting, a release would hand
+      // the CPU straight back at the same instant, so keep it.
+      if (cpu_.waiting() > 0) {
+        cpu_.release();
+        co_await cpu_.acquire();
+        if (off_) {
+          cpu_.release();
+          co_return;
+        }
+      }
+      quantum_end = engine_.now() + cpu_quantum_;
+    }
+    if (engine_.now() >= segment.end) {
+      segment = load_.segment_at(engine_.now());
+      rate = base_ops_per_sec_ * speed_ / (1.0 + segment.level);
+    }
+    const sim::SimTime finish_at = engine_.now() + sim::from_seconds(remaining / rate);
+    const sim::SimTime stop_at = std::min({finish_at, segment.end, quantum_end});
+    if (stop_at >= finish_at) {
+      busy_time_ += finish_at - engine_.now();
+      co_await engine_.sleep_until(finish_at);
+      remaining = 0.0;
+    } else {
+      const double done = rate * sim::to_seconds(stop_at - engine_.now());
+      remaining -= done;
+      busy_time_ += stop_at - engine_.now();
+      co_await engine_.sleep_until(stop_at);
+    }
     if (off_) {
       cpu_.release();
       co_return;
     }
-    const sim::SimTime quantum_end =
-        cpu_quantum_ > 0 ? engine_.now() + cpu_quantum_ : sim::kTimeInfinity;
-    while (remaining > 0.0 && engine_.now() < quantum_end) {
-      const auto segment = load_.segment_at(engine_.now());
-      const double rate = base_ops_per_sec_ * speed_ / (1.0 + segment.level);
-      const sim::SimTime finish_at = engine_.now() + sim::from_seconds(remaining / rate);
-      const sim::SimTime stop_at = std::min({finish_at, segment.end, quantum_end});
-      if (stop_at >= finish_at) {
-        busy_time_ += finish_at - engine_.now();
-        co_await engine_.sleep_until(finish_at);
-        remaining = 0.0;
-      } else {
-        const double done = rate * sim::to_seconds(stop_at - engine_.now());
-        remaining -= done;
-        busy_time_ += stop_at - engine_.now();
-        co_await engine_.sleep_until(stop_at);
-      }
-      if (off_) {
-        cpu_.release();
-        co_return;
-      }
-    }
-    cpu_.release();
   }
+  cpu_.release();
   ops_executed_ += ops;
 }
 

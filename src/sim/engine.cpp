@@ -199,12 +199,11 @@ void Engine::dispatch(const Event& ev) {
 SimTime Engine::run() { return run_until(kTimeInfinity); }
 
 SimTime Engine::run_until(SimTime deadline) {
+  if (deadline < now()) return now();
   if (!shards_.empty()) return run_sharded(deadline);
   // The cancellation check happens when an event reaches the queue front —
-  // i.e. when it becomes the global (at, seq) minimum.  Under the calendar
-  // queue a whole day's events are already batched into the epoch heap by
-  // then; a flag set mid-epoch (even by an earlier event of the same batch)
-  // is still honoured, so both queue builds discard at the identical point.
+  // i.e. when it becomes the global (at, seq) minimum — so a flag set at any
+  // earlier point, even at the same timestamp, is honoured.
   while (!events_.empty()) {
     const Event ev = events_.front();
     if (ev.is_call) {

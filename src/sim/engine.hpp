@@ -8,6 +8,7 @@
 #include <memory>
 #include <new>
 #include <optional>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -32,15 +33,10 @@ namespace dlb::sim {
 /// built around it) is single-run — `now() != 0 || events_executed() != 0`
 /// marks it consumed, which core::Runtime checks at construction.
 ///
-/// Hot-path representation: the queue is an EventQueueLike container of
-/// 32-byte POD event records — by default the calendar queue (O(1) amortized
-/// push/pop at high occupancy, same-day events drained as one batched
-/// epoch), or the reference 4-ary heap when configured with
-/// -DDLB_EVENT_QUEUE=heap.  Both implementations pop the identical strict
-/// (at, seq) order, so the selection cannot change any simulated outcome
-/// (tests/sim_queue_differential_test.cpp holds them to that).  A coroutine
-/// resume (the dominant event kind — every sleep, mailbox delivery and
-/// spawn) stores the bare handle in the record; an arbitrary `schedule_at`
+/// Hot-path representation: the queue is a 4-ary min-heap of 32-byte POD
+/// event records with a replace-top pop (EventQueue, DESIGN.md §5.2).  A
+/// coroutine resume (the dominant event kind — every sleep, mailbox delivery
+/// and spawn) stores the bare handle in the record; an arbitrary `schedule_at`
 /// callable lives in a per-engine pooled CallNode with a 64-byte inline
 /// buffer (larger captures spill to the heap, once, inside the node).  Nodes
 /// are recycled through a free list, so the steady state of a run performs
@@ -198,7 +194,8 @@ class Engine {
   SimTime run();
 
   /// Runs until the queue drains or virtual time would exceed `deadline`;
-  /// events after the deadline remain queued.
+  /// events after the deadline remain queued.  Virtual time never moves
+  /// backwards: a deadline before `now()` runs nothing and returns `now()`.
   SimTime run_until(SimTime deadline);
 
   // ── Sharding ──────────────────────────────────────────────────────────
@@ -246,12 +243,14 @@ class Engine {
   /// `key` must have bit 63 set, be unique per event, and — like `at` — be
   /// derived only from per-source deterministic state, so the resulting pop
   /// order is independent of the shard count.  `at` must be at least
-  /// `now() + lookahead()`; this is what makes the conservative window sound.
-  /// On an unsharded engine the event simply joins the single queue (bit 63
-  /// orders it after every same-time normal event, exactly as it would be on
-  /// its destination shard).  This is the *only* legal channel for
-  /// cross-shard interaction — dlblint's shard-isolation rule enforces that
-  /// nothing outside src/sim + src/net touches it.
+  /// `now() + lookahead()`; this is what makes the conservative window sound,
+  /// so a sharded engine throws std::logic_error (surfacing from run() at the
+  /// window barrier) when it does not hold.  On an unsharded engine the event
+  /// simply joins the single queue (bit 63 orders it after every same-time
+  /// normal event, exactly as it would be on its destination shard).  This is
+  /// the *only* legal channel for cross-shard interaction — dlblint's
+  /// shard-isolation rule enforces that nothing outside src/sim + src/net
+  /// touches it.
   template <typename Fn>
   void schedule_ingress(int dst_shard, SimTime at, std::uint64_t key, Fn&& fn) {
     static_assert(std::is_invocable_r_v<void, std::decay_t<Fn>&>,
@@ -268,6 +267,9 @@ class Engine {
       return;
     }
     Shard& src = ctx_shard();
+    if (at < src.now + lookahead_) {
+      throw std::logic_error("Engine::schedule_ingress: at < now() + lookahead()");
+    }
     Shard& dst = *shards_[static_cast<std::size_t>(dst_shard)];
     if (&src == &dst) {
       CallNode* node = acquire_call_node();
@@ -322,11 +324,6 @@ class Engine {
     return shards_.empty() ? events_.empty() : sharded_empty();
   }
 
-  /// Name of the compile-time-selected event queue ("calendar" or "heap").
-  [[nodiscard]] static constexpr const char* event_queue_name() noexcept {
-    return EngineEventQueue::kName;
-  }
-
   /// Current number of queued events (observability: sampled as the
   /// "heap depth" counter track of a Chrome trace).
   [[nodiscard]] std::size_t queue_depth() const noexcept {
@@ -365,7 +362,7 @@ class Engine {
   /// (the executor barrier hands shards over with full synchronization), so
   /// nothing here needs locking.
   struct Shard {
-    EngineEventQueue events;
+    EventQueue events;
     std::vector<std::unique_ptr<CallNode[]>> call_chunks;
     CallNode* free_calls = nullptr;
     Process::promise_type* live_head = nullptr;
@@ -413,7 +410,7 @@ class Engine {
   SimTime run_sharded(SimTime deadline);
   void run_window(std::size_t shard, SimTime end);
 
-  EngineEventQueue events_;  // strict (at, seq) pop order
+  EventQueue events_;  // strict (at, seq) pop order
   std::vector<std::unique_ptr<CallNode[]>> call_chunks_;
   CallNode* free_calls_ = nullptr;
   Process::promise_type* live_head_ = nullptr;  // intrusive list of root frames

@@ -114,12 +114,9 @@ TEST(ExpDeterminism, RepeatedRunsAreIdempotent) {
 }
 
 TEST(ExpDeterminism, Figure5BytesIdenticalAcrossThreadCountsUnderActiveQueue) {
-  // The calendar-queue leg of the determinism contract: the paper's Fig. 5
-  // grid — the byte-identity anchor of the whole repo — must merge to the
-  // same CSV at 1, 2 and 8 runner threads under the compile-time-selected
-  // event queue (calendar by default; the heap build runs the same leg, and
-  // CI additionally cmp's the two builds' dlb_sweep stdout against each
-  // other).
+  // The paper's Fig. 5 grid — the byte-identity anchor of the whole repo —
+  // must merge to the same CSV at 1, 2 and 8 runner threads; the golden_fig5
+  // test pins the bytes themselves.
   const char* argv[] = {"exp_determinism_test", "--figure=5", "--seeds=2"};
   const dlb::support::Cli cli(3, argv);
   const auto grid = dlb::exp::parse_grid(cli);
@@ -132,8 +129,7 @@ TEST(ExpDeterminism, Figure5BytesIdenticalAcrossThreadCountsUnderActiveQueue) {
     RunnerOptions more;
     more.threads = threads;
     EXPECT_EQ(csv1, csv_of(Runner(more).run(grid)))
-        << "fig5 CSV diverged at " << threads << " threads under the '"
-        << dlb::sim::Engine::event_queue_name() << "' event queue";
+        << "fig5 CSV diverged at " << threads << " threads";
   }
 }
 
@@ -189,16 +185,6 @@ TEST(ExpDeterminism, SwitchedBytesIdenticalAcrossShardAndThreadCounts) {
       }
     }
   }
-}
-
-TEST(ExpDeterminism, ActiveEventQueueIsTheConfiguredOne) {
-  // Pins the CMake plumbing: DLB_EVENT_QUEUE=heap must actually rebuild the
-  // engine on the reference heap, and the default must be the calendar.
-#if defined(DLB_EVENT_QUEUE_HEAP)
-  EXPECT_STREQ(dlb::sim::Engine::event_queue_name(), "heap");
-#else
-  EXPECT_STREQ(dlb::sim::Engine::event_queue_name(), "calendar");
-#endif
 }
 
 dlb::sim::Process churn_process(dlb::sim::Engine& engine, int hops) {

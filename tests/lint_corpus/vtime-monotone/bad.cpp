@@ -1,7 +1,7 @@
 // Linted as src/load/corpus_vtime_monotone.cpp: subtraction feeding the
 // engine's time sinks can produce a virtual time before now(), which the
-// calendar queue treats as heap corruption.  The rule catches the direct
-// form and the one-assignment-away form.
+// engine silently clamps to now().  The rule catches the direct form and
+// the one-assignment-away form.
 
 namespace dlb::load {
 

@@ -16,6 +16,7 @@ using dlb::sim::from_seconds;
 using dlb::sim::kNsPerMs;
 using dlb::sim::kNsPerSec;
 using dlb::sim::Process;
+using dlb::sim::SimTime;
 using dlb::sim::Task;
 using dlb::sim::to_seconds;
 
@@ -69,6 +70,18 @@ TEST(Engine, RunUntilStopsAtDeadline) {
   engine.run();
   EXPECT_EQ(fired, 2);
   EXPECT_EQ(engine.now(), 1000);
+  // A deadline already passed never moves virtual time backwards.
+  engine.schedule_at(2000, [&] { ++fired; });
+  engine.schedule_at(3000, [&] { ++fired; });
+  EXPECT_EQ(engine.run_until(2000), 2000);
+  EXPECT_EQ(engine.run_until(500), 2000);
+  EXPECT_EQ(engine.now(), 2000);
+  SimTime late_at = 0;
+  engine.schedule_at(700, [&] { late_at = engine.now(); });
+  engine.run();
+  EXPECT_EQ(fired, 4);
+  EXPECT_EQ(late_at, 2000);
+  EXPECT_EQ(engine.now(), 3000);
 }
 
 Process simple_sleeper(Engine& engine, std::int64_t* woke_at) {

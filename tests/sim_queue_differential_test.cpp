@@ -1,16 +1,18 @@
-// Randomized differential property harness for the event-queue core: the
-// calendar queue must pop the exact byte sequence the reference 4-ary heap
-// pops — (at, seq, payload, is_call) — for seeded operation streams shaped
-// like engine workloads (schedule_at / schedule_resume / cancel / sleep_for),
-// including same-timestamp bursts, far-future timers, cancel-at-front races,
-// resize-boundary crossings and empty/refill cycles.  The engine's queue is
-// compile-time selected, so this harness is what lets every simulated result
-// be trusted regardless of -DDLB_EVENT_QUEUE.
+// Randomized differential property harness for the event queue: the engine's
+// 4-ary heap must pop the exact byte sequence — (at, seq, payload, is_call) —
+// that a reference ordered set on (at, seq) pops, for seeded operation
+// streams shaped like engine workloads (schedule_at / schedule_resume /
+// cancel / sleep_for), including same-timestamp bursts, far-future timers,
+// cancel-at-front races, occupancy swings and empty/refill cycles.  Directed
+// cases drive the replace-top path: a pop leaves the root slot empty until
+// the next push or front() fills it.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -19,18 +21,21 @@
 
 namespace {
 
-using dlb::sim::CalendarEventQueue;
 using dlb::sim::Event;
-using dlb::sim::HeapEventQueue;
+using dlb::sim::EventQueue;
 using dlb::sim::SimTime;
 using dlb::support::Rng;
+
+struct ByKey {
+  bool operator()(const Event& a, const Event& b) const { return dlb::sim::earlier(a, b); }
+};
+using Reference = std::set<Event, ByKey>;
 
 /// Replicates Engine::run_until's front-of-queue logic: cancelled call
 /// events are discarded when they become the global (at, seq) minimum,
 /// without being reported as popped.  `discards` records the discard points
-/// so the two queues are also held to identical cancellation timing.
-template <typename Queue>
-std::optional<Event> pop_one(Queue& q, const std::vector<bool>& cancelled,
+/// so the queue is also held to the reference's cancellation timing.
+std::optional<Event> pop_one(EventQueue& q, const std::vector<bool>& cancelled,
                              std::vector<Event>& discards) {
   while (!q.empty()) {
     const Event ev = q.front();
@@ -44,69 +49,110 @@ std::optional<Event> pop_one(Queue& q, const std::vector<bool>& cancelled,
   return std::nullopt;
 }
 
+std::optional<Event> pop_one(Reference& r, const std::vector<bool>& cancelled,
+                             std::vector<Event>& discards) {
+  while (!r.empty()) {
+    const Event ev = *r.begin();
+    r.erase(r.begin());
+    if (ev.is_call && cancelled[ev.payload]) {
+      discards.push_back(ev);
+      continue;
+    }
+    return ev;
+  }
+  return std::nullopt;
+}
+
 bool same_event(const Event& a, const Event& b) {
   return a.at == b.at && a.seq == b.seq && a.payload == b.payload && a.is_call == b.is_call;
 }
 
-/// Drives heap and calendar in lockstep through one op stream; every pop is
-/// compared on the spot, and the discard logs are compared at the end.
+/// Drives the queue and the reference in lockstep through one op stream;
+/// every pop is compared on the spot, sizes after every operation, and the
+/// discard logs at the end.
 class Lockstep {
  public:
   void push(SimTime at, bool is_call) {
     Event ev{at, seq_++, next_payload_++, is_call};
     if (is_call) cancelled_.resize(next_payload_, false);
-    heap_.push(ev);
-    calendar_.push(ev);
+    queue_.push(ev);
+    reference_.insert(ev);
     if (is_call) live_calls_.push_back(ev.payload);
+    check_size();
   }
 
-  /// Flags a pending call event as cancelled (both replicas share the flag
-  /// array, exactly as both engine builds would share the CallNode).
+  /// Flags a pending call event as cancelled (both sides share the flag
+  /// array, exactly as the engine's queue shares the CallNode).
   void cancel(std::size_t live_index) {
     if (live_calls_.empty()) return;
     cancelled_[live_calls_[live_index % live_calls_.size()]] = true;
   }
 
-  /// Pops one event from both queues and checks bit-equality.  Returns the
+  /// Pops one event from both sides and checks bit-equality.  Returns the
   /// popped time so callers can keep pushing relative to "now".
   std::optional<SimTime> pop_and_check() {
     cancelled_.resize(next_payload_, false);
-    const auto h = pop_one(heap_, cancelled_, heap_discards_);
-    const auto c = pop_one(calendar_, cancelled_, calendar_discards_);
-    EXPECT_EQ(h.has_value(), c.has_value());
-    if (!h || !c) return std::nullopt;
-    EXPECT_TRUE(same_event(*h, *c)) << "heap (" << h->at << "," << h->seq << ") vs calendar ("
-                                    << c->at << "," << c->seq << ")";
-    EXPECT_GE(h->at, last_popped_at_) << "pop order regressed in virtual time";
-    last_popped_at_ = h->at;
-    return h->at;
+    const auto q = pop_one(queue_, cancelled_, queue_discards_);
+    const auto r = pop_one(reference_, cancelled_, reference_discards_);
+    check_size();
+    EXPECT_EQ(q.has_value(), r.has_value());
+    if (!q || !r) return std::nullopt;
+    EXPECT_TRUE(same_event(*q, *r)) << "queue (" << q->at << "," << q->seq << ") vs reference ("
+                                    << r->at << "," << r->seq << ")";
+    EXPECT_GE(q->at, last_popped_at_) << "pop order regressed in virtual time";
+    last_popped_at_ = q->at;
+    return q->at;
+  }
+
+  /// Reads the front without popping; it must be the reference minimum.
+  void front_and_check() {
+    ASSERT_FALSE(reference_.empty());
+    const Event& q = queue_.front();
+    const Event& r = *reference_.begin();
+    EXPECT_TRUE(same_event(q, r)) << "queue front (" << q.at << "," << q.seq << ") vs reference ("
+                                  << r.at << "," << r.seq << ")";
+    check_size();
+  }
+
+  /// visit_all must see exactly the pending events, whatever the root holds.
+  void visit_all_and_check() const {
+    std::vector<Event> seen;
+    queue_.visit_all([&seen](const Event& ev) { seen.push_back(ev); });
+    std::sort(seen.begin(), seen.end(), ByKey{});
+    ASSERT_EQ(seen.size(), reference_.size());
+    auto it = reference_.begin();
+    for (const Event& ev : seen) EXPECT_TRUE(same_event(ev, *it++));
   }
 
   void drain_and_check() {
     while (pop_and_check()) {
     }
-    EXPECT_TRUE(heap_.empty());
-    EXPECT_TRUE(calendar_.empty());
+    EXPECT_TRUE(queue_.empty());
+    EXPECT_TRUE(reference_.empty());
     last_popped_at_ = 0;  // a drained queue accepts earlier times again
   }
 
   void check_discard_logs() const {
-    ASSERT_EQ(heap_discards_.size(), calendar_discards_.size());
-    for (std::size_t i = 0; i < heap_discards_.size(); ++i) {
-      EXPECT_TRUE(same_event(heap_discards_[i], calendar_discards_[i])) << "discard " << i;
+    ASSERT_EQ(queue_discards_.size(), reference_discards_.size());
+    for (std::size_t i = 0; i < queue_discards_.size(); ++i) {
+      EXPECT_TRUE(same_event(queue_discards_[i], reference_discards_[i])) << "discard " << i;
     }
   }
 
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
-  [[nodiscard]] const CalendarEventQueue& calendar() const { return calendar_; }
+  [[nodiscard]] std::size_t size() const { return queue_.size(); }
 
  private:
-  HeapEventQueue heap_;
-  CalendarEventQueue calendar_;
+  void check_size() const {
+    EXPECT_EQ(queue_.size(), reference_.size());
+    EXPECT_EQ(queue_.empty(), reference_.empty());
+  }
+
+  EventQueue queue_;
+  Reference reference_;
   std::vector<bool> cancelled_;
   std::vector<std::uintptr_t> live_calls_;
-  std::vector<Event> heap_discards_;
-  std::vector<Event> calendar_discards_;
+  std::vector<Event> queue_discards_;
+  std::vector<Event> reference_discards_;
   std::uint64_t seq_ = 0;
   std::uintptr_t next_payload_ = 0;
   SimTime last_popped_at_ = 0;
@@ -129,18 +175,19 @@ void run_random_stream(std::uint64_t seed, int ops) {
       // schedule_at-shaped callable, cancellable later.
       q.push(now + rng.uniform_int(0, 50'000), true);
     } else if (kind < 60) {
-      // Far-future timer (heartbeats, fault deadlines): exercises the
-      // overflow rung and the empty-year jump.
+      // Far-future timer (heartbeats, fault deadlines): sinks to the heap's
+      // leaves and must still surface after every nearer event.
       q.push(now + rng.uniform_int(1'000'000'000, 1'000'000'000'000), true);
     } else if (kind < 65) {
       // Cancel a random pending call — sometimes the current front
-      // (cancel-at-front race), sometimes one deep in a bucket.
+      // (cancel-at-front race), sometimes one deep in the heap.
       q.cancel(static_cast<std::size_t>(rng.uniform_int(0, 1'000'000)));
     } else if (kind < 95) {
       // Pop; advancing `now` like the engine's run loop does.
       if (const auto at = q.pop_and_check()) now = *at;
     } else {
-      // Burst drain of a few events (epoch batching under the calendar).
+      // Burst drain of a few events: consecutive pops with no push between
+      // them refill the empty root from the tail.
       for (int i = 0; i < 8; ++i) {
         if (const auto at = q.pop_and_check()) now = *at;
       }
@@ -169,9 +216,9 @@ TEST(QueueDifferential, SameTimestampBurstPopsInSeqOrder) {
 }
 
 TEST(QueueDifferential, FarFutureTimersCrossTheOverflowRung) {
+  // Near traffic plus timers far in the future; near events pushed after
+  // the timers must still pop before every one of them.
   Lockstep q;
-  // Near traffic plus timers far beyond the calendar horizon; draining the
-  // near band forces the overflow rung to re-seed a re-tuned calendar.
   for (int i = 0; i < 512; ++i) q.push(i * 100, false);
   for (int i = 0; i < 64; ++i) q.push(1'000'000'000'000 + i * 7, true);
   for (int i = 0; i < 512; ++i) q.push(i * 101, false);
@@ -180,14 +227,14 @@ TEST(QueueDifferential, FarFutureTimersCrossTheOverflowRung) {
 }
 
 TEST(QueueDifferential, ResizeBoundaryCrossings) {
-  // The calendar doubles when the bucket band exceeds 2*N and halves below
-  // N/2: walk the occupancy up through several doublings, then drain to
-  // force the shrink path, checking order at every step.
+  // Walk the occupancy up through several doublings of the backing vector
+  // (and several new heap levels), popping half after each step, then
+  // drain, checking order at every step.
   Lockstep q;
   Rng rng(42);
   SimTime now = 0;
   for (int round = 0; round < 6; ++round) {
-    const int grow = 40 << round;  // crosses 32, 64, 128, ... thresholds
+    const int grow = 40 << round;
     for (int i = 0; i < grow; ++i) q.push(now + rng.uniform_int(1, 10'000), i % 5 == 0);
     for (int i = 0; i < grow / 2; ++i) {
       if (const auto at = q.pop_and_check()) now = *at;
@@ -212,7 +259,7 @@ TEST(QueueDifferential, EmptyRefillCycles) {
 
 TEST(QueueDifferential, CancelAtFrontRace) {
   // Cancel the event that is currently the global minimum, then pop: both
-  // queues must discard it at the same point and surface the same successor.
+  // sides must discard it at the same point and surface the same successor.
   Lockstep q;
   q.push(10, true);   // payload 0 — becomes the front
   q.push(20, false);  // successor
@@ -222,14 +269,72 @@ TEST(QueueDifferential, CancelAtFrontRace) {
   q.check_discard_logs();
 }
 
-TEST(QueueDifferential, CalendarExposesTuning) {
-  // Occupancy-driven resize is observable: pushing far past 2*16 events must
-  // grow the bucket array beyond its 16-bucket floor.
+// ---- replace-top: a pop leaves the root slot empty -----------------------
+
+TEST(QueueDifferential, ReplaceTopPopPushPop) {
+  // The push after a pop lands in the empty root and must sift below the
+  // earlier events already in the heap.
   Lockstep q;
-  for (int i = 0; i < 512; ++i) q.push(i * 1'000, false);
-  EXPECT_GT(q.calendar().bucket_count(), 16u);
-  EXPECT_GE(q.calendar().bucket_width(), 1);
+  for (const SimTime at : {10, 20, 30, 40, 50, 60}) q.push(at, false);
+  q.pop_and_check();  // 10; root empty
+  q.push(45, false);  // into the root, sifts past 20 and 40
+  q.pop_and_check();  // 20
+  q.push(25, false);  // into the root, stays there
+  q.pop_and_check();  // 25
+  q.push(35, false);
   q.drain_and_check();
+}
+
+TEST(QueueDifferential, ReplaceTopPopThenFront) {
+  // front() after a pop refills the empty root from the tail; size(),
+  // empty() and visit_all must count the empty slot out before and after.
+  Lockstep q;
+  for (const SimTime at : {70, 10, 50, 30, 90, 20, 60}) q.push(at, false);
+  q.pop_and_check();  // 10
+  q.visit_all_and_check();
+  q.front_and_check();  // 20, refilled
+  q.visit_all_and_check();
+  q.front_and_check();  // idempotent
+  q.pop_and_check();
+  q.pop_and_check();
+  q.front_and_check();
+  q.drain_and_check();
+}
+
+TEST(QueueDifferential, ReplaceTopPopUntilEmptyThenPush) {
+  // Draining leaves only the empty root slot; the queue must read as empty
+  // and the next pushes must rebuild a correct heap from that slot.
+  Lockstep q;
+  q.push(3, false);
+  q.push(1, true);
+  q.pop_and_check();
+  q.pop_and_check();
+  q.visit_all_and_check();
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_FALSE(q.pop_and_check().has_value());
+  q.push(50, false);  // into the empty root
+  q.push(40, false);
+  q.push(60, false);
+  q.pop_and_check();  // 40; root empty
+  q.push(55, false);  // into the root, sifts below 50
+  q.pop_and_check();  // 50
+  q.drain_and_check();
+}
+
+TEST(QueueDifferential, ReplaceTopCancelledCallReachesEmptyRoot) {
+  // A cancelled call becomes the minimum while the root slot is empty: the
+  // pop after it discards the call and returns its successor.
+  Lockstep q;
+  q.push(10, true);   // payload 0
+  q.push(20, true);   // payload 1: cancelled below
+  q.push(30, false);  // payload 2
+  q.pop_and_check();  // 10; root empty, (20) is now the minimum
+  q.push(40, false);  // into the root, sifts below 20 and 30
+  q.cancel(1);
+  q.pop_and_check();  // discards 20, returns 30
+  q.pop_and_check();  // 40
+  q.drain_and_check();
+  q.check_discard_logs();
 }
 
 }  // namespace

@@ -203,6 +203,16 @@ TEST(EngineShards, RunUntilStopsAtDeadline) {
   EXPECT_EQ(e.run(), 20'000);
   EXPECT_TRUE(late);
   EXPECT_TRUE(e.empty());
+  // A deadline already passed never moves virtual time backwards.
+  SimTime fired_at = 0;
+  {
+    Engine::ShardScope scope(e, 0);
+    e.schedule_at(25'000, [&e, &fired_at] { fired_at = e.now(); });
+  }
+  EXPECT_EQ(e.run_until(5'000), 20'000);
+  EXPECT_EQ(e.now(), 20'000);
+  EXPECT_EQ(e.run(), 25'000);
+  EXPECT_EQ(fired_at, 25'000);
 }
 
 TEST(EngineShards, CancelledTimerDoesNotStretchRun) {
@@ -238,6 +248,21 @@ TEST(EngineShards, ProcessExceptionSurfacesFromRun) {
     e.spawn(thrower(e));
   }
   EXPECT_THROW(e.run(), std::runtime_error);
+}
+
+TEST(EngineShards, IngressInsideTheLookaheadThrows) {
+  // An ingress earlier than now() + lookahead() could land inside a window
+  // the destination shard has already run; the engine refuses it, and the
+  // window barrier rethrows the error from run().
+  Engine e;
+  e.configure_shards(2, kHop);
+  {
+    Engine::ShardScope scope(e, 0);
+    e.schedule_at(1'000, [&e] {
+      e.schedule_ingress(1, e.now() + e.lookahead() - 1, std::uint64_t{1} << 63, [] {});
+    });
+  }
+  EXPECT_THROW(e.run(), std::logic_error);
 }
 
 TEST(EngineShards, QueueDepthSumsAcrossShards) {

@@ -59,11 +59,11 @@ TEST(EngineTimer, IndependentTimersCancelIndependently) {
 }
 
 TEST(EngineTimer, CancelAfterPopEpoch) {
-  // Batched-epoch ordering: under the calendar queue, events at 100 and 105
-  // share a day, so the timer's record is already extracted into the epoch
-  // front when the cancelling callback runs.  The cancellation flag must
-  // still be honoured at the record's own pop point — the timer never fires
-  // and the clock never advances to its deadline.
+  // The cancelling callback at 100 runs while the timer's record at 105 is
+  // already queued, and after the queue's root slot was emptied by the pop
+  // of the callback itself.  The cancellation flag must still be honoured
+  // at the record's own pop point — the timer never fires and the clock
+  // never advances to its deadline.
   Engine engine;
   bool fired = false;
   auto timer = engine.schedule_cancellable_at(105, [&] { fired = true; });
@@ -74,9 +74,9 @@ TEST(EngineTimer, CancelAfterPopEpoch) {
 }
 
 TEST(EngineTimer, CancelDuringBucketDrain) {
-  // Same-timestamp burst: three events at t=100 drain as one batch.  The
+  // Same-timestamp burst: three events at t=100 pop in (at, seq) order.  The
   // first cancels the second; the third must still run, and the cancelled
-  // record in the middle of the drained batch must be skipped in place.
+  // record between them must be skipped in place.
   Engine engine;
   std::vector<int> fired;
   Engine::Timer doomed;
@@ -93,8 +93,7 @@ TEST(EngineTimer, CancelDuringBucketDrain) {
 
 TEST(EngineTimer, CancelArrivingAfterSameTimestampTimerIsTooLate) {
   // (at, seq) order pins the race: the timer was scheduled before the
-  // canceller at the same timestamp, so it pops first and fires — in both
-  // queue builds.
+  // canceller at the same timestamp, so it pops first and fires.
   Engine engine;
   bool fired = false;
   auto timer = engine.schedule_cancellable_at(100, [&] { fired = true; });

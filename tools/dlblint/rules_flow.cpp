@@ -13,9 +13,10 @@
 //                    quietly when one of these creeps in.
 //   vtime-monotone — arithmetic feeding Engine::schedule_at /
 //                    schedule_cancellable_at / advance_to that can produce a
-//                    virtual time before now(); the calendar queue treats
-//                    that as heap corruption, so subtraction must be clamped
-//                    with std::max(now, t) or proven monotone and waived.
+//                    virtual time before now(); the engine silently clamps
+//                    such a time to now(), which hides the bug, so
+//                    subtraction must be clamped with std::max(now, t) or
+//                    proven monotone and waived.
 #include <set>
 
 #include "dlblint/rules.hpp"
