@@ -239,6 +239,27 @@ TEST(FaultProtocol, ObservedCrashesRecordOneDeathInstantEach) {
   }
 }
 
+TEST(FaultProtocol, StrandedGroupIsDrainedByARecruit) {
+  // LC and LD at P = 4 balance inside the groups {0, 1} and {2, 3}.  Timed
+  // crashes kill both members of group 1, so no round of that group can
+  // reclaim its lost work; a recovery slave recruited on a survivor of group
+  // 0 must drain it.
+  FaultPlan plan;
+  plan.name = "crash-group";
+  plan.events.push_back({FaultKind::kCrash, 3, {0.3, -1.0, 0}, 0.0});
+  plan.events.push_back({FaultKind::kCrash, 2, {0.6, -1.0, 0}, 0.0});
+  const auto app = make_uniform(256, 25e3, 8.0);
+  for (const Strategy s : {Strategy::kLCDLB, Strategy::kLDDLB}) {
+    const auto r = run_app(base_params(4), app, config_for(s, plan));
+    EXPECT_EQ(r.faults.crashes, 2) << dlb::core::strategy_name(s);
+    EXPECT_GE(r.faults.recoveries, 1) << dlb::core::strategy_name(s);
+    // Work moves only inside a group, so group 0 covers every iteration only
+    // when the recruit ran group 1's share there.
+    const auto& executed = r.loops[0].executed_per_proc;
+    EXPECT_GE(executed[0] + executed[1], 256) << dlb::core::strategy_name(s);
+  }
+}
+
 TEST(FaultProtocol, SequentialSpanIsOnThePhaseMaster) {
   // crash-coord kills rank 0 in loop 0, so rank 1 (the lowest survivor)
   // masters TRFD's sequential phase; fault-free, rank 0 does.
