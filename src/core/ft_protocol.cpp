@@ -1,7 +1,23 @@
+// The fault-tolerant variant of the DLB protocol (DESIGN.md §7).  It speaks
+// the fault-free protocol's messages and shares its helpers (protocol.hpp);
+// what it adds is what faults need: a ledger of in-flight shipments with ack
+// and retry, coordinator rounds and balancer failover, heartbeats, and the
+// death sweep with its recruit.
+//
+// Four process bodies stay forked from their fault-free twins (dlb_slave,
+// central_balancer, apply_plan, participate_distributed) because they differ
+// in what they do, not only in how: an FT distributed round gathers the
+// profiles at a coordinator where the paper's protocol broadcasts every
+// profile to every member; the FT balancer takes already-queued profiles
+// with a free poll where the fault-free one pays the receive overhead on
+// each; and a fault run records no sync, profile or shipment span.  Folding
+// them would change the armed output the fault goldens and the benchmark's
+// fault digests pin.
+
 #include "core/ft_protocol.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <any>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -11,7 +27,7 @@
 
 #include "core/ownership.hpp"
 #include "core/policy.hpp"
-#include "core/protocol.hpp"
+#include "fault/coverage.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 #include "sim/timer.hpp"
@@ -20,49 +36,22 @@ namespace dlb::core {
 
 namespace {
 
-
-// ---------------------------------------------------------------------------
-// Wire messages.  Separate types from the fault-free protocol: the two paths
-// never exchange messages, and keeping them apart means arming a plan cannot
-// change the unarmed wire format.
-// ---------------------------------------------------------------------------
-
-struct FtInterruptMsg {
-  int round = 0;
-  int group = 0;
-  int coordinator = 0;
-};
-
-struct FtProfileMsg {
-  int round = 0;
-  int group = 0;
-  ProfileSnapshot snapshot;
-};
-
-struct FtOutcomeMsg {
-  int round = 0;
-  int group = 0;
-  bool loop_done = false;
-  bool moved = false;
-  std::vector<Transfer> transfers;
-  std::vector<int> active_after;
-};
-
-struct FtWorkMsg {
-  std::uint64_t ship = 0;
-  int round = 0;
-  int group = 0;
-  std::vector<IterRange> ranges;
-};
-
-struct FtAckMsg {
-  std::uint64_t ship = 0;
-  int group = 0;
-};
-
-struct FtHeartbeatMsg {
-  int group = 0;
-};
+// Tolerance settings, the same for every fault scenario.
+/// Heartbeat period; also the idle step of a parked member, of the balancer
+/// and of a recovery slave waiting for in-flight work.
+constexpr double kHeartbeatPeriodSeconds = 0.25;
+constexpr sim::SimTime kHeartbeatPeriod = sim::from_seconds(kHeartbeatPeriodSeconds);
+/// Silence from an active peer this long starts a suspicion round.
+constexpr sim::SimTime kHeartbeatTimeout = 4 * kHeartbeatPeriod;
+/// Backoff windows a receiver waits for a planned shipment before it gives
+/// up on a sender stuck in an older round (the sender keeps the work).
+constexpr int kMaxRetries = 3;
+/// Retry timeout multiplier per attempt; the exponent is capped at
+/// kMaxBackoffAttempt.
+constexpr double kBackoffFactor = 2.0;
+constexpr int kMaxBackoffAttempt = 6;
+/// CPU work of one ownership reclaim (a kRecover segment).
+constexpr double kRecoverOps = 20e3;
 
 enum class FtStatus { kContinue, kInactive, kLoopDone, kDead };
 
@@ -91,11 +80,8 @@ struct FtState {
   /// Group that owns each iteration index (fixed by the initial partition).
   std::vector<int> group_of_iter;
 
+  /// Derived from the loop's longest iteration (auto_ack_timeout_seconds).
   sim::SimTime ack_timeout = 0;
-  sim::SimTime hb_period = 0;
-  sim::SimTime hb_timeout = 0;
-  int max_retries = 3;
-  double backoff = 2.0;
 
   std::vector<FtShipment> ledger;
   std::uint64_t next_ship = 1;
@@ -106,7 +92,7 @@ struct FtState {
   std::vector<int> round;
   std::vector<std::vector<int>> active;
   std::vector<char> done;
-  std::vector<std::optional<FtOutcomeMsg>> last_outcome;
+  std::vector<std::optional<OutcomeMsg>> last_outcome;
   std::vector<std::int64_t> group_iters;
   std::vector<std::int64_t> group_covered;
   std::size_t groups_done = 0;
@@ -124,25 +110,21 @@ struct FtState {
   bool stop = false;
 
   /// A recovery slave recruited for a group whose members all died.  It gets
-  /// its own owned set so it can coexist with the recruit's regular slave.
+  /// its own owned set so it can coexist with the recruit's regular slave,
+  /// and lives as long as its host.
   struct Recovery {
     int proc = 0;
     int group = 0;
     IterationSet owned;
     std::int64_t current = -1;
-    bool dead = false;
   };
   std::vector<std::unique_ptr<Recovery>> recoveries;
 };
 
-/// Slave-local state, living in the slave coroutine frame.
-struct FtSlaveState {
+/// Slave-local state, living in the slave coroutine frame: the fault-free
+/// round window plus what the fault-tolerant rounds track.
+struct FtSlaveState : SlaveState {
   int group = 0;
-  int round = 0;
-  std::vector<int> active;
-  sim::SimTime window_start = 0;
-  std::int64_t done_in_window = 0;
-  double last_rate = 0.0;
   int suspicion_round = -1;  // last round we initiated a suspicion sync for
   int pending_sync = -1;     // interrupt round seen while mid-apply
   /// Shipments already folded in, as (round, from) — distinguishes "sender
@@ -170,23 +152,20 @@ void note_heard(FtState& ft, int observer, int peer) {
 
 sim::SimTime backoff_deadline(const FtState& ft, int attempt) {
   double mult = 1.0;
-  for (int i = 0; i < std::min(attempt, 6); ++i) mult *= ft.backoff;
+  for (int i = 0; i < std::min(attempt, kMaxBackoffAttempt); ++i) mult *= kBackoffFactor;
   return ft.ctx->cluster->engine().now() +
          sim::from_seconds(sim::to_seconds(ft.ack_timeout) * mult);
 }
 
-void ft_stop_all(FtState& ft) {
+/// Marks group g finished; the last group to finish stops the heartbeats.
+void finalize_group(FtState& ft, int g) {
+  if (ft.done[static_cast<std::size_t>(g)] != 0) return;
+  ft.done[static_cast<std::size_t>(g)] = 1;
+  if (++ft.groups_done < ft.ctx->groups.size()) return;
   ft.stop = true;
   for (auto& sleep : ft.hb_sleep) {
     if (sleep) sleep->cancel();
   }
-}
-
-void finalize_group(FtState& ft, int g) {
-  if (ft.done[static_cast<std::size_t>(g)] != 0) return;
-  ft.done[static_cast<std::size_t>(g)] = 1;
-  ++ft.groups_done;
-  if (ft.groups_done == ft.ctx->groups.size()) ft_stop_all(ft);
 }
 
 /// Hands one uncovered iteration back to its group's lost pool.
@@ -202,18 +181,34 @@ void surrender_span(FtState& ft, std::int64_t lo, std::int64_t hi) {
   for (std::int64_t i = lo; i < hi; ++i) surrender_index(ft, i);
 }
 
+/// Hands an owned set and the iteration in progress (`current`, -1 when
+/// none) back to the lost pools.
+void surrender_holdings(FtState& ft, IterationSet& owned, std::int64_t& current) {
+  for (const auto& r : owned.take_back(owned.size())) surrender_span(ft, r.lo, r.hi);
+  if (current >= 0) surrender_index(ft, current);
+  current = -1;
+}
+
+/// Moves the ledger entries `doomed` selects back to the lost pools.
+template <typename Doomed>
+void surrender_shipments(FtState& ft, Doomed doomed) {
+  for (auto it = ft.ledger.begin(); it != ft.ledger.end();) {
+    if (!doomed(*it)) {
+      ++it;
+      continue;
+    }
+    for (const auto& r : it->ranges) surrender_span(ft, r.lo, r.hi);
+    it = ft.ledger.erase(it);
+  }
+}
+
 /// Moves ledger entries of group `g` with a dead endpoint back to the lost
 /// pool.  Entries created after their receiver died (a transfer planned from
 /// a stale profile) are otherwise never swept by the death handler.
 void sweep_dead_ledger(FtState& ft, int g) {
-  for (auto it = ft.ledger.begin(); it != ft.ledger.end();) {
-    if (it->group == g && (!is_alive(ft, it->from) || !is_alive(ft, it->to))) {
-      for (const auto& r : it->ranges) surrender_span(ft, r.lo, r.hi);
-      it = ft.ledger.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  surrender_shipments(ft, [&ft, g](const FtShipment& s) {
+    return s.group == g && (!is_alive(ft, s.from) || !is_alive(ft, s.to));
+  });
 }
 
 bool group_has_ledger(const FtState& ft, int g) {
@@ -221,58 +216,9 @@ bool group_has_ledger(const FtState& ft, int g) {
                      [g](const FtShipment& s) { return s.group == g; });
 }
 
-ProfileSnapshot ft_snapshot(FtState& ft, int self, FtSlaveState& st) {
-  auto& ctx = *ft.ctx;
-  auto& me = ctx.cluster->station(self);
-  const double elapsed = sim::to_seconds(me.engine().now() - st.window_start);
-  double rate = 0.0;
-  if (st.done_in_window > 0 && elapsed > 0.0) {
-    rate = static_cast<double>(st.done_in_window) / elapsed;
-  } else if (st.last_rate > 0.0) {
-    rate = st.last_rate;
-  } else {
-    const double mean_ops = std::max(ctx.loop->mean_ops(), 1.0);
-    rate = me.speed() * ctx.base_rate() / mean_ops;
-  }
-  st.last_rate = rate;
-  return ProfileSnapshot{self, ctx.owned[static_cast<std::size_t>(self)].size(), rate, true};
-}
-
-void ft_record_event(FtState& ft, int group, int round, int initiator, const Decision& d) {
-  SyncEvent e;
-  e.at_seconds = sim::to_seconds(ft.ctx->cluster->engine().now());
-  e.round = round;
-  e.group = group;
-  e.initiator = initiator;
-  e.total_remaining = d.total_remaining;
-  e.iterations_moved = d.moved ? d.to_move : 0;
-  e.transfer_messages = static_cast<int>(d.transfers.size());
-  e.redistributed = d.moved;
-  ft.ctx->stats.events.push_back(e);
-}
-
-std::vector<int> ft_remove_inactive(const std::vector<int>& active,
-                                    const std::vector<int>& newly_inactive) {
-  std::vector<int> out;
-  out.reserve(active.size());
-  for (const int p : active) {
-    if (std::find(newly_inactive.begin(), newly_inactive.end(), p) == newly_inactive.end()) {
-      out.push_back(p);
-    }
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Message handling shared by the compute loop and every wait loop.
 // ---------------------------------------------------------------------------
-
-sim::Task<void> send_ack(FtState& ft, int self, int dst, std::uint64_t ship, int group) {
-  auto& me = ft.ctx->cluster->station(self);
-  FtAckMsg am{ship, group};
-  co_await me.send(dst, ft_tag(group, kFtOffAck), am, ft.ctx->config.control_bytes,
-                   /*droppable=*/false);
-}
 
 /// Handles one message from the slave's tag block.  Returns true for an
 /// interrupt that should pull the slave into a synchronization.
@@ -282,29 +228,40 @@ sim::Task<bool> handle_bg(FtState& ft, int self, FtSlaveState& st, sim::Message 
   note_heard(ft, self, m.source);
   switch (off) {
     case kFtOffWork: {
-      const auto& wm = m.as<FtWorkMsg>();
+      const std::uint64_t ship = m.as<WorkMsg>().ship;
       const auto it = std::find_if(ft.ledger.begin(), ft.ledger.end(),
-                                   [&wm](const FtShipment& s) { return s.id == wm.ship; });
+                                   [ship](const FtShipment& s) { return s.id == ship; });
       if (it != ft.ledger.end()) {
         for (const auto& r : it->ranges) ctx.owned[static_cast<std::size_t>(self)].add(r);
         st.absorbed.emplace_back(it->round, it->from);
         ft.ledger.erase(it);
       }
       // Ack unconditionally: a missing entry means a duplicate of a shipment
-      // we already absorbed, and the sender needs the ack it lost.
-      co_await send_ack(ft, self, m.source, wm.ship, st.group);
+      // we already absorbed, and the sender needs the ack it lost.  The
+      // sender's retry loop watches the ledger, so the ack carries nothing.
+      co_await ctx.cluster->station(self).send(m.source, ft_tag(st.group, kFtOffAck), std::any{},
+                                                ctx.config.control_bytes, /*droppable=*/false);
       co_return false;
     }
-    case kFtOffInterrupt: {
-      const auto& im = m.as<FtInterruptMsg>();
-      co_return im.round >= st.round;
-    }
-    case kFtOffHeartbeat:
-    case kFtOffAck:     // the sender's retry loop watches the ledger instead
-    case kFtOffOutcome: // stale retransmission of a round we already applied
-    default:
+    case kFtOffInterrupt:
+      co_return m.as<InterruptMsg>().round >= st.round;
+    default:  // a heartbeat, an ack (retry loops watch the ledger) or a stale outcome
       co_return false;
   }
+}
+
+/// A profile from a straggler that missed an outcome — its round is over, or
+/// the group finished — is answered from the outcome cache.  Returns true
+/// when `pm` was such a profile.
+sim::Task<bool> answer_stale_profile(FtState& ft, int station_id, ProfileMsg pm) {
+  const auto g = static_cast<std::size_t>(pm.group);
+  if (ft.done[g] == 0 && pm.round >= ft.round[g]) co_return false;
+  if (ft.last_outcome[g]) {
+    co_await ft.ctx->cluster->station(station_id)
+        .send(pm.snapshot.proc, ft_tag(pm.group, kFtOffOutcome), *ft.last_outcome[g],
+              ft.ctx->config.control_bytes, /*droppable=*/false);
+  }
+  co_return true;
 }
 
 /// Distributed strategies: examine the profile tag without wrongly consuming
@@ -312,27 +269,41 @@ sim::Task<bool> handle_bg(FtState& ft, int self, FtSlaveState& st, sim::Message 
 /// (a straggler that missed an outcome) are answered from the cache; a
 /// current one is requeued and reported as a sync trigger.
 sim::Task<bool> peek_profiles(FtState& ft, int self, FtSlaveState& st) {
-  auto& ctx = *ft.ctx;
-  auto& me = ctx.cluster->station(self);
+  auto& me = ft.ctx->cluster->station(self);
   const int g = st.group;
   for (;;) {
     auto m = me.poll_range(ft_tag(g, kFtOffProfile), ft_tag(g, kFtOffProfile));
     if (!m) co_return false;
-    const auto pm = m->as<FtProfileMsg>();
+    const auto pm = m->as<ProfileMsg>();
     note_heard(ft, self, pm.snapshot.proc);
-    if (ft.done[static_cast<std::size_t>(g)] != 0 ||
-        pm.round < ft.round[static_cast<std::size_t>(g)]) {
-      if (ft.last_outcome[static_cast<std::size_t>(g)]) {
-        co_await me.send(pm.snapshot.proc, ft_tag(g, kFtOffOutcome),
-                         *ft.last_outcome[static_cast<std::size_t>(g)],
-                         ctx.config.control_bytes, /*droppable=*/false);
-      }
-      continue;
-    }
+    if (co_await answer_stale_profile(ft, self, pm)) continue;
     // dlblint:allow(shard-isolation) re-queue into this proc's own mailbox: self to self
     me.mailbox().deliver(std::move(*m));  // put it back for the collection
     co_return true;
   }
+}
+
+/// The profiles a collector gathered this round, indexed by proc.
+using Collected = std::vector<std::optional<ProfileSnapshot>>;
+
+/// Files a collected profile under its sender; true when it is the first
+/// from that member this round.
+bool collect_profile(FtState& ft, int collector, const sim::Message& m, Collected& got) {
+  const ProfileSnapshot& snapshot = m.as<ProfileMsg>().snapshot;
+  note_heard(ft, collector, snapshot.proc);
+  auto& slot = got[static_cast<std::size_t>(snapshot.proc)];
+  const bool first = !slot.has_value();
+  slot = snapshot;
+  return first;
+}
+
+/// Live active members of group g whose profile has not arrived.
+std::vector<int> missing_members(const FtState& ft, int g, const Collected& got) {
+  std::vector<int> missing;
+  for (const int p : ft.active[static_cast<std::size_t>(g)]) {
+    if (!got[static_cast<std::size_t>(p)] && is_alive(ft, p)) missing.push_back(p);
+  }
+  return missing;
 }
 
 int coordinator_of(const FtState& ft, int g) {
@@ -341,14 +312,31 @@ int coordinator_of(const FtState& ft, int g) {
   return active.empty() ? -1 : *std::min_element(active.begin(), active.end());
 }
 
+/// Hands group g's lost pool to `into` after `station` spent the reclaim
+/// bookkeeping (kRecoverOps of CPU since `began`), and counts the recovery.
+void reclaim_lost(FtState& ft, int station, int g, IterationSet& into, sim::SimTime began) {
+  auto& ctx = *ft.ctx;
+  auto& pool = ft.lost[static_cast<std::size_t>(g)];
+  const std::int64_t n = pool.size();
+  for (const auto& r : pool.take_back(n)) into.add(r);
+  ++ft.injector->stats().recoveries;
+  ft.injector->stats().iterations_recovered += n;
+  const sim::SimTime now = ctx.cluster->engine().now();
+  if (ctx.trace != nullptr && began != now) {
+    ctx.trace->record(station, ActivityKind::kRecover, began, now);
+  }
+  if (ctx.obs != nullptr && began != now) {
+    ctx.obs->phase(station, obs::PhaseKind::kRecovery, began, now, n);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Decision: collection results -> verdict.  Shared by the distributed
 // coordinator and the centralized balancer.
 // ---------------------------------------------------------------------------
 
-sim::Task<FtOutcomeMsg> ft_decide(FtState& ft, int station_id, int g,
-                                  std::vector<std::optional<ProfileSnapshot>>& got,
-                                  bool centralized_overhead, int initiator) {
+sim::Task<OutcomeMsg> ft_decide(FtState& ft, int station_id, int g, Collected& got,
+                                bool centralized_overhead, int initiator) {
   auto& ctx = *ft.ctx;
   auto& me = ctx.cluster->station(station_id);
   const int round = ft.round[static_cast<std::size_t>(g)];
@@ -365,33 +353,16 @@ sim::Task<FtOutcomeMsg> ft_decide(FtState& ft, int station_id, int g,
     }
   }
 
-  const bool any_live_participant = std::any_of(
-      got.begin(), got.end(), [](const auto& snapshot) { return snapshot.has_value(); });
-
+  const auto lowest = std::find_if(got.begin(), got.end(),
+                                   [](const auto& snapshot) { return snapshot.has_value(); });
   auto& pool = ft.lost[static_cast<std::size_t>(g)];
-  if (!pool.empty() && any_live_participant) {
+  if (!pool.empty() && lowest != got.end()) {
     // Reclaim: the lowest-ranked participant inherits the dead members'
     // iterations.  The bookkeeping occupies the CPU like any decision work.
     const sim::SimTime began = me.engine().now();
-    co_await me.compute(ft.injector->plan().recover_ops);
-    const std::int64_t n = pool.size();
-    int target = -1;
-    for (int p = 0; p < ctx.procs(); ++p) {
-      if (got[static_cast<std::size_t>(p)]) {
-        target = p;
-        break;
-      }
-    }
-    if (target == -1) throw std::logic_error("fault: reclaim with no participants");
-    for (const auto& r : pool.take_back(n)) ctx.owned[static_cast<std::size_t>(target)].add(r);
-    ++ft.injector->stats().recoveries;
-    ft.injector->stats().iterations_recovered += n;
-    if (ctx.trace != nullptr && began != me.engine().now()) {
-      ctx.trace->record(station_id, ActivityKind::kRecover, began, me.engine().now());
-    }
-    if (ctx.obs != nullptr && began != me.engine().now()) {
-      ctx.obs->phase(station_id, obs::PhaseKind::kRecovery, began, me.engine().now(), n);
-    }
+    co_await me.compute(kRecoverOps);
+    reclaim_lost(ft, station_id, g, ctx.owned[static_cast<std::size_t>(lowest - got.begin())],
+                 began);
   }
 
   // Profiles report what each member owned when it parked; refresh from the
@@ -415,14 +386,14 @@ sim::Task<FtOutcomeMsg> ft_decide(FtState& ft, int station_id, int g,
                              ft.group_iters[static_cast<std::size_t>(g)] &&
                          pool.empty() && !group_has_ledger(ft, g);
 
-  FtOutcomeMsg out;
+  OutcomeMsg out;
   out.round = round;
   out.group = g;
   out.loop_done = loop_done;
   out.moved = d.moved;
   out.transfers = d.transfers;
   if (!loop_done) {
-    out.active_after = ft_remove_inactive(participants, d.newly_inactive);
+    out.active_after = remove_inactive(participants, d.newly_inactive);
     // Never leave the group driverless while work could still resurface
     // from a late death: keep the lowest participant active even if idle —
     // it will initiate the next round immediately and settle the group.
@@ -432,7 +403,7 @@ sim::Task<FtOutcomeMsg> ft_decide(FtState& ft, int station_id, int g,
       out.active_after.push_back(participants.front());
     }
   }
-  ft_record_event(ft, g, round, initiator, d);
+  record_event(ctx, g, round, initiator, d);
 
   ft.last_outcome[static_cast<std::size_t>(g)] = out;
   ft.round[static_cast<std::size_t>(g)] = round + 1;
@@ -446,17 +417,31 @@ sim::Task<FtOutcomeMsg> ft_decide(FtState& ft, int station_id, int g,
 // wait, advance the round window.
 // ---------------------------------------------------------------------------
 
-bool ledger_contains(const FtState& ft, std::uint64_t ship) {
-  return std::any_of(ft.ledger.begin(), ft.ledger.end(),
-                     [ship](const FtShipment& s) { return s.id == ship; });
+/// One backoff window of ft_apply: until `deadline` or until `settled()`
+/// holds, absorb shipments and note interrupts of later rounds for after
+/// the apply.  Returns false when `self` died meanwhile.
+template <typename Settled>
+sim::Task<bool> apply_window(FtState& ft, int self, FtSlaveState& st, sim::SimTime deadline,
+                             Settled settled) {
+  auto& me = ft.ctx->cluster->station(self);
+  const int g = st.group;
+  while (me.engine().now() < deadline && !settled()) {
+    std::optional<sim::Message> m =
+        co_await me.receive_until(deadline, ft_tag(g, 0), ft_tag(g, kFtOffHeartbeat));
+    if (!is_alive(ft, self)) co_return false;
+    if (!m) break;
+    if (m->tag == ft_tag(g, kFtOffInterrupt)) {
+      note_heard(ft, self, m->source);
+      const int round = m->as<InterruptMsg>().round;
+      if (round > st.round) st.pending_sync = round;
+      continue;
+    }
+    (void)co_await handle_bg(ft, self, st, std::move(*m));
+  }
+  co_return true;
 }
 
-bool has_absorbed(const FtSlaveState& st, int round, int from) {
-  return std::find(st.absorbed.begin(), st.absorbed.end(), std::pair{round, from}) !=
-         st.absorbed.end();
-}
-
-sim::Task<FtStatus> ft_apply(FtState& ft, int self, FtSlaveState& st, FtOutcomeMsg out) {
+sim::Task<FtStatus> ft_apply(FtState& ft, int self, FtSlaveState& st, OutcomeMsg out) {
   auto& ctx = *ft.ctx;
   auto& me = ctx.cluster->station(self);
   auto& mine = ctx.owned[static_cast<std::size_t>(self)];
@@ -469,62 +454,48 @@ sim::Task<FtStatus> ft_apply(FtState& ft, int self, FtSlaveState& st, FtOutcomeM
       if (t.from != self || t.count <= 0) continue;
       const std::int64_t count = std::min(t.count, mine.size());
       if (count <= 0) continue;
-      FtWorkMsg wm;
-      wm.ship = ft.next_ship++;
+      // The ranges travel in the ledger entry; the message names it.
+      WorkMsg wm;
       wm.round = out.round;
-      wm.group = g;
-      wm.ranges = mine.take_back(count);
-      ft.ledger.push_back({wm.ship, self, t.to, g, out.round, wm.ranges});
+      wm.ship = ft.next_ship++;
+      ft.ledger.push_back({wm.ship, self, t.to, g, out.round, mine.take_back(count)});
       const auto bytes =
           ctx.config.control_bytes +
           static_cast<std::size_t>(static_cast<double>(count) * ctx.loop->bytes_per_iteration);
+      // Resolved once the receiver absorbed it or a death sweep reclaimed it.
+      const auto resolved = [&ft, ship = wm.ship] {
+        return std::none_of(ft.ledger.begin(), ft.ledger.end(),
+                            [ship](const FtShipment& s) { return s.id == ship; });
+      };
       int attempt = 0;
-      while (ledger_contains(ft, wm.ship)) {
+      while (!resolved()) {
         if (!is_alive(ft, self)) co_return FtStatus::kDead;
         if (!is_alive(ft, t.to)) break;  // the death sweep reclaimed the entry
         co_await me.send(t.to, ft_tag(g, kFtOffWork), wm, bytes, /*droppable=*/attempt == 0);
         if (!is_alive(ft, self)) co_return FtStatus::kDead;
-        const sim::SimTime deadline = backoff_deadline(ft, attempt);
-        while (me.engine().now() < deadline && ledger_contains(ft, wm.ship)) {
-          auto m = co_await me.receive_until(deadline, ft_tag(g, 0), ft_tag(g, kFtOffHeartbeat));
-          if (!is_alive(ft, self)) co_return FtStatus::kDead;
-          if (!m) break;
-          if (m->tag == ft_tag(g, kFtOffInterrupt)) {
-            const auto& im = m->as<FtInterruptMsg>();
-            note_heard(ft, self, m->source);
-            if (im.round > st.round) st.pending_sync = im.round;
-            continue;
-          }
-          (void)co_await handle_bg(ft, self, st, std::move(*m));
+        if (!co_await apply_window(ft, self, st, backoff_deadline(ft, attempt), resolved)) {
+          co_return FtStatus::kDead;
         }
-        if (ledger_contains(ft, wm.ship) && is_alive(ft, t.to)) {
-          ++attempt;
+        if (!resolved() && is_alive(ft, t.to)) {
+          ++attempt;  // ground truth says the peer lives: keep retrying
           count_retry(ft, self);
-          if (attempt > 6) attempt = 6;  // cap backoff; ground truth says the peer lives
         }
       }
     }
     for (const auto& t : out.transfers) {
       if (t.to != self || t.count <= 0) continue;
+      const auto absorbed = [&st, shipped = std::pair{out.round, t.from}] {
+        return std::find(st.absorbed.begin(), st.absorbed.end(), shipped) != st.absorbed.end();
+      };
       int attempt = 0;
-      while (!has_absorbed(st, out.round, t.from)) {
+      while (!absorbed()) {
         if (!is_alive(ft, self)) co_return FtStatus::kDead;
         if (!is_alive(ft, t.from)) break;  // its shipment (if any) went to the lost pool
-        if (attempt > ft.max_retries) break;  // sender stuck in an older round keeps the work
-        const sim::SimTime deadline = backoff_deadline(ft, attempt);
-        while (me.engine().now() < deadline && !has_absorbed(st, out.round, t.from)) {
-          auto m = co_await me.receive_until(deadline, ft_tag(g, 0), ft_tag(g, kFtOffHeartbeat));
-          if (!is_alive(ft, self)) co_return FtStatus::kDead;
-          if (!m) break;
-          if (m->tag == ft_tag(g, kFtOffInterrupt)) {
-            const auto& im = m->as<FtInterruptMsg>();
-            note_heard(ft, self, m->source);
-            if (im.round > st.round) st.pending_sync = im.round;
-            continue;
-          }
-          (void)co_await handle_bg(ft, self, st, std::move(*m));
+        if (attempt > kMaxRetries) break;  // sender stuck in an older round keeps the work
+        if (!co_await apply_window(ft, self, st, backoff_deadline(ft, attempt), absorbed)) {
+          co_return FtStatus::kDead;
         }
-        if (!has_absorbed(st, out.round, t.from)) ++attempt;
+        if (!absorbed()) ++attempt;
       }
     }
     if (ctx.trace != nullptr && move_began != me.engine().now()) {
@@ -553,26 +524,19 @@ sim::Task<FtStatus> ft_coordinate(FtState& ft, int self, FtSlaveState& st) {
   const int g = st.group;
   const int round = ft.round[static_cast<std::size_t>(g)];
 
-  std::vector<std::optional<ProfileSnapshot>> got(static_cast<std::size_t>(ctx.procs()));
-  got[static_cast<std::size_t>(self)] = ft_snapshot(ft, self, st);
+  Collected got(static_cast<std::size_t>(ctx.procs()));
+  got[static_cast<std::size_t>(self)] = make_snapshot(ctx, self, st);
 
   int attempt = 0;
-  const auto missing_members = [&] {
-    std::vector<int> missing;
-    for (const int p : ft.active[static_cast<std::size_t>(g)]) {
-      if (!got[static_cast<std::size_t>(p)] && is_alive(ft, p)) missing.push_back(p);
-    }
-    return missing;
-  };
   for (;;) {
     if (!is_alive(ft, self)) co_return FtStatus::kDead;
-    if (missing_members().empty()) break;
+    if (missing_members(ft, g, got).empty()) break;
     // The deadline is fixed per attempt: heartbeats and absorbed shipments
     // arrive inside this window without pushing it out, otherwise steady
     // background traffic starves the re-ping and a member whose interrupt
     // was dropped never learns the round started.
     const sim::SimTime deadline = backoff_deadline(ft, attempt);
-    while (me.engine().now() < deadline && !missing_members().empty()) {
+    while (me.engine().now() < deadline && !missing_members(ft, g, got).empty()) {
       // Wait on the whole block including the profile offset, so work
       // shipments from members still applying the previous round get
       // absorbed and acked instead of deadlocking against our collection.
@@ -580,21 +544,19 @@ sim::Task<FtStatus> ft_coordinate(FtState& ft, int self, FtSlaveState& st) {
       if (!is_alive(ft, self)) co_return FtStatus::kDead;
       if (!m) break;
       if (m->tag == ft_tag(g, kFtOffProfile)) {
-        const auto pm = m->as<FtProfileMsg>();
-        note_heard(ft, self, pm.snapshot.proc);
-        got[static_cast<std::size_t>(pm.snapshot.proc)] = pm.snapshot;
+        collect_profile(ft, self, *m, got);
       } else if (m->tag == ft_tag(g, kFtOffInterrupt)) {
         note_heard(ft, self, m->source);  // members joining; already collecting
       } else {
         (void)co_await handle_bg(ft, self, st, std::move(*m));
       }
     }
-    const auto missing = missing_members();
+    const auto missing = missing_members(ft, g, got);
     if (missing.empty()) break;
     // Timeout: re-ping the missing.  They are alive by ground truth (death
     // erases a member from the active set synchronously), so the interrupt
     // reaches a live straggler — stuck in an old round or just slow.
-    FtInterruptMsg im{round, g, self};
+    const InterruptMsg im{round, g};
     for (const int q : missing) {
       co_await me.send(q, ft_tag(g, kFtOffInterrupt), im, ctx.config.control_bytes,
                        /*droppable=*/false);
@@ -602,11 +564,10 @@ sim::Task<FtStatus> ft_coordinate(FtState& ft, int self, FtSlaveState& st) {
       if (!is_alive(ft, self)) co_return FtStatus::kDead;
     }
     ++attempt;
-    if (attempt > 6) attempt = 6;
   }
 
-  FtOutcomeMsg out = co_await ft_decide(ft, self, g, got, /*centralized_overhead=*/false,
-                                        /*initiator=*/-1);
+  OutcomeMsg out = co_await ft_decide(ft, self, g, got, /*centralized_overhead=*/false,
+                                      /*initiator=*/-1);
   if (!is_alive(ft, self)) co_return FtStatus::kDead;
 
   std::vector<int> others;
@@ -651,13 +612,13 @@ sim::Task<FtStatus> ft_participate(FtState& ft, int self, FtSlaveState& st) {
       } else {
         // on_death retires a dead balancer synchronously, so this branch is
         // unreachable in practice — but never spin without yielding.
-        co_await me.busy(ft.hb_period);
+        co_await me.busy(kHeartbeatPeriod);
       }
       continue;
     }
 
     const int coord = coordinator_of(ft, g);
-    FtProfileMsg pm{st.round, g, ft_snapshot(ft, self, st)};
+    const ProfileMsg pm{st.round, g, make_snapshot(ctx, self, st)};
     const int profile_tag =
         ctx.centralized ? kFtCentralProfileBase + g : ft_tag(g, kFtOffProfile);
     co_await me.send(coord, profile_tag, pm, ctx.config.control_bytes,
@@ -671,7 +632,7 @@ sim::Task<FtStatus> ft_participate(FtState& ft, int self, FtSlaveState& st) {
       if (!is_alive(ft, self)) co_return FtStatus::kDead;
       if (!m) break;
       if (m->tag == ft_tag(g, kFtOffOutcome)) {
-        const auto& om = m->as<FtOutcomeMsg>();
+        const auto& om = m->as<OutcomeMsg>();
         note_heard(ft, self, m->source);
         if (om.round >= st.round) {
           co_return co_await ft_apply(ft, self, st, om);
@@ -679,9 +640,8 @@ sim::Task<FtStatus> ft_participate(FtState& ft, int self, FtSlaveState& st) {
         continue;  // stale duplicate
       }
       if (m->tag == ft_tag(g, kFtOffInterrupt)) {
-        const auto& im = m->as<FtInterruptMsg>();
         note_heard(ft, self, m->source);
-        if (im.round >= st.round) {
+        if (m->as<InterruptMsg>().round >= st.round) {
           resend_now = true;  // a re-ping: the coordinator is collecting
           break;
         }
@@ -690,31 +650,7 @@ sim::Task<FtStatus> ft_participate(FtState& ft, int self, FtSlaveState& st) {
       (void)co_await handle_bg(ft, self, st, std::move(*m));
     }
     if (!resend_now) count_retry(ft, self);
-    ++attempt;
-    if (attempt > 6) attempt = 6;  // keep retrying: a live coordinator answers eventually
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Iteration execution.
-// ---------------------------------------------------------------------------
-
-sim::Task<void> ft_execute(FtState& ft, int self, std::int64_t index) {
-  auto& ctx = *ft.ctx;
-  auto& me = ctx.cluster->station(self);
-  co_await me.compute(ctx.loop->ops_of(index));
-  if (me.powered_off()) co_return;
-  if (ctx.loop->intrinsic_bytes_per_iteration > 0.0) {
-    const int neighbor = (self + 1) % ctx.procs();
-    if (neighbor != self) {
-      co_await me.send(neighbor, kTagIntrinsic, std::any{},
-                       static_cast<std::size_t>(ctx.loop->intrinsic_bytes_per_iteration));
-    }
-    int drained = 0;
-    while (me.poll(kTagIntrinsic)) ++drained;
-    if (drained > 0) {
-      co_await me.busy(drained * ctx.cluster->network().params().receiver_overhead);
-    }
+    ++attempt;  // keep retrying: a live coordinator answers eventually
   }
 }
 
@@ -722,13 +658,31 @@ sim::Task<void> ft_execute(FtState& ft, int self, std::int64_t index) {
 // The processes.
 // ---------------------------------------------------------------------------
 
+/// Runs the next iteration of `owned` on `proc` for group g, parking its
+/// index in `current` for the death sweep, and covers it if the station
+/// survived.  Returns false once `proc` is dead.
+sim::Task<bool> execute_and_cover(FtState& ft, int proc, int g, IterationSet& owned,
+                                  std::int64_t& current) {
+  auto& ctx = *ft.ctx;
+  const std::int64_t index = owned.pop_front();
+  current = index;
+  const sim::SimTime began = ctx.cluster->engine().now();
+  co_await execute_iteration(ctx, proc, index);
+  if (!is_alive(ft, proc)) co_return false;  // died mid-iteration: the result is discarded
+  current = -1;
+  ft.coverage.record(index, proc);
+  ++ft.group_covered[static_cast<std::size_t>(g)];
+  count_iteration(ctx, proc, began);
+  ft.injector->on_progress(ft.loop_index, ft.coverage.covered(), ft.coverage.total());
+  co_return is_alive(ft, proc);
+}
+
 bool suspicious(const FtState& ft, int self, const FtSlaveState& st) {
   const sim::SimTime now = ft.ctx->cluster->engine().now();
   for (const int q : st.active) {
-    if (q == self) continue;
-    if (q < 0 || q >= ft.ctx->procs()) continue;
+    if (q == self || q < 0 || q >= ft.ctx->procs()) continue;
     if (now - ft.last_heard[static_cast<std::size_t>(self)][static_cast<std::size_t>(q)] >
-        ft.hb_timeout) {
+        kHeartbeatTimeout) {
       return true;
     }
   }
@@ -746,11 +700,7 @@ sim::Process ft_dlb_slave(FtState& ft, int self, int group) {
   st.active = ft.active[static_cast<std::size_t>(group)];
   st.window_start = me.engine().now();
 
-  bool running = true;
-  while (running) {
-    if (!is_alive(ft, self)) break;
-    if (ft.done[static_cast<std::size_t>(group)] != 0) break;
-
+  while (is_alive(ft, self) && ft.done[static_cast<std::size_t>(group)] == 0) {
     bool join_sync = false;
     while (auto m = me.poll_range(ft_tag(group, 0), ft_tag(group, kFtOffHeartbeat))) {
       if (co_await handle_bg(ft, self, st, std::move(*m))) join_sync = true;
@@ -779,7 +729,7 @@ sim::Process ft_dlb_slave(FtState& ft, int self, int group) {
     if (join_sync || initiate) {
       const sim::SimTime sync_began = me.engine().now();
       if (initiate) {
-        FtInterruptMsg im{st.round, group, coordinator_of(ft, group)};
+        const InterruptMsg im{st.round, group};
         co_await me.multicast(st.active, ft_tag(group, kFtOffInterrupt), im,
                               ctx.config.control_bytes);
         if (!is_alive(ft, self)) break;
@@ -788,8 +738,7 @@ sim::Process ft_dlb_slave(FtState& ft, int self, int group) {
       if (ctx.trace != nullptr && sync_began != me.engine().now()) {
         ctx.trace->record(self, ActivityKind::kSync, sync_began, me.engine().now());
       }
-      if (status == FtStatus::kDead) break;
-      if (status == FtStatus::kLoopDone) break;
+      if (status == FtStatus::kDead || status == FtStatus::kLoopDone) break;
       if (status == FtStatus::kInactive) {
         // Parked: out of the round set with nothing left, but a shipment
         // decided before we went inactive can still be in flight — its
@@ -797,8 +746,8 @@ sim::Process ft_dlb_slave(FtState& ft, int self, int group) {
         // the rounds if work or a current interrupt lands here.
         while (is_alive(ft, self) && ft.done[static_cast<std::size_t>(group)] == 0 &&
                mine.empty() && st.pending_sync < st.round) {
-          auto m = co_await me.receive_until(me.engine().now() + ft.hb_period, ft_tag(group, 0),
-                                            ft_tag(group, kFtOffHeartbeat));
+          auto m = co_await me.receive_until(me.engine().now() + kHeartbeatPeriod,
+                                             ft_tag(group, 0), ft_tag(group, kFtOffHeartbeat));
           if (!m) continue;
           if (co_await handle_bg(ft, self, st, std::move(*m))) {
             st.pending_sync = std::max(st.pending_sync, st.round);
@@ -808,21 +757,11 @@ sim::Process ft_dlb_slave(FtState& ft, int self, int group) {
       continue;
     }
 
-    const std::int64_t index = mine.pop_front();
-    ft.current_iter[static_cast<std::size_t>(self)] = index;
-    const sim::SimTime began = me.engine().now();
-    co_await ft_execute(ft, self, index);
-    if (!is_alive(ft, self)) break;  // died mid-iteration: the result is discarded
-    ft.current_iter[static_cast<std::size_t>(self)] = -1;
-    ft.coverage.record(index, self);
-    ++ft.group_covered[static_cast<std::size_t>(group)];
-    ++ctx.executed[static_cast<std::size_t>(self)];
-    ++st.done_in_window;
-    if (ctx.trace != nullptr) {
-      ctx.trace->record(self, ActivityKind::kCompute, began, me.engine().now());
+    if (!co_await execute_and_cover(ft, self, group, mine,
+                                    ft.current_iter[static_cast<std::size_t>(self)])) {
+      break;
     }
-    ft.injector->on_progress(ft.loop_index, ft.coverage.covered(), ft.coverage.total());
-    if (!is_alive(ft, self)) break;  // the progress fault may have hit us
+    ++st.done_in_window;
   }
   ctx.finished_at[static_cast<std::size_t>(self)] =
       std::max(ctx.finished_at[static_cast<std::size_t>(self)], me.engine().now());
@@ -837,45 +776,29 @@ sim::Process ft_central_balancer(FtState& ft, int station_id) {
 
   while (!ft.stop && ft.groups_done < ctx.groups.size()) {
     if (!is_alive(ft, station_id)) break;
-    auto first = co_await me.receive_until(me.engine().now() + ft.hb_period,
+    auto first = co_await me.receive_until(me.engine().now() + kHeartbeatPeriod,
                                            kFtCentralProfileBase,
                                            kFtCentralProfileBase + ngroups - 1);
     if (!is_alive(ft, station_id)) break;
     if (!first) continue;
-    const auto pm0 = first->as<FtProfileMsg>();
+    const auto pm0 = first->as<ProfileMsg>();
     const int g = pm0.group;
     note_heard(ft, station_id, pm0.snapshot.proc);
-    if (ft.done[static_cast<std::size_t>(g)] != 0 ||
-        pm0.round < ft.round[static_cast<std::size_t>(g)]) {
-      // A straggler that missed an outcome: serve it from the cache.
-      if (ft.last_outcome[static_cast<std::size_t>(g)]) {
-        co_await me.send(pm0.snapshot.proc, ft_tag(g, kFtOffOutcome),
-                         *ft.last_outcome[static_cast<std::size_t>(g)],
-                         ctx.config.control_bytes, /*droppable=*/false);
-      }
-      continue;
-    }
+    if (co_await answer_stale_profile(ft, station_id, pm0)) continue;
 
-    std::vector<std::optional<ProfileSnapshot>> got(static_cast<std::size_t>(ctx.procs()));
+    Collected got(static_cast<std::size_t>(ctx.procs()));
     got[static_cast<std::size_t>(pm0.snapshot.proc)] = pm0.snapshot;
+    // Collect until no live member is missing; a dead station abandons the
+    // collection to its successor.
     int attempt = 0;
-    bool abandoned = false;
     for (;;) {
-      if (!is_alive(ft, station_id)) {
-        abandoned = true;
-        break;
-      }
+      if (!is_alive(ft, station_id)) break;
       // Profiles of other groups queue behind this collection — the LCDLB
       // serialization delay, same as the fault-free balancer.
       while (auto q = me.poll_range(kFtCentralProfileBase + g, kFtCentralProfileBase + g)) {
-        const auto pm = q->as<FtProfileMsg>();
-        note_heard(ft, station_id, pm.snapshot.proc);
-        got[static_cast<std::size_t>(pm.snapshot.proc)] = pm.snapshot;
+        collect_profile(ft, station_id, *q, got);
       }
-      std::vector<int> missing;
-      for (const int p : ft.active[static_cast<std::size_t>(g)]) {
-        if (!got[static_cast<std::size_t>(p)] && is_alive(ft, p)) missing.push_back(p);
-      }
+      const auto missing = missing_members(ft, g, got);
       if (missing.empty()) break;
       // Fixed deadline per attempt: retried profiles from one straggler must
       // not keep pushing the window out and starve the re-ping of another.
@@ -884,32 +807,23 @@ sim::Process ft_central_balancer(FtState& ft, int station_id) {
       while (me.engine().now() < deadline) {
         auto m = co_await me.receive_until(deadline, kFtCentralProfileBase + g,
                                            kFtCentralProfileBase + g);
-        if (!is_alive(ft, station_id)) {
-          abandoned = true;
-          break;
-        }
-        if (!m) break;
-        const auto pm = m->as<FtProfileMsg>();
-        note_heard(ft, station_id, pm.snapshot.proc);
-        if (!got[static_cast<std::size_t>(pm.snapshot.proc)]) heard = true;
-        got[static_cast<std::size_t>(pm.snapshot.proc)] = pm.snapshot;
+        if (!m || !is_alive(ft, station_id)) break;
+        if (collect_profile(ft, station_id, *m, got)) heard = true;
       }
-      if (abandoned) break;
+      if (!is_alive(ft, station_id)) break;
       if (heard) continue;  // progress: re-evaluate who is still missing
-      FtInterruptMsg im{ft.round[static_cast<std::size_t>(g)], g, station_id};
+      const InterruptMsg im{ft.round[static_cast<std::size_t>(g)], g};
       for (const int q : missing) {
         co_await me.send(q, ft_tag(g, kFtOffInterrupt), im, ctx.config.control_bytes,
                          /*droppable=*/false);
         count_retry(ft, station_id);
       }
       ++attempt;
-      if (attempt > 6) attempt = 6;
     }
-    if (abandoned) break;
+    if (!is_alive(ft, station_id)) break;
 
-    FtOutcomeMsg out = co_await ft_decide(ft, station_id, g, got,
-                                          /*centralized_overhead=*/true,
-                                          /*initiator=*/pm0.snapshot.proc);
+    OutcomeMsg out = co_await ft_decide(ft, station_id, g, got, /*centralized_overhead=*/true,
+                                        /*initiator=*/pm0.snapshot.proc);
     if (!is_alive(ft, station_id)) break;
     std::vector<int> recipients;
     bool self_in_group = false;
@@ -937,17 +851,16 @@ sim::Process ft_heartbeat_emitter(FtState& ft, int self, int group) {
   auto* sleep = ft.hb_sleep[static_cast<std::size_t>(self)].get();
   // Deterministic per-rank phase offset so the beats don't collide on the
   // shared medium in lockstep.
-  sim::SimTime wait =
-      ft.hb_period + ft.hb_period * self / std::max(1, ctx.procs());
+  sim::SimTime wait = kHeartbeatPeriod + kHeartbeatPeriod * self / std::max(1, ctx.procs());
   for (;;) {
     const bool expired = co_await sleep->wait_for(wait);
-    wait = ft.hb_period;
+    wait = kHeartbeatPeriod;
     if (!expired || ft.stop || !is_alive(ft, self)) break;
     if (ft.done[static_cast<std::size_t>(group)] != 0) break;
     const auto& peers = ft.active[static_cast<std::size_t>(group)];
     if (!peers.empty()) {
-      FtHeartbeatMsg hb{group};
-      co_await me.multicast(peers, ft_tag(group, kFtOffHeartbeat), hb,
+      // Receivers note the source; the beacon carries nothing.
+      co_await me.multicast(peers, ft_tag(group, kFtOffHeartbeat), std::any{},
                             ctx.config.control_bytes);
     }
   }
@@ -961,7 +874,7 @@ sim::Process ft_recovery_slave(FtState& ft, FtState::Recovery& rec) {
   auto& me = ctx.cluster->station(rec.proc);
   const int g = rec.group;
 
-  while (!rec.dead && is_alive(ft, rec.proc) && ft.done[static_cast<std::size_t>(g)] == 0) {
+  while (is_alive(ft, rec.proc) && ft.done[static_cast<std::size_t>(g)] == 0) {
     if (rec.owned.empty()) {
       sweep_dead_ledger(ft, g);
       auto& pool = ft.lost[static_cast<std::size_t>(g)];
@@ -973,38 +886,17 @@ sim::Process ft_recovery_slave(FtState& ft, FtState::Recovery& rec) {
           // Work is still in flight somewhere (a live shipment between two
           // procs that died an instant later sweeps into the pool next
           // round); idle one heartbeat and look again.
-          co_await me.busy(ft.hb_period);
+          co_await me.busy(kHeartbeatPeriod);
         }
         continue;
       }
       const sim::SimTime began = me.engine().now();
-      co_await me.compute(ft.injector->plan().recover_ops);
-      if (rec.dead || !is_alive(ft, rec.proc)) break;
-      const std::int64_t n = pool.size();
-      for (const auto& r : pool.take_back(n)) rec.owned.add(r);
-      ++ft.injector->stats().recoveries;
-      ft.injector->stats().iterations_recovered += n;
-      if (ctx.trace != nullptr && began != me.engine().now()) {
-        ctx.trace->record(rec.proc, ActivityKind::kRecover, began, me.engine().now());
-      }
-      if (ctx.obs != nullptr && began != me.engine().now()) {
-        ctx.obs->phase(rec.proc, obs::PhaseKind::kRecovery, began, me.engine().now(), n);
-      }
+      co_await me.compute(kRecoverOps);
+      if (!is_alive(ft, rec.proc)) break;
+      reclaim_lost(ft, rec.proc, g, rec.owned, began);
       continue;
     }
-    const std::int64_t index = rec.owned.pop_front();
-    rec.current = index;
-    const sim::SimTime began = me.engine().now();
-    co_await ft_execute(ft, rec.proc, index);
-    if (rec.dead || !is_alive(ft, rec.proc)) break;
-    rec.current = -1;
-    ft.coverage.record(index, rec.proc);
-    ++ft.group_covered[static_cast<std::size_t>(g)];
-    ++ctx.executed[static_cast<std::size_t>(rec.proc)];
-    if (ctx.trace != nullptr) {
-      ctx.trace->record(rec.proc, ActivityKind::kCompute, began, me.engine().now());
-    }
-    ft.injector->on_progress(ft.loop_index, ft.coverage.covered(), ft.coverage.total());
+    if (!co_await execute_and_cover(ft, rec.proc, g, rec.owned, rec.current)) break;
   }
   ctx.finished_at[static_cast<std::size_t>(rec.proc)] =
       std::max(ctx.finished_at[static_cast<std::size_t>(rec.proc)], me.engine().now());
@@ -1026,17 +918,11 @@ void on_death(FtState& ft, int p) {
     ft.balancer_live = false;
   }
 
-  // 1. Unexecuted iterations it owned.
-  auto& owned = ctx.owned[static_cast<std::size_t>(p)];
-  if (!owned.empty()) {
-    for (const auto& r : owned.take_back(owned.size())) surrender_span(ft, r.lo, r.hi);
-  }
-  // 2. The iteration it was executing (popped but not yet recorded).
-  if (ft.current_iter[static_cast<std::size_t>(p)] >= 0) {
-    surrender_index(ft, ft.current_iter[static_cast<std::size_t>(p)]);
-    ft.current_iter[static_cast<std::size_t>(p)] = -1;
-  }
-  // 3. Its completed results die with it — unless the group already
+  // 1. Unexecuted iterations it owned, and the one it was executing
+  // (popped but not yet recorded).
+  surrender_holdings(ft, ctx.owned[static_cast<std::size_t>(p)],
+                     ft.current_iter[static_cast<std::size_t>(p)]);
+  // 2. Its completed results die with it — unless the group already
   // finished, in which case the results were consumed and stand.
   for (const auto& [lo, hi] : ft.coverage.wipe(p)) {
     for (std::int64_t i = lo; i < hi; ++i) {
@@ -1049,41 +935,24 @@ void on_death(FtState& ft, int p) {
       }
     }
   }
-  // 4. In-flight shipments it sent or was about to receive.
-  for (auto it = ft.ledger.begin(); it != ft.ledger.end();) {
-    if (it->from == p || it->to == p) {
-      for (const auto& r : it->ranges) surrender_span(ft, r.lo, r.hi);
-      it = ft.ledger.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // 5. Recovery slaves it was hosting.
+  // 3. In-flight shipments it sent or was about to receive.
+  surrender_shipments(ft, [p](const FtShipment& s) { return s.from == p || s.to == p; });
+  // 4. Recovery slaves it was hosting.
   for (auto& rec : ft.recoveries) {
-    if (rec->proc != p || rec->dead) continue;
-    rec->dead = true;
-    if (!rec->owned.empty()) {
-      for (const auto& r : rec->owned.take_back(rec->owned.size())) {
-        surrender_span(ft, r.lo, r.hi);
-      }
-    }
-    if (rec->current >= 0) {
-      surrender_index(ft, rec->current);
-      rec->current = -1;
-    }
+    if (rec->proc == p) surrender_holdings(ft, rec->owned, rec->current);
   }
-  // 6. It no longer takes part in any round.
+  // 5. It no longer takes part in any round.
   for (auto& members : ft.active) std::erase(members, p);
 
-  // 7. Stranded groups: no active member left to drive the rounds.  If work
+  // 6. Stranded groups: no active member left to drive the rounds.  If work
   // remains, recruit the lowest surviving rank as a recovery slave; if not,
   // the group is finished.
   for (std::size_t g = 0; g < ft.active.size(); ++g) {
     if (ft.done[g] != 0 || !ft.active[g].empty()) continue;
-    const bool has_live_recovery =
-        std::any_of(ft.recoveries.begin(), ft.recoveries.end(), [&g](const auto& rec) {
-          return !rec->dead && rec->group == static_cast<int>(g);
-        });
+    bool has_live_recovery = false;
+    for (const auto& rec : ft.recoveries) {
+      if (rec->group == static_cast<int>(g) && is_alive(ft, rec->proc)) has_live_recovery = true;
+    }
     if (has_live_recovery) continue;
     if (ft.group_covered[g] == ft.group_iters[g]) {
       finalize_group(ft, static_cast<int>(g));
@@ -1098,8 +967,7 @@ void on_death(FtState& ft, int p) {
   }
 }
 
-double auto_ack_timeout_seconds(const LoopDescriptor& loop, const cluster::Cluster& cluster,
-                                double hb_period_seconds) {
+double auto_ack_timeout_seconds(const LoopDescriptor& loop, const cluster::Cluster& cluster) {
   double max_ops = 1.0;
   const std::int64_t stride = std::max<std::int64_t>(1, loop.iterations / 65536);
   for (std::int64_t i = 0; i < loop.iterations; i += stride) {
@@ -1111,21 +979,14 @@ double auto_ack_timeout_seconds(const LoopDescriptor& loop, const cluster::Clust
   // Several times the slowest bare-iteration time: external load stretches
   // iterations, but a too-short timeout only costs a retransmission — the
   // ground-truth death check keeps false timeouts from escalating.
-  return std::max(4.0 * hb_period_seconds, 6.0 * max_ops / rate);
+  return std::max(4.0 * kHeartbeatPeriodSeconds, 6.0 * max_ops / rate);
 }
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// Entry points.
-// ---------------------------------------------------------------------------
-
-LoopRunStats run_ft_loop(const LoopDescriptor& loop, const DlbConfig& config,
-                         cluster::Cluster& cluster, fault::FaultInjector& injector,
-                         int loop_index, Trace* trace, obs::Recorder* obs) {
-  LoopContext ctx = LoopContext::make(loop, config, cluster);
-  ctx.trace = trace;
-  ctx.obs = obs;
+LoopRunStats run_ft_loop(LoopContext& ctx, fault::FaultInjector& injector, int loop_index) {
+  const LoopDescriptor& loop = *ctx.loop;
+  auto& cluster = *ctx.cluster;
   auto& engine = cluster.engine();
 
   // Re-partition among the survivors: a dead station gets nothing, a revoked
@@ -1156,17 +1017,7 @@ LoopRunStats run_ft_loop(const LoopDescriptor& loop, const DlbConfig& config,
     }
   }
 
-  const fault::FaultPlan& plan = injector.plan();
-  ft.hb_period = sim::from_seconds(plan.heartbeat_period_seconds);
-  ft.hb_timeout = plan.heartbeat_timeout_seconds > 0.0
-                      ? sim::from_seconds(plan.heartbeat_timeout_seconds)
-                      : 4 * ft.hb_period;
-  ft.ack_timeout = sim::from_seconds(
-      plan.ack_timeout_seconds > 0.0
-          ? plan.ack_timeout_seconds
-          : auto_ack_timeout_seconds(loop, cluster, plan.heartbeat_period_seconds));
-  ft.max_retries = plan.max_retries;
-  ft.backoff = plan.backoff_factor;
+  ft.ack_timeout = sim::from_seconds(auto_ack_timeout_seconds(loop, cluster));
 
   const std::size_t ngroups = ctx.groups.size();
   ft.lost.resize(ngroups);
@@ -1233,87 +1084,18 @@ LoopRunStats run_ft_loop(const LoopDescriptor& loop, const DlbConfig& config,
     if (!pool.empty()) throw std::logic_error("run_ft_loop: unreclaimed lost work at loop end");
   }
 
-  LoopRunStats stats = std::move(ctx.stats);
-  stats.executed_per_proc = ctx.executed;
-  stats.finish_per_proc.reserve(ctx.finished_at.size());
-  for (const auto t : ctx.finished_at) stats.finish_per_proc.push_back(sim::to_seconds(t));
+  LoopRunStats stats = collect_loop_stats(ctx);
   // Makespan from the survivors' finish times, not engine.now(): draining a
   // dead station's last preempted compute segment advances the clock without
   // representing useful work.
-  double finish = stats.start_seconds;
+  stats.finish_seconds = stats.start_seconds;
   for (int p = 0; p < ctx.procs(); ++p) {
     if (injector.alive(p)) {
-      finish = std::max(finish, sim::to_seconds(ctx.finished_at[static_cast<std::size_t>(p)]));
+      stats.finish_seconds = std::max(stats.finish_seconds,
+                                      stats.finish_per_proc[static_cast<std::size_t>(p)]);
     }
-  }
-  stats.finish_seconds = finish;
-  stats.syncs = static_cast<int>(stats.events.size());
-  for (const auto& e : stats.events) {
-    if (e.redistributed) ++stats.redistributions;
-    stats.iterations_moved += e.iterations_moved;
   }
   return stats;
-}
-
-namespace {
-
-sim::Process ft_phase_master(cluster::Cluster& cluster, SequentialPhase phase,
-                             fault::FaultInjector& injector, int master) {
-  auto& me = cluster.station(master);
-  const sim::SimTime step = sim::from_seconds(injector.plan().heartbeat_period_seconds * 4.0);
-  for (int p = 0; p < cluster.size(); ++p) {
-    if (p == master) continue;
-    for (;;) {
-      if (!injector.alive(master)) co_return;
-      if (!injector.alive(p)) break;  // its share of the data died with it
-      auto m = co_await me.receive_until(me.engine().now() + step, kTagPhaseData, kTagPhaseData, p);
-      if (!injector.alive(master)) co_return;
-      if (m) break;
-    }
-  }
-  co_await me.compute(phase.master_ops);
-  if (!injector.alive(master)) co_return;
-  const double share = phase.scatter_bytes_total / static_cast<double>(cluster.size());
-  for (int p = 0; p < cluster.size(); ++p) {
-    if (p == master || !injector.alive(p)) continue;
-    co_await me.send(p, kTagPhaseScatter, std::any{}, static_cast<std::size_t>(share),
-                     /*droppable=*/false);
-    if (!injector.alive(master)) co_return;
-  }
-}
-
-sim::Process ft_phase_slave(cluster::Cluster& cluster, fault::FaultInjector& injector, int self,
-                            double gather_bytes, int master) {
-  auto& me = cluster.station(self);
-  if (!injector.alive(self)) co_return;
-  const sim::SimTime step = sim::from_seconds(injector.plan().heartbeat_period_seconds * 4.0);
-  co_await me.send(master, kTagPhaseData, std::any{}, static_cast<std::size_t>(gather_bytes),
-                   /*droppable=*/false);
-  for (;;) {
-    if (!injector.alive(self)) co_return;
-    auto m = co_await me.receive_until(me.engine().now() + step, kTagPhaseScatter,
-                                       kTagPhaseScatter, master);
-    if (!injector.alive(self)) co_return;
-    if (m) break;
-    if (!injector.alive(master)) break;  // degraded: proceed without the scatter
-  }
-}
-
-}  // namespace
-
-int run_ft_phase(cluster::Cluster& cluster, const SequentialPhase& phase,
-                 const std::vector<double>& gather_bytes_per_proc,
-                 fault::FaultInjector& injector) {
-  auto& engine = cluster.engine();
-  const int master = injector.first_alive();
-  engine.spawn(ft_phase_master(cluster, phase, injector, master));
-  for (int p = 0; p < cluster.size(); ++p) {
-    if (p == master || !injector.alive(p)) continue;
-    engine.spawn(ft_phase_slave(cluster, injector, p, gather_bytes_per_proc[static_cast<std::size_t>(p)],
-                                master));
-  }
-  engine.run();
-  return master;
 }
 
 }  // namespace dlb::core

@@ -1,13 +1,7 @@
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
-#include "cluster/cluster.hpp"
+#include "core/protocol.hpp"
 #include "core/run_stats.hpp"
-#include "core/trace.hpp"
-#include "core/types.hpp"
-#include "fault/coverage.hpp"
 #include "fault/injector.hpp"
 
 namespace dlb::core {
@@ -34,27 +28,16 @@ inline constexpr int kFtCentralProfileBase = 4000;
   return kFtTagBase + group * kFtTagStride + offset;
 }
 
-/// Executes one load-balanced loop under an armed fault plan: alive-only
-/// initial partition, ack/retry on every profile and work shipment,
-/// heartbeat-driven early failure detection, deterministic coordinator
-/// failover (lowest surviving rank), and re-execution of dead workstations'
-/// iterations.  Throws std::logic_error if the run violates exactly-once
-/// coverage — that check is the acceptance oracle, not an assertion of
-/// convenience.  The injector's death handler (Runtime installs one) powers
-/// a dead station off and flushes its mailbox; the loop chains its own
-/// bookkeeping after it and restores it on exit.
-[[nodiscard]] LoopRunStats run_ft_loop(const LoopDescriptor& loop, const DlbConfig& config,
-                                       cluster::Cluster& cluster, fault::FaultInjector& injector,
-                                       int loop_index, Trace* trace,
-                                       obs::Recorder* obs = nullptr);
-
-/// Fault-tolerant sequential phase: gather/scatter with timeouts and
-/// ground-truth liveness checks.  The master is the lowest surviving rank at
-/// phase start; slaves that lose the master mid-phase proceed without its
-/// scatter (documented degradation — the phase data is modelled, not real).
-/// Returns the master's rank.
-[[nodiscard]] int run_ft_phase(cluster::Cluster& cluster, const SequentialPhase& phase,
-                               const std::vector<double>& gather_bytes_per_proc,
-                               fault::FaultInjector& injector);
+/// Executes one load-balanced loop under an armed fault plan, on the context
+/// the Runtime built: alive-only initial partition, ack/retry on every
+/// profile and work shipment, heartbeat-driven early failure detection,
+/// deterministic coordinator failover (lowest surviving rank), and
+/// re-execution of dead workstations' iterations.  Throws std::logic_error
+/// if the run violates exactly-once coverage — that check is the acceptance
+/// oracle, not an assertion of convenience.  The injector's death handler
+/// (Runtime installs one) powers a dead station off and flushes its mailbox;
+/// the loop chains its own bookkeeping after it and restores it on exit.
+[[nodiscard]] LoopRunStats run_ft_loop(LoopContext& ctx, fault::FaultInjector& injector,
+                                       int loop_index);
 
 }  // namespace dlb::core

@@ -12,33 +12,6 @@
 
 namespace dlb::core {
 
-namespace {
-
-/// Samples the simulator-health series at a synchronization boundary: the
-/// event-queue depth and the arena occupancy.  Sync points are where queue
-/// pressure peaks (every member wakes at once), which makes them the
-/// interesting sampling instants — and they are deterministic in virtual
-/// time, unlike any wall-clock cadence.
-void sample_engine_health(LoopContext& ctx) {
-  if (ctx.obs == nullptr) return;
-  auto& engine = ctx.cluster->engine();
-  ctx.obs->sample("engine.queue_depth", engine.now(),
-                  static_cast<double>(engine.queue_depth()));
-  ctx.obs->sample("arena.live", engine.now(),
-                  static_cast<double>(sim::FrameArena::stats().live));
-}
-
-enum class SyncStatus { kContinue, kInactive, kLoopDone };
-
-/// Slave-local synchronization state, living in the slave coroutine frame.
-struct SlaveState {
-  int round = 0;
-  std::vector<int> active;  // active processors of my group, ascending
-  sim::SimTime window_start = 0;
-  std::int64_t done_in_window = 0;
-  double last_rate = 0.0;
-};
-
 ProfileSnapshot make_snapshot(LoopContext& ctx, int self, SlaveState& st) {
   auto& me = ctx.cluster->station(self);
   const double elapsed = sim::to_seconds(me.engine().now() - st.window_start);
@@ -77,6 +50,78 @@ void record_event(LoopContext& ctx, int group, int round, int initiator, const D
   }
   ctx.stats.events.push_back(e);
 }
+
+std::vector<int> remove_inactive(const std::vector<int>& active,
+                                 const std::vector<int>& newly_inactive) {
+  std::vector<int> out;
+  out.reserve(active.size());
+  for (const int p : active) {
+    if (std::find(newly_inactive.begin(), newly_inactive.end(), p) == newly_inactive.end()) {
+      out.push_back(p);
+    }
+  }
+  return out;
+}
+
+sim::Task<void> execute_iteration(LoopContext& ctx, int self, std::int64_t index) {
+  auto& me = ctx.cluster->station(self);
+  co_await me.compute(ctx.loop->ops_of(index));
+  if (me.powered_off()) co_return;
+  if (ctx.loop->intrinsic_bytes_per_iteration > 0.0) {
+    const int neighbor = (self + 1) % ctx.procs();
+    if (neighbor != self) {
+      co_await me.send(neighbor, kTagIntrinsic, std::any{},
+                       static_cast<std::size_t>(ctx.loop->intrinsic_bytes_per_iteration));
+    }
+    int drained = 0;
+    while (me.poll(kTagIntrinsic)) ++drained;
+    if (drained > 0) {
+      co_await me.busy(drained * ctx.cluster->network().params().receiver_overhead);
+    }
+  }
+}
+
+void count_iteration(LoopContext& ctx, int self, sim::SimTime began) {
+  ++ctx.executed[static_cast<std::size_t>(self)];
+  if (ctx.trace != nullptr) {
+    ctx.trace->record(self, ActivityKind::kCompute, began, ctx.cluster->engine().now());
+  }
+}
+
+LoopRunStats collect_loop_stats(LoopContext& ctx) {
+  LoopRunStats stats = std::move(ctx.stats);
+  stats.executed_per_proc = ctx.executed;
+  stats.finish_per_proc.reserve(ctx.finished_at.size());
+  for (const auto t : ctx.finished_at) stats.finish_per_proc.push_back(sim::to_seconds(t));
+  stats.syncs = static_cast<int>(stats.events.size());
+  for (const auto& e : stats.events) {
+    if (e.redistributed) ++stats.redistributions;
+    stats.iterations_moved += e.iterations_moved;
+  }
+  return stats;
+}
+
+namespace {
+
+/// Samples the simulator-health series at a synchronization boundary: the
+/// event-queue depth and the arena occupancy.  Sync points are where queue
+/// pressure peaks (every member wakes at once), which makes them the
+/// interesting sampling instants — and they are deterministic in virtual
+/// time, unlike any wall-clock cadence.
+void sample_engine_health(LoopContext& ctx) {
+  if (ctx.obs == nullptr) return;
+  auto& engine = ctx.cluster->engine();
+  ctx.obs->sample("engine.queue_depth", engine.now(),
+                  static_cast<double>(engine.queue_depth()));
+  ctx.obs->sample("arena.live", engine.now(),
+                  static_cast<double>(sim::FrameArena::stats().live));
+}
+
+enum class SyncStatus { kContinue, kInactive, kLoopDone };
+
+/// How long an armed sequential phase waits before it re-checks liveness:
+/// the fault-tolerant protocol's heartbeat timeout.
+constexpr sim::SimTime kPhaseLivenessStep = sim::from_seconds(1.0);
 
 /// Executes the round verdict on one slave: ship work out, collect work in,
 /// advance the round window.  Shared by the centralized (outcome message)
@@ -129,43 +174,6 @@ sim::Task<SyncStatus> apply_plan(LoopContext& ctx, int self, SlaveState& st, boo
   const bool still_active =
       std::find(active_after.begin(), active_after.end(), self) != active_after.end();
   co_return still_active ? SyncStatus::kContinue : SyncStatus::kInactive;
-}
-
-/// Executes one iteration: the computation, the intrinsic communication to
-/// the ring neighbour (IC, §4.1), and the unpack cost of inbound intrinsic
-/// traffic that accumulated since the last gap.
-sim::Task<void> execute_iteration(LoopContext& ctx, int self, std::int64_t index) {
-  auto& me = ctx.cluster->station(self);
-  const sim::SimTime began = me.engine().now();
-  co_await me.compute(ctx.loop->ops_of(index));
-  if (ctx.loop->intrinsic_bytes_per_iteration > 0.0) {
-    const int neighbor = (self + 1) % ctx.procs();
-    if (neighbor != self) {
-      co_await me.send(neighbor, kTagIntrinsic, std::any{},
-                       static_cast<std::size_t>(ctx.loop->intrinsic_bytes_per_iteration));
-    }
-    int drained = 0;
-    while (me.poll(kTagIntrinsic)) ++drained;
-    if (drained > 0) {
-      co_await me.busy(drained * ctx.cluster->network().params().receiver_overhead);
-    }
-  }
-  ++ctx.executed[static_cast<std::size_t>(self)];
-  if (ctx.trace != nullptr) {
-    ctx.trace->record(self, ActivityKind::kCompute, began, me.engine().now());
-  }
-}
-
-std::vector<int> remove_inactive(const std::vector<int>& active,
-                                 const std::vector<int>& newly_inactive) {
-  std::vector<int> out;
-  out.reserve(active.size());
-  for (const int p : active) {
-    if (std::find(newly_inactive.begin(), newly_inactive.end(), p) == newly_inactive.end()) {
-      out.push_back(p);
-    }
-  }
-  return out;
 }
 
 /// Centralized sync: profile to the balancer, wait for the outcome (Fig. 1
@@ -303,7 +311,9 @@ sim::Process dlb_slave(LoopContext& ctx, int self) {
         continue;
       }
       const std::int64_t index = mine.pop_front();
+      const sim::SimTime began = me.engine().now();
       co_await execute_iteration(ctx, self, index);
+      count_iteration(ctx, self, began);
       ++st.done_in_window;
     } else {
       // Out of work: become the initiator (first finisher, §3.1) — send the
@@ -393,7 +403,9 @@ sim::Process static_slave(LoopContext& ctx, int self) {
   auto& mine = ctx.owned[static_cast<std::size_t>(self)];
   while (!mine.empty()) {
     const std::int64_t index = mine.pop_front();
+    const sim::SimTime began = me.engine().now();
     co_await execute_iteration(ctx, self, index);
+    count_iteration(ctx, self, began);
   }
   ctx.finished_at[static_cast<std::size_t>(self)] = me.engine().now();
 }
@@ -437,16 +449,8 @@ LoopRunStats drive_loop(LoopContext& ctx) {
     });
   }
 
-  LoopRunStats stats = std::move(ctx.stats);
+  LoopRunStats stats = collect_loop_stats(ctx);
   stats.finish_seconds = sim::to_seconds(engine.now());
-  stats.executed_per_proc = ctx.executed;
-  stats.finish_per_proc.reserve(ctx.finished_at.size());
-  for (const auto t : ctx.finished_at) stats.finish_per_proc.push_back(sim::to_seconds(t));
-  stats.syncs = static_cast<int>(stats.events.size());
-  for (const auto& e : stats.events) {
-    if (e.redistributed) ++stats.redistributions;
-    stats.iterations_moved += e.iterations_moved;
-  }
 
   std::int64_t executed_total = 0;
   for (const auto n : stats.executed_per_proc) executed_total += n;
@@ -456,22 +460,53 @@ LoopRunStats drive_loop(LoopContext& ctx) {
   return stats;
 }
 
-sim::Process phase_master(cluster::Cluster& cluster, SequentialPhase phase) {
-  auto& me = cluster.station(0);
-  for (int p = 1; p < cluster.size(); ++p) {
-    (void)co_await me.receive(kTagPhaseData, p);
+sim::Process phase_master(cluster::Cluster& cluster, SequentialPhase phase, int master,
+                          const fault::FaultInjector* injector) {
+  auto& me = cluster.station(master);
+  const auto alive = [injector](int p) { return injector == nullptr || injector->alive(p); };
+  for (int p = 0; p < cluster.size(); ++p) {
+    if (p == master) continue;
+    if (injector == nullptr) {
+      (void)co_await me.receive(kTagPhaseData, p);
+      continue;
+    }
+    for (;;) {
+      if (!alive(master)) co_return;
+      if (!alive(p)) break;  // its share of the data died with it
+      auto m = co_await me.receive_until(me.engine().now() + kPhaseLivenessStep, kTagPhaseData,
+                                         kTagPhaseData, p);
+      if (!alive(master)) co_return;
+      if (m) break;
+    }
   }
   co_await me.compute(phase.master_ops);
+  if (!alive(master)) co_return;
   const double share = phase.scatter_bytes_total / static_cast<double>(cluster.size());
-  for (int p = 1; p < cluster.size(); ++p) {
-    co_await me.send(p, kTagPhaseScatter, std::any{}, static_cast<std::size_t>(share));
+  for (int p = 0; p < cluster.size(); ++p) {
+    if (p == master || !alive(p)) continue;
+    co_await me.send(p, kTagPhaseScatter, std::any{}, static_cast<std::size_t>(share),
+                     /*droppable=*/false);
+    if (!alive(master)) co_return;
   }
 }
 
-sim::Process phase_slave(cluster::Cluster& cluster, int self, double gather_bytes) {
+sim::Process phase_slave(cluster::Cluster& cluster, int self, double gather_bytes, int master,
+                         const fault::FaultInjector* injector) {
   auto& me = cluster.station(self);
-  co_await me.send(0, kTagPhaseData, std::any{}, static_cast<std::size_t>(gather_bytes));
-  (void)co_await me.receive(kTagPhaseScatter, 0);
+  co_await me.send(master, kTagPhaseData, std::any{}, static_cast<std::size_t>(gather_bytes),
+                   /*droppable=*/false);
+  if (injector == nullptr) {
+    (void)co_await me.receive(kTagPhaseScatter, master);
+    co_return;
+  }
+  for (;;) {
+    if (!injector->alive(self)) co_return;
+    auto m = co_await me.receive_until(me.engine().now() + kPhaseLivenessStep, kTagPhaseScatter,
+                                       kTagPhaseScatter, master);
+    if (!injector->alive(self)) co_return;
+    if (m) break;
+    if (!injector->alive(master)) break;  // degraded: proceed without the scatter
+  }
 }
 
 }  // namespace dlb::core

@@ -9,8 +9,11 @@
 #include "core/run_stats.hpp"
 #include "core/trace.hpp"
 #include "core/types.hpp"
+#include "fault/injector.hpp"
 #include "obs/recorder.hpp"
 #include "sim/process.hpp"
+#include "sim/task.hpp"
+#include "sim/time.hpp"
 
 namespace dlb::core {
 
@@ -49,10 +52,12 @@ struct OutcomeMsg {
   std::vector<int> active_after;  // group members still active next round
 };
 
-/// A work shipment: the migrated iteration ranges.
+/// A work shipment: the migrated iteration ranges.  Under faults the ranges
+/// stay in the sender's ledger entry and `ship` names it; fault-free it is 0.
 struct WorkMsg {
   int round = 0;
   std::vector<IterRange> ranges;
+  std::uint64_t ship = 0;
 };
 
 /// Shared state of one load-balanced loop execution.  Owned by the Runtime;
@@ -98,6 +103,40 @@ struct LoopContext {
                           cluster::Cluster& cluster);
 };
 
+/// Slave-local synchronization state, living in the slave coroutine frame.
+struct SlaveState {
+  int round = 0;
+  std::vector<int> active;  // active processors of my group, ascending
+  sim::SimTime window_start = 0;
+  std::int64_t done_in_window = 0;
+  double last_rate = 0.0;
+};
+
+/// The profile `self` reports at a sync point (§3.2).
+[[nodiscard]] ProfileSnapshot make_snapshot(LoopContext& ctx, int self, SlaveState& st);
+
+/// Records one synchronization round of `group` in the loop statistics.
+void record_event(LoopContext& ctx, int group, int round, int initiator, const Decision& d);
+
+/// `active` without the members in `newly_inactive`, order kept.
+[[nodiscard]] std::vector<int> remove_inactive(const std::vector<int>& active,
+                                               const std::vector<int>& newly_inactive);
+
+/// Executes one iteration: the computation, then — unless the station was
+/// powered off meanwhile — the intrinsic communication to the ring neighbour
+/// (IC, §4.1) and the unpack cost of inbound intrinsic traffic that
+/// accumulated since the last gap.  The caller counts the iteration.
+[[nodiscard]] sim::Task<void> execute_iteration(LoopContext& ctx, int self, std::int64_t index);
+
+/// Counts one executed iteration of `self` that began at `began`: the
+/// per-processor tally and the compute segment of the activity trace.
+void count_iteration(LoopContext& ctx, int self, sim::SimTime began);
+
+/// Moves the statistics out of `ctx` at loop end and fills in everything but
+/// finish_seconds: per-processor executed counts and finish times, syncs,
+/// redistributions and iterations moved.
+[[nodiscard]] LoopRunStats collect_loop_stats(LoopContext& ctx);
+
 /// A DLB slave (the paper's transformed loop of Fig. 3): executes owned
 /// iterations one at a time, polls for interrupts between iterations,
 /// initiates a synchronization when its work runs out, and takes part in
@@ -121,11 +160,17 @@ struct LoopContext {
 [[nodiscard]] LoopRunStats drive_loop(LoopContext& ctx);
 
 /// Sequential inter-loop phase (TRFD's transpose, §6.3): slaves gather their
-/// data to the master, the master computes, then scatters.
+/// data to `master`, the master computes, then scatters.  With no injector
+/// every wait is a plain receive.  Under an armed injector the waits re-check
+/// liveness once a virtual second: the master skips a dead slave's data
+/// and stops if it dies itself, and a slave that loses the master proceeds
+/// without its scatter (the phase data is modelled, not real).
 /// Coroutine parameters are taken by value: the caller's locals may die
 /// before the process body resumes, so references would dangle (dlblint
 /// coro-ref-param).
-[[nodiscard]] sim::Process phase_master(cluster::Cluster& cluster, SequentialPhase phase);
-[[nodiscard]] sim::Process phase_slave(cluster::Cluster& cluster, int self, double gather_bytes);
+[[nodiscard]] sim::Process phase_master(cluster::Cluster& cluster, SequentialPhase phase,
+                                        int master, const fault::FaultInjector* injector);
+[[nodiscard]] sim::Process phase_slave(cluster::Cluster& cluster, int self, double gather_bytes,
+                                       int master, const fault::FaultInjector* injector);
 
 }  // namespace dlb::core

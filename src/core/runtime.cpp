@@ -56,39 +56,33 @@ Runtime::Runtime(cluster::Cluster& cluster, AppDescriptor app, DlbConfig config)
 }
 
 LoopRunStats Runtime::execute_loop(const LoopDescriptor& loop, int loop_index) {
-  if (injector_ != nullptr) {
-    return run_ft_loop(loop, config_, cluster_, *injector_, loop_index, trace_.get(),
-                       obs_.get());
-  }
-
   LoopContext ctx = LoopContext::make(loop, config_, cluster_);
   ctx.trace = trace_.get();
   ctx.obs = obs_.get();
+  if (injector_ != nullptr) return run_ft_loop(ctx, *injector_, loop_index);
   return drive_loop(ctx);
 }
 
 void Runtime::execute_phase(const SequentialPhase& phase, const LoopRunStats& previous) {
   auto& engine = cluster_.engine();
-  std::vector<double> gather_bytes(static_cast<std::size_t>(cluster_.size()), 0.0);
-  for (std::size_t p = 0; p < gather_bytes.size(); ++p) {
-    gather_bytes[p] = static_cast<double>(previous.executed_per_proc[p]) *
-                      phase.gather_bytes_per_iteration;
-  }
+  // Armed, the lowest surviving rank masters the phase and only live
+  // stations take part.
+  const fault::FaultInjector* injector = injector_.get();
+  const int master = injector != nullptr ? injector->first_alive() : 0;
   const sim::SimTime phase_began = engine.now();
-  int master = 0;
-  if (injector_ != nullptr) {
-    master = run_ft_phase(cluster_, phase, gather_bytes, *injector_);
-  } else {
-    {
-      sim::Engine::ShardScope scope(engine, cluster_.shard_of(0));
-      engine.spawn(phase_master(cluster_, phase));
-    }
-    for (int p = 1; p < cluster_.size(); ++p) {
-      sim::Engine::ShardScope scope(engine, cluster_.shard_of(p));
-      engine.spawn(phase_slave(cluster_, p, gather_bytes[static_cast<std::size_t>(p)]));
-    }
-    engine.run();
+  {
+    sim::Engine::ShardScope scope(engine, cluster_.shard_of(master));
+    engine.spawn(phase_master(cluster_, phase, master, injector));
   }
+  for (int p = 0; p < cluster_.size(); ++p) {
+    if (p == master || (injector != nullptr && !injector->alive(p))) continue;
+    const double gather_bytes =
+        static_cast<double>(previous.executed_per_proc[static_cast<std::size_t>(p)]) *
+        phase.gather_bytes_per_iteration;
+    sim::Engine::ShardScope scope(engine, cluster_.shard_of(p));
+    engine.spawn(phase_slave(cluster_, p, gather_bytes, master, injector));
+  }
+  engine.run();
   if (obs_) {
     // One span on the master's track covering the whole gather/compute/scatter.
     obs_->phase(master, obs::PhaseKind::kSequential, phase_began, engine.now());

@@ -28,8 +28,10 @@ namespace dlb::core {
 ///
 /// When DlbConfig::faults is armed, the Runtime owns a FaultInjector seeded
 /// from the cluster seed, arms it against the engine and network, and routes
-/// every loop and phase through the fault-tolerant protocol variants
-/// (ft_protocol.hpp).  A disarmed plan takes the exact fault-free code path.
+/// every loop through the fault-tolerant protocol (ft_protocol.hpp); the
+/// sequential phases take the injector and run on the survivors, mastered
+/// by the lowest live rank.  A disarmed plan takes the exact fault-free code
+/// path.
 class Runtime {
  public:
   Runtime(cluster::Cluster& cluster, AppDescriptor app, DlbConfig config);

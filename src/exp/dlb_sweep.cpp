@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     if (metrics) grid.config.observe = true;
 
     exp::RunnerOptions options;
-    options.threads = static_cast<int>(cli.get_int("threads", 0));
+    options.threads = static_cast<int>(exp::int_flag(cli, "threads", 0));
     const exp::Runner runner(options);
     const auto sweep = runner.run(grid);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -58,6 +59,20 @@ int strict_int(const std::string& item, const char* flag) {
   return value;
 }
 
+}  // namespace
+
+long int_flag(const support::Cli& cli, const char* flag, long fallback, long lo, long hi) {
+  const long value = cli.get_int(flag, fallback);
+  if (value < lo || value > hi) {
+    throw std::invalid_argument(std::string("--") + flag + ": " + std::to_string(value) +
+                                " is outside [" + std::to_string(lo) + ", " +
+                                std::to_string(hi) + "]");
+  }
+  return value;
+}
+
+namespace {
+
 double strict_double(const std::string& item, const char* flag) {
   std::size_t pos = 0;
   double value = 0.0;
@@ -77,10 +92,10 @@ double strict_double(const std::string& item, const char* flag) {
 /// --topology=shared,switched (axis), --rack-size, --shards.
 void apply_topology(ExperimentGrid& grid, const support::Cli& cli) {
   if (cli.has("rack-size")) {
-    grid.cluster_template.switched.rack_size = static_cast<int>(cli.get_int("rack-size", 32));
+    grid.cluster_template.switched.rack_size = static_cast<int>(int_flag(cli, "rack-size", 32));
   }
   if (cli.has("shards")) {
-    grid.cluster_template.engine_shards = static_cast<int>(cli.get_int("shards", 1));
+    grid.cluster_template.engine_shards = static_cast<int>(int_flag(cli, "shards", 1));
   }
   const auto spec = cli.get("topology", "");
   if (spec.empty()) return;
@@ -270,7 +285,7 @@ AppSpec make_app_spec(const std::string& name, const support::Cli& cli) {
   if (name == "mxm") {
     return mxm_spec({cli.get_int("R", 400), cli.get_int("C", 400), cli.get_int("R2", 400)});
   }
-  if (name == "trfd") return trfd_spec(static_cast<int>(cli.get_int("n", 30)));
+  if (name == "trfd") return trfd_spec(static_cast<int>(int_flag(cli, "n", 30)));
   if (name == "uniform") {
     const auto iters = cli.get_int("iters", 400);
     const auto ops = cli.get_double("ops", 100e3);
@@ -382,14 +397,15 @@ void apply_service_flags(ExperimentGrid& grid, const support::Cli& cli) {
   for (const auto& rho : split_commas(cli.get("rate", "0.3,0.5,0.7,0.8,0.9,0.95"))) {
     service.rhos.push_back(strict_double(rho, "rate"));
   }
-  service.jobs = static_cast<std::uint64_t>(cli.get_int("jobs", 1'000'000));
+  service.jobs = static_cast<std::uint64_t>(
+      int_flag(cli, "jobs", 1'000'000, 1, std::numeric_limits<long>::max()));
   const auto hysteresis = split_commas(cli.get("hysteresis", "0.05,3"));
   if (hysteresis.size() != 2) {
     throw std::invalid_argument("parse_grid: --hysteresis wants <margin>,<k>");
   }
   service.hysteresis.margin = strict_double(hysteresis[0], "hysteresis");
   service.hysteresis.k = strict_int(hysteresis[1], "hysteresis");
-  service.load_variants = static_cast<int>(cli.get_int("load-variants", 8));
+  service.load_variants = static_cast<int>(int_flag(cli, "load-variants", 8));
   service.mix = svc::JobMix::builtin(cli.get("mix", "default"));
   const auto backend = cli.get("service-backend", "model");
   if (backend == "model") {
@@ -437,7 +453,7 @@ ExperimentGrid custom_grid(const support::Cli& cli) {
       grid.max_loads.push_back(strict_int(ml, "max-load"));
     }
   }
-  grid.loop_index = static_cast<int>(cli.get_int("loop", -1));
+  grid.loop_index = static_cast<int>(int_flag(cli, "loop", -1));
   return grid;
 }
 
@@ -518,7 +534,7 @@ ExperimentGrid parse_grid(const support::Cli& cli) {
   reject_unread_flags(cli, kind,
                       kind == kCustom ? "a grid without --figure" : "--figure=" + figure);
   const bool one_seed = kind == kScale || kind == kService;
-  grid.seeds = static_cast<int>(cli.get_int("seeds", one_seed ? 1 : 3));
+  grid.seeds = static_cast<int>(int_flag(cli, "seeds", one_seed ? 1 : 3));
   grid.seed0 = static_cast<std::uint64_t>(cli.get_int("seed0", 1000));
   apply_topology(grid, cli);
   apply_faults(grid, cli);

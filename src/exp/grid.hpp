@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -157,6 +158,13 @@ struct ExperimentGrid {
 /// read is rejected instead of silently running the stock grid.
 /// Throws std::invalid_argument on unknown app, strategy or fault names.
 [[nodiscard]] ExperimentGrid parse_grid(const support::Cli& cli);
+
+/// Cli::get_int for a flag the caller narrows: a value outside [lo, hi]
+/// (by default int's range) throws std::invalid_argument naming the flag,
+/// where a bare cast would wrap it (4294967297 to 1 for an int).
+[[nodiscard]] long int_flag(const support::Cli& cli, const char* flag, long fallback,
+                            long lo = std::numeric_limits<int>::min(),
+                            long hi = std::numeric_limits<int>::max());
 
 /// Strategy list from a comma-separated spec of short labels
 /// ("nodlb,gc,gd,lc,ld"), "all" (the five figure schemes, NoDLB first) or

@@ -7,10 +7,14 @@
 
 namespace dlb::fault {
 
+/// Salt mixed with the cell seed to derive the loss stream, so arming loss
+/// never perturbs the workstations' external-load streams.
+constexpr std::uint64_t kLossStream = 0xFA17u;
+
 FaultInjector::FaultInjector(const FaultPlan& plan, int procs, std::uint64_t seed)
     : plan_(plan),
       procs_(procs),
-      loss_rng_(support::Rng(seed).fork(plan.loss_stream)),
+      loss_rng_(support::Rng(seed).fork(kLossStream)),
       alive_(static_cast<std::size_t>(procs), 1),
       revoked_until_(static_cast<std::size_t>(procs), 0) {
   plan_.validate(procs);

@@ -39,7 +39,7 @@ struct FaultStats {
 class FaultInjector {
  public:
   /// `seed` is the experiment cell seed; the loss stream is forked from it
-  /// with the plan's salt.  Procs named `-1` in specs resolve to procs-1.
+  /// with a fixed salt.  Procs named `-1` in specs resolve to procs-1.
   FaultInjector(const FaultPlan& plan, int procs, std::uint64_t seed);
 
   FaultInjector(const FaultInjector&) = delete;
@@ -87,7 +87,6 @@ class FaultInjector {
 
   [[nodiscard]] FaultStats& stats() noexcept { return stats_; }
   [[nodiscard]] const FaultStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
 
  private:
   void fire(const FaultSpec& spec);

@@ -10,14 +10,6 @@ void FaultPlan::validate(int procs) const {
   if (message_loss_rate < 0.0 || message_loss_rate > 0.9) {
     throw std::invalid_argument("FaultPlan: message_loss_rate outside [0, 0.9]");
   }
-  if (max_retries < 1) throw std::invalid_argument("FaultPlan: max_retries < 1");
-  if (backoff_factor < 1.0) throw std::invalid_argument("FaultPlan: backoff_factor < 1");
-  if (heartbeat_period_seconds <= 0.0) {
-    throw std::invalid_argument("FaultPlan: heartbeat_period_seconds <= 0");
-  }
-  if (ack_timeout_seconds < 0.0 || heartbeat_timeout_seconds < 0.0 || recover_ops < 0.0) {
-    throw std::invalid_argument("FaultPlan: negative tolerance knob");
-  }
   std::set<int> crashed;
   for (const FaultSpec& spec : events) {
     if (spec.proc < -1 || spec.proc >= procs) {

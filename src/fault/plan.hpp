@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -30,10 +29,11 @@ struct FaultSpec {
   double down_seconds = 0.0;  // kRevoke: how long the owner keeps the machine
 };
 
-/// A deterministic fault scenario plus the tolerance knobs the protocol uses
-/// to survive it.  A default-constructed plan is *disarmed*: no injector is
-/// built, no hook installed, and the simulation takes byte-identical code
-/// paths to a build without the fault layer.
+/// A deterministic fault scenario.  How the protocol survives it (timeouts,
+/// retries, heartbeats, reclaim cost) is fixed by the fault-tolerant
+/// protocol, not by the plan.  A default-constructed plan is *disarmed*: no
+/// injector is built, no hook installed, and the simulation takes
+/// byte-identical code paths to a build without the fault layer.
 struct FaultPlan {
   std::string name = "none";
   std::vector<FaultSpec> events;
@@ -42,18 +42,6 @@ struct FaultPlan {
   /// wire.  Retransmissions and acknowledgements are sent non-droppable, so
   /// loss degrades latency, never correctness.
   double message_loss_rate = 0.0;
-
-  // --- protocol tolerance knobs ---
-  double ack_timeout_seconds = 0.0;  // 0: auto-derived from the loop's longest iteration
-  double heartbeat_period_seconds = 0.25;
-  double heartbeat_timeout_seconds = 0.0;  // 0: auto (4x period)
-  int max_retries = 3;                     // per peer before suspecting death
-  double backoff_factor = 2.0;             // timeout multiplier per retry
-  double recover_ops = 20e3;               // bookkeeping ops per ownership reclaim
-
-  /// Salt mixed with the cell seed to derive the loss stream, so arming loss
-  /// never perturbs the workstations' external-load streams.
-  std::uint64_t loss_stream = 0xFA17u;
 
   [[nodiscard]] bool armed() const noexcept {
     return !events.empty() || message_loss_rate > 0.0;

@@ -224,6 +224,28 @@ TEST(ExpGrid, PresetsAcceptTheFlagsTheyRead) {
   }
 }
 
+TEST(ExpGrid, IntegerFlagsRejectOutOfRange) {
+  // Cli::get_int yields a long; a bare cast to the field's type would wrap
+  // 4294967297 to 1 and -1 to 2^64 - 1 jobs.
+  const std::vector<std::vector<std::string>> cases{
+      {"--seeds=4294967297"},
+      {"--figure=scale", "--shards=4294967297"},
+      {"--figure=service", "--jobs=-1"},
+      {"--figure=service", "--load-variants=4294967297"},
+  };
+  for (const auto& flags : cases) {
+    const auto& bad = flags.back();
+    SCOPED_TRACE(bad);
+    try {
+      (void)parse(flags);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      const auto name = bad.substr(0, bad.find('='));
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(ExpGrid, TablePresetsRankEveryShapeAtBothSizes) {
   const auto table1 = parse({"--figure=table1"});
   EXPECT_EQ(table1.procs, (std::vector<int>{4, 16}));
