@@ -164,11 +164,12 @@ TEST(ExpDeterminism, SwitchedBytesIdenticalAcrossShardAndThreadCounts) {
   // cross-shard ingress traffic.  Merged bytes must be a function of the
   // grid alone — identical for shards 1/2/4 at runner threads 1/2/8, where
   // the sharded cells additionally run their windows on pool workers via
-  // PoolShardExecutor.
+  // PoolShardExecutor.  TRFD runs two loops and a transpose on one engine,
+  // so it also pins that every shard resumes from the engine's time.
   std::string baseline;
   for (const char* shards : {"--shards=1", "--shards=2", "--shards=4"}) {
-    const char* argv[] = {"exp_determinism_test", "--app=mxm",  "--procs=8",
-                          "--strategies=all",     "--seeds=2",  "--topology=switched",
+    const char* argv[] = {"exp_determinism_test", "--app=mxm,trfd", "--procs=8",
+                          "--strategies=all",     "--seeds=2",      "--topology=switched",
                           "--rack-size=2",        shards};
     const dlb::support::Cli cli(8, argv);
     const auto grid = dlb::exp::parse_grid(cli);
