@@ -42,13 +42,7 @@ void record_event(LoopContext& ctx, int group, int round, int initiator, const D
   e.iterations_moved = d.moved ? d.to_move : 0;
   e.transfer_messages = static_cast<int>(d.transfers.size());
   e.redistributed = d.moved;
-  if (ctx.sharded) {
-    // Sharded engine: stage per group (single writer per inner vector);
-    // Runtime merges canonically at loop end.
-    ctx.events_by_group[static_cast<std::size_t>(group)].push_back(e);
-    return;
-  }
-  ctx.stats.events.push_back(e);
+  ctx.events_by_group[static_cast<std::size_t>(group)].push_back(e);
 }
 
 std::vector<int> remove_inactive(const std::vector<int>& active,
@@ -90,6 +84,19 @@ void count_iteration(LoopContext& ctx, int self, sim::SimTime began) {
 
 LoopRunStats collect_loop_stats(LoopContext& ctx) {
   LoopRunStats stats = std::move(ctx.stats);
+  // Merge the staged sync events into the canonical order: time, then
+  // group, then round.  The key is unique (a group records at most one event
+  // per round), so the result is independent of the shard count and of which
+  // worker ran which group.
+  for (auto& staged : ctx.events_by_group) {
+    stats.events.insert(stats.events.end(), staged.begin(), staged.end());
+  }
+  std::stable_sort(stats.events.begin(), stats.events.end(),
+                   [](const SyncEvent& a, const SyncEvent& b) {
+                     if (a.at_seconds != b.at_seconds) return a.at_seconds < b.at_seconds;
+                     if (a.group != b.group) return a.group < b.group;
+                     return a.round < b.round;
+                   });
   stats.executed_per_proc = ctx.executed;
   stats.finish_per_proc.reserve(ctx.finished_at.size());
   for (const auto t : ctx.finished_at) stats.finish_per_proc.push_back(sim::to_seconds(t));
@@ -267,8 +274,7 @@ LoopContext LoopContext::make(const LoopDescriptor& loop, const DlbConfig& confi
   }
   ctx.executed.assign(static_cast<std::size_t>(procs), 0);
   ctx.finished_at.assign(static_cast<std::size_t>(procs), 0);
-  ctx.sharded = cluster.engine().is_sharded();
-  if (ctx.sharded) ctx.events_by_group.resize(ctx.groups.size());
+  ctx.events_by_group.resize(ctx.groups.size());
   ctx.stats.loop_name = loop.name;
   ctx.stats.start_seconds = sim::to_seconds(cluster.engine().now());
   return ctx;
@@ -432,22 +438,6 @@ LoopRunStats drive_loop(LoopContext& ctx) {
     }
   }
   engine.run();
-
-  if (ctx.sharded) {
-    // Merge the per-group staged sync events into the canonical order:
-    // time, then group, then round.  The key is unique (a group records at
-    // most one event per round), so the result is independent of the shard
-    // count and of which worker ran which group.
-    auto& events = ctx.stats.events;
-    for (auto& staged : ctx.events_by_group) {
-      events.insert(events.end(), staged.begin(), staged.end());
-    }
-    std::stable_sort(events.begin(), events.end(), [](const SyncEvent& a, const SyncEvent& b) {
-      if (a.at_seconds != b.at_seconds) return a.at_seconds < b.at_seconds;
-      if (a.group != b.group) return a.group < b.group;
-      return a.round < b.round;
-    });
-  }
 
   LoopRunStats stats = collect_loop_stats(ctx);
   stats.finish_seconds = sim::to_seconds(engine.now());

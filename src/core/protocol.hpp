@@ -79,13 +79,10 @@ struct LoopContext {
   std::vector<sim::SimTime> finished_at;
 
   LoopRunStats stats;
-  /// True when the cluster's engine is sharded.  Sync events are then staged
-  /// per group — exactly one actor records a given group's round, so each
-  /// inner vector has a single writer — and merged canonically (by time,
-  /// group, round) into `stats.events` at loop end; pushing straight to the
-  /// shared vector would race across shard workers.  Unsharded runs keep the
-  /// direct push, byte-identical to before sharding existed.
-  bool sharded = false;
+  /// Sync events staged per group — exactly one actor records a given
+  /// group's round, so each inner vector has a single writer even when
+  /// groups run on different engine shards — and merged canonically (by
+  /// time, group, round) into `stats.events` at loop end.
   std::vector<std::vector<SyncEvent>> events_by_group;
   /// Optional activity recorder (owned by the Runtime).
   Trace* trace = nullptr;
@@ -133,8 +130,8 @@ void record_event(LoopContext& ctx, int group, int round, int initiator, const D
 void count_iteration(LoopContext& ctx, int self, sim::SimTime began);
 
 /// Moves the statistics out of `ctx` at loop end and fills in everything but
-/// finish_seconds: per-processor executed counts and finish times, syncs,
-/// redistributions and iterations moved.
+/// finish_seconds: the sync events in canonical order, per-processor executed
+/// counts and finish times, syncs, redistributions and iterations moved.
 [[nodiscard]] LoopRunStats collect_loop_stats(LoopContext& ctx);
 
 /// A DLB slave (the paper's transformed loop of Fig. 3): executes owned
@@ -155,8 +152,8 @@ void count_iteration(LoopContext& ctx, int self, sim::SimTime began);
 
 /// The fault-free loop driver shared by Runtime and StreamRuntime: spawns
 /// the strategy's processes (each pinned to its station's engine shard),
-/// drains the engine, merges sharded sync events canonically, and checks
-/// work conservation — every iteration executed exactly once.
+/// drains the engine, collects the statistics, and checks work conservation
+/// — every iteration executed exactly once.
 [[nodiscard]] LoopRunStats drive_loop(LoopContext& ctx);
 
 /// Sequential inter-loop phase (TRFD's transpose, §6.3): slaves gather their
