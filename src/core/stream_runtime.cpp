@@ -8,10 +8,6 @@ namespace dlb::core {
 
 StreamRuntime::StreamRuntime(cluster::Cluster& cluster, DlbConfig base_config)
     : cluster_(cluster), engine_(cluster.engine()), base_config_(base_config) {
-  if (cluster_.engine().is_sharded()) {
-    throw std::invalid_argument(
-        "StreamRuntime: service mode requires an unsharded engine (run with --shards=1)");
-  }
   if (base_config_.observe || base_config_.record_trace || base_config_.faults.armed()) {
     throw std::invalid_argument(
         "StreamRuntime: observability, tracing and fault injection assume one loop per engine "
@@ -25,8 +21,13 @@ void StreamRuntime::advance_to(sim::SimTime at) {
   auto& engine = cluster_.engine();
   if (at <= engine.now()) return;
   // A scheduled no-op is the idle clock tick: run() pops it and leaves the
-  // engine parked at exactly `at` with an empty queue.
-  engine.schedule_at(at, [] {});
+  // engine parked at exactly `at` with an empty queue.  On a sharded engine
+  // the tick is one trivial window on shard 0, and run() moves every shard's
+  // clock to `at`.
+  {
+    sim::Engine::ShardScope scope(engine, 0);
+    engine.schedule_at(at, [] {});
+  }
   engine.run();
 }
 

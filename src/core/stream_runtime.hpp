@@ -24,9 +24,9 @@ namespace dlb::core {
 ///
 /// The stream entry is deliberately narrower than `Runtime`: no fault
 /// injection, tracing or observation hooks (those layers assume one loop per
-/// engine lifetime) and an unsharded engine only — a persistent service
-/// interleaves admissions with idle advances, which the conservative-window
-/// shard barrier does not model.
+/// engine lifetime).  A sharded engine works like an unsharded one: every
+/// shard leaves a run at the engine's time, so each admission starts at the
+/// same instant on every shard, and an idle advance is one trivial window.
 class StreamRuntime {
  public:
   StreamRuntime(cluster::Cluster& cluster, DlbConfig base_config);
