@@ -24,6 +24,9 @@ Cluster::Cluster(ClusterParams params)
     if (params_.network_segments != 1) {
       throw std::invalid_argument("Cluster: switched topology excludes network_segments");
     }
+    if (params_.switched.rack_size < 1) {
+      throw std::invalid_argument("Cluster: switched rack_size must be >= 1");
+    }
     const int racks = net::rack_count(params_.procs, params_.switched.rack_size);
     // One shard cannot own less than a rack; a shared topology never shards
     // at all (see ClusterParams::engine_shards).

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "apps/synthetic.hpp"
@@ -99,8 +100,8 @@ TEST(Topology, CrossbarPortSerializesFrames) {
   EXPECT_EQ(port.total_busy_time(), 3 * occ);
 }
 
-// Four stations in two racks of two, on an unsharded engine (shards = 1 is
-// the legacy event loop; the fabric path itself is topology, not sharding).
+// Four stations in two racks of two, on a one-shard engine by default (the
+// fabric path itself is topology, not sharding).
 struct SwitchedFixture {
   Engine engine;
   Network network;
@@ -229,6 +230,19 @@ TEST(SwitchedCluster, SwitchedExcludesSegments) {
   EXPECT_THROW(Cluster cluster(p), std::invalid_argument);
 }
 
+TEST(SwitchedCluster, RejectsNonPositiveRackSize) {
+  // The rack count divides by the rack size, so the cluster must refuse it
+  // before building anything.
+  for (const int rack_size : {0, -1}) {
+    try {
+      Cluster cluster(switched_params(8, rack_size, 1));
+      ADD_FAILURE() << "rack size " << rack_size << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("rack_size"), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(SwitchedCluster, ObservabilityRequiresUnsharded) {
   DlbConfig config;
   config.strategy = Strategy::kGCDLB;
@@ -236,7 +250,7 @@ TEST(SwitchedCluster, ObservabilityRequiresUnsharded) {
   const auto app = make_uniform(16, 20e3, 100.0);
   EXPECT_THROW(run_app(switched_params(8, 4, 2), app, config),
                std::invalid_argument);
-  // With one shard the engine is the legacy loop and observability works.
+  // With one shard the engine runs no windows and observability works.
   const auto r = run_app(switched_params(8, 4, 1), app, config);
   EXPECT_GT(r.exec_seconds, 0.0);
 }
@@ -263,7 +277,7 @@ class SwitchedShardInvariance : public ::testing::TestWithParam<Strategy> {};
 
 // The tentpole determinism claim: on a switched cluster the shard count is
 // pure mechanism — every observable result is identical at 1, 2 and 4
-// shards (1 shard being the pre-sharding legacy event loop).
+// shards (1 shard runs no windows at all).
 TEST_P(SwitchedShardInvariance, ResultsIdenticalAcrossShardCounts) {
   const auto app = make_uniform(64, 20e3, 100.0);
   DlbConfig config;
