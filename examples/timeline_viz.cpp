@@ -52,9 +52,9 @@ int main(int argc, char** argv) {
               << ", exec " << support::fmt_fixed(result.exec_seconds, 2) << " s, "
               << result.total_syncs() << " syncs, " << result.total_iterations_moved()
               << " iterations moved ===\n\n";
-    result.trace->render_gantt(std::cout, procs, width);
+    result.obs->render_gantt(std::cout, procs, width);
 
-    const auto util = result.trace->utilization(procs);
+    const auto util = result.obs->utilization(procs);
     std::cout << "compute utilization:";
     for (int p = 0; p < procs; ++p) {
       std::cout << "  P" << p << " " << support::fmt_fixed(util[static_cast<std::size_t>(p)] * 100, 0)

@@ -322,10 +322,8 @@ void reclaim_lost(FtState& ft, int station, int g, IterationSet& into, sim::SimT
   ++ft.injector->stats().recoveries;
   ft.injector->stats().iterations_recovered += n;
   const sim::SimTime now = ctx.cluster->engine().now();
-  if (ctx.trace != nullptr && began != now) {
-    ctx.trace->record(station, ActivityKind::kRecover, began, now);
-  }
   if (ctx.obs != nullptr && began != now) {
+    ctx.obs->activity(station, obs::ActivityKind::kRecover, began, now);
     ctx.obs->phase(station, obs::PhaseKind::kRecovery, began, now, n);
   }
 }
@@ -498,8 +496,8 @@ sim::Task<FtStatus> ft_apply(FtState& ft, int self, FtSlaveState& st, OutcomeMsg
         if (!absorbed()) ++attempt;
       }
     }
-    if (ctx.trace != nullptr && move_began != me.engine().now()) {
-      ctx.trace->record(self, ActivityKind::kMove, move_began, me.engine().now());
+    if (ctx.obs != nullptr) {
+      ctx.obs->activity(self, obs::ActivityKind::kMove, move_began, me.engine().now());
     }
   }
 
@@ -735,8 +733,8 @@ sim::Process ft_dlb_slave(FtState& ft, int self, int group) {
         if (!is_alive(ft, self)) break;
       }
       const FtStatus status = co_await ft_participate(ft, self, st);
-      if (ctx.trace != nullptr && sync_began != me.engine().now()) {
-        ctx.trace->record(self, ActivityKind::kSync, sync_began, me.engine().now());
+      if (ctx.obs != nullptr) {
+        ctx.obs->activity(self, obs::ActivityKind::kSync, sync_began, me.engine().now());
       }
       if (status == FtStatus::kDead || status == FtStatus::kLoopDone) break;
       if (status == FtStatus::kInactive) {

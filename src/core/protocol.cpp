@@ -77,8 +77,8 @@ sim::Task<void> execute_iteration(LoopContext& ctx, int self, std::int64_t index
 
 void count_iteration(LoopContext& ctx, int self, sim::SimTime began) {
   ++ctx.executed[static_cast<std::size_t>(self)];
-  if (ctx.trace != nullptr) {
-    ctx.trace->record(self, ActivityKind::kCompute, began, ctx.cluster->engine().now());
+  if (ctx.obs != nullptr) {
+    ctx.obs->activity(self, obs::ActivityKind::kCompute, began, ctx.cluster->engine().now());
   }
 }
 
@@ -163,10 +163,8 @@ sim::Task<SyncStatus> apply_plan(LoopContext& ctx, int self, SlaveState& st, boo
       for (const auto& range : m.as<WorkMsg>().ranges) mine.add(range);
       iterations_shipped += t.count;
     }
-    if (ctx.trace != nullptr && move_began != me.engine().now()) {
-      ctx.trace->record(self, ActivityKind::kMove, move_began, me.engine().now());
-    }
     if (ctx.obs != nullptr && move_began != me.engine().now()) {
+      ctx.obs->activity(self, obs::ActivityKind::kMove, move_began, me.engine().now());
       ctx.obs->phase(self, obs::PhaseKind::kShipment, move_began, me.engine().now(),
                      iterations_shipped);
       ctx.obs->metrics().counter("proto.iterations_shipped")
@@ -301,10 +299,8 @@ sim::Process dlb_slave(LoopContext& ctx, int self) {
           const int sync_round = st.round;
           sample_engine_health(ctx);
           status = co_await participate(ctx, self, st);
-          if (ctx.trace != nullptr) {
-            ctx.trace->record(self, ActivityKind::kSync, sync_began, me.engine().now());
-          }
           if (ctx.obs != nullptr) {
+            ctx.obs->activity(self, obs::ActivityKind::kSync, sync_began, me.engine().now());
             ctx.obs->phase(self, obs::PhaseKind::kSync, sync_began, me.engine().now(),
                            sync_round);
           }
@@ -337,10 +333,8 @@ sim::Process dlb_slave(LoopContext& ctx, int self) {
       sample_engine_health(ctx);
       co_await me.multicast(st.active, kTagInterrupt, im, ctx.config.control_bytes);
       const SyncStatus status = co_await participate(ctx, self, st);
-      if (ctx.trace != nullptr) {
-        ctx.trace->record(self, ActivityKind::kSync, sync_began, me.engine().now());
-      }
       if (ctx.obs != nullptr) {
+        ctx.obs->activity(self, obs::ActivityKind::kSync, sync_began, me.engine().now());
         ctx.obs->phase(self, obs::PhaseKind::kSync, sync_began, me.engine().now(), sync_round);
       }
       if (status != SyncStatus::kContinue) running = false;

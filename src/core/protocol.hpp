@@ -7,7 +7,6 @@
 #include "core/ownership.hpp"
 #include "core/policy.hpp"
 #include "core/run_stats.hpp"
-#include "core/trace.hpp"
 #include "core/types.hpp"
 #include "fault/injector.hpp"
 #include "obs/recorder.hpp"
@@ -84,10 +83,8 @@ struct LoopContext {
   /// groups run on different engine shards — and merged canonically (by
   /// time, group, round) into `stats.events` at loop end.
   std::vector<std::vector<SyncEvent>> events_by_group;
-  /// Optional activity recorder (owned by the Runtime).
-  Trace* trace = nullptr;
   /// Optional observability recorder (owned by the Runtime); null unless
-  /// DlbConfig::observe.
+  /// DlbConfig::observe or record_trace.
   obs::Recorder* obs = nullptr;
 
   [[nodiscard]] int procs() const { return cluster->size(); }
@@ -126,7 +123,7 @@ void record_event(LoopContext& ctx, int group, int round, int initiator, const D
 [[nodiscard]] sim::Task<void> execute_iteration(LoopContext& ctx, int self, std::int64_t index);
 
 /// Counts one executed iteration of `self` that began at `began`: the
-/// per-processor tally and the compute segment of the activity trace.
+/// per-processor tally and the compute segment of the activity log.
 void count_iteration(LoopContext& ctx, int self, sim::SimTime began);
 
 /// Moves the statistics out of `ctx` at loop end and fills in everything but

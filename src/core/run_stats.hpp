@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "core/trace.hpp"
 #include "fault/injector.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
@@ -50,12 +49,11 @@ struct RunResult {
   std::vector<LoopRunStats> loops;
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
-  /// Per-processor activity segments (only when DlbConfig::record_trace).
-  std::shared_ptr<Trace> trace;
-  /// Observability recorder (only when DlbConfig::observe): protocol phase
-  /// spans, per-frame network records, instant marks, counter samples.
+  /// Observability recorder (only when DlbConfig::observe or record_trace):
+  /// protocol phase spans, per-frame network records, instant marks, counter
+  /// samples, and with record_trace the per-processor activity segments.
   std::shared_ptr<obs::Recorder> obs;
-  /// Canonical metrics snapshot (empty when DlbConfig::observe is false).
+  /// Canonical metrics snapshot of the recorder (empty without one).
   obs::MetricsSnapshot metrics;
   /// Fault counters (all zero when the plan is disarmed).
   fault::FaultStats faults;

@@ -31,9 +31,8 @@ Runtime::Runtime(cluster::Cluster& cluster, AppDescriptor app, DlbConfig config)
         "Runtime: observability, tracing and fault injection require an unsharded engine "
         "(run with --shards=1)");
   }
-  if (config_.record_trace) trace_ = std::make_shared<Trace>();
-  if (config_.observe) {
-    obs_ = std::make_shared<obs::Recorder>();
+  if (config_.observe || config_.record_trace) {
+    obs_ = std::make_shared<obs::Recorder>(config_.record_trace);
     cluster_.network().set_recorder(obs_.get());
     arena_live_at_start_ = sim::FrameArena::stats().live;
   }
@@ -57,7 +56,6 @@ Runtime::Runtime(cluster::Cluster& cluster, AppDescriptor app, DlbConfig config)
 
 LoopRunStats Runtime::execute_loop(const LoopDescriptor& loop, int loop_index) {
   LoopContext ctx = LoopContext::make(loop, config_, cluster_);
-  ctx.trace = trace_.get();
   ctx.obs = obs_.get();
   if (injector_ != nullptr) return run_ft_loop(ctx, *injector_, loop_index);
   return drive_loop(ctx);
@@ -104,7 +102,6 @@ void Runtime::finish_result(RunResult& result) {
   }
   result.messages = cluster_.network().messages_sent();
   result.bytes = cluster_.network().bytes_sent();
-  result.trace = trace_;
   if (obs_) {
     // End-of-run engine/arena gauges, then the canonical snapshot.  The
     // arena counter is a delta so a cell's metrics do not depend on which

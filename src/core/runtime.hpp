@@ -5,7 +5,6 @@
 
 #include "cluster/cluster.hpp"
 #include "core/run_stats.hpp"
-#include "core/trace.hpp"
 #include "core/types.hpp"
 #include "fault/injector.hpp"
 #include "obs/recorder.hpp"
@@ -51,8 +50,7 @@ class Runtime {
   cluster::Cluster& cluster_;
   AppDescriptor app_;
   DlbConfig config_;
-  std::shared_ptr<Trace> trace_;
-  std::shared_ptr<obs::Recorder> obs_;             // only when config.observe
+  std::shared_ptr<obs::Recorder> obs_;             // only when observe or record_trace
   std::unique_ptr<fault::FaultInjector> injector_;  // only when faults armed
   std::size_t arena_live_at_start_ = 0;
   bool consumed_ = false;

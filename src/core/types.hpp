@@ -106,7 +106,9 @@ struct DlbConfig {
   double balancer_overhead_ops = 10e3;
   /// Wire size of profile/interrupt/instruction messages.
   std::size_t control_bytes = net::kControlMessageBytes;
-  /// Record per-processor activity segments (RunResult::trace).
+  /// Give the recorder its activity log: per-processor compute, sync, move
+  /// and recover segments (RunResult::obs).  Implies the recorder of
+  /// `observe`; `observe` alone records no segment.
   bool record_trace = false;
   /// Arm the observability layer: protocol phase spans, per-frame network
   /// records, instant marks and the metrics registry (RunResult::obs /

@@ -95,7 +95,7 @@ std::size_t write_cell_traces(const std::string& dir, const SweepResult& sweep) 
   std::filesystem::create_directories(dir);
   std::size_t written = 0;
   for (const auto& c : sweep.cells) {
-    if (c.result.trace == nullptr && c.result.obs == nullptr) continue;
+    if (c.result.obs == nullptr) continue;
     const auto path = std::filesystem::path(dir) / trace_file_name(c.spec);
     std::ofstream os(path);
     if (!os) throw std::runtime_error("trace-out: cannot open " + path.string());
@@ -105,8 +105,7 @@ std::size_t write_cell_traces(const std::string& dir, const SweepResult& sweep) 
                            std::to_string(c.spec.seed());
     options.procs = c.spec.params.procs;
     options.tag_namer = dlb_tag_name;
-    obs::write_chrome_trace(os, core::to_activity_spans(c.result.trace.get()),
-                            c.result.obs.get(), options);
+    obs::write_chrome_trace(os, *c.result.obs, options);
     ++written;
   }
   return written;

@@ -19,8 +19,8 @@ namespace dlb::exp {
 [[nodiscard]] std::string trace_file_name(const CellSpec& spec);
 
 /// Writes one Chrome trace-event JSON file per cell of `sweep` into `dir`
-/// (created if missing).  Cells run without trace/observability recording
-/// are skipped.  Returns the number of files written.
+/// (created if missing), each from the cell's recorder.  Cells run without
+/// a recorder are skipped.  Returns the number of files written.
 std::size_t write_cell_traces(const std::string& dir, const SweepResult& sweep);
 
 }  // namespace dlb::exp

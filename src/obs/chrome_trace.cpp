@@ -95,8 +95,8 @@ class EventWriter {
 
 }  // namespace
 
-void write_chrome_trace(std::ostream& os, std::span<const ActivitySpan> activity,
-                        const Recorder* recorder, const ChromeTraceOptions& options) {
+void write_chrome_trace(std::ostream& os, const Recorder& recorder,
+                        const ChromeTraceOptions& options) {
   const auto tag_name = [&options](int tag) {
     if (options.tag_namer) {
       const std::string named = options.tag_namer(tag);
@@ -110,21 +110,18 @@ void write_chrome_trace(std::ostream& os, std::span<const ActivitySpan> activity
   int tracks = options.procs;
   const auto see_track = [&tracks](int proc) { tracks = std::max(tracks, proc + 1); };
 
-  for (const auto& s : activity) {
-    see_track(s.proc);
-    slices.push_back({s.proc, s.begin, s.end, 0, s.name, "activity", 0, false});
+  for (const auto& a : recorder.activities()) {
+    see_track(a.proc);
+    slices.push_back({a.proc, a.begin, a.end, 0, activity_name(a.kind), "activity", 0, false});
   }
-  if (recorder != nullptr) {
-    for (const auto& p : recorder->phases()) {
-      see_track(p.proc);
-      slices.push_back(
-          {p.proc, p.begin, p.end, 1, phase_name(p.kind), "protocol", p.detail, true});
-    }
-    for (const auto& i : recorder->instants()) see_track(i.proc);
-    for (const auto& m : recorder->messages()) {
-      see_track(m.src);
-      see_track(m.dst);
-    }
+  for (const auto& p : recorder.phases()) {
+    see_track(p.proc);
+    slices.push_back({p.proc, p.begin, p.end, 1, phase_name(p.kind), "protocol", p.detail, true});
+  }
+  for (const auto& i : recorder.instants()) see_track(i.proc);
+  for (const auto& m : recorder.messages()) {
+    see_track(m.src);
+    see_track(m.dst);
   }
   std::stable_sort(slices.begin(), slices.end(), slice_before);
 
@@ -157,44 +154,42 @@ void write_chrome_trace(std::ostream& os, std::span<const ActivitySpan> activity
     flush();
   }
 
-  if (recorder != nullptr) {
-    for (const auto& i : recorder->instants()) {
-      ev << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":" << i.proc << ",\"ts\":" << ts_us(i.at)
-         << ",\"name\":\"" << instant_name(i.kind) << "\",\"cat\":\"mark\",\"args\":{\"detail\":"
-         << i.detail << "}}";
-      flush();
-    }
+  for (const auto& i : recorder.instants()) {
+    ev << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":" << i.proc << ",\"ts\":" << ts_us(i.at)
+       << ",\"name\":\"" << instant_name(i.kind) << "\",\"cat\":\"mark\",\"args\":{\"detail\":"
+       << i.detail << "}}";
+    flush();
+  }
 
-    // Message flow arrows: start on the sender's track at send time, finish
-    // on the receiver's track at delivery.  A dropped frame never arrives,
-    // so it renders as a drop marker at the would-be delivery time instead.
-    std::uint64_t flow_id = 1;
-    for (const auto& m : recorder->messages()) {
-      const std::string name = json_escape(tag_name(m.tag));
-      if (m.dropped) {
-        ev << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":" << m.src
-           << ",\"ts\":" << ts_us(m.sent) << ",\"name\":\"drop: " << name
-           << "\",\"cat\":\"net\",\"args\":{\"bytes\":" << m.bytes << ",\"dst\":" << m.dst
-           << "}}";
-        flush();
-        continue;
-      }
-      ev << "{\"ph\":\"s\",\"pid\":0,\"tid\":" << m.src << ",\"ts\":" << ts_us(m.sent)
-         << ",\"id\":" << flow_id << ",\"name\":\"" << name
-         << "\",\"cat\":\"net\",\"args\":{\"bytes\":" << m.bytes << "}}";
+  // Message flow arrows: start on the sender's track at send time, finish
+  // on the receiver's track at delivery.  A dropped frame never arrives,
+  // so it renders as a drop marker at the would-be delivery time instead.
+  std::uint64_t flow_id = 1;
+  for (const auto& m : recorder.messages()) {
+    const std::string name = json_escape(tag_name(m.tag));
+    if (m.dropped) {
+      ev << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":" << m.src
+         << ",\"ts\":" << ts_us(m.sent) << ",\"name\":\"drop: " << name
+         << "\",\"cat\":\"net\",\"args\":{\"bytes\":" << m.bytes << ",\"dst\":" << m.dst
+         << "}}";
       flush();
-      ev << "{\"ph\":\"f\",\"bp\":\"e\",\"pid\":0,\"tid\":" << m.dst
-         << ",\"ts\":" << ts_us(m.delivered) << ",\"id\":" << flow_id << ",\"name\":\"" << name
-         << "\",\"cat\":\"net\",\"args\":{\"bytes\":" << m.bytes << "}}";
-      flush();
-      ++flow_id;
+      continue;
     }
+    ev << "{\"ph\":\"s\",\"pid\":0,\"tid\":" << m.src << ",\"ts\":" << ts_us(m.sent)
+       << ",\"id\":" << flow_id << ",\"name\":\"" << name
+       << "\",\"cat\":\"net\",\"args\":{\"bytes\":" << m.bytes << "}}";
+    flush();
+    ev << "{\"ph\":\"f\",\"bp\":\"e\",\"pid\":0,\"tid\":" << m.dst
+       << ",\"ts\":" << ts_us(m.delivered) << ",\"id\":" << flow_id << ",\"name\":\"" << name
+       << "\",\"cat\":\"net\",\"args\":{\"bytes\":" << m.bytes << "}}";
+    flush();
+    ++flow_id;
+  }
 
-    for (const auto& s : recorder->samples()) {
-      ev << "{\"ph\":\"C\",\"pid\":0,\"ts\":" << ts_us(s.at) << ",\"name\":\""
-         << json_escape(s.series) << "\",\"args\":{\"value\":" << fmt_double(s.value) << "}}";
-      flush();
-    }
+  for (const auto& s : recorder.samples()) {
+    ev << "{\"ph\":\"C\",\"pid\":0,\"ts\":" << ts_us(s.at) << ",\"name\":\""
+       << json_escape(s.series) << "\",\"args\":{\"value\":" << fmt_double(s.value) << "}}";
+    flush();
   }
 
   out.finish();

@@ -2,24 +2,11 @@
 
 #include <functional>
 #include <iosfwd>
-#include <span>
 #include <string>
 
 #include "obs/recorder.hpp"
-#include "sim/time.hpp"
 
 namespace dlb::obs {
-
-/// One labelled activity span on a workstation track: the layer-neutral
-/// projection of core::Trace this exporter consumes.  obs sits below core in
-/// the module order, so the exporter cannot see core::Trace itself;
-/// core::to_activity_spans does the conversion one layer up.
-struct ActivitySpan {
-  int proc = 0;
-  const char* name = "";  // "compute" | "sync" | "move" | "recover"
-  sim::SimTime begin = 0;
-  sim::SimTime end = 0;
-};
 
 struct ChromeTraceOptions {
   /// Shown as the process name in the trace viewer (e.g. the cell label
@@ -34,15 +21,14 @@ struct ChromeTraceOptions {
 };
 
 /// Writes a Chrome trace-event JSON document (the "JSON Array Format" both
-/// chrome://tracing and Perfetto load): one track (tid) per workstation
-/// carrying the activity spans and the recorder's protocol phase spans,
+/// chrome://tracing and Perfetto load) of one recording: one track (tid) per
+/// workstation carrying the activity segments and the protocol phase spans,
 /// flow arrows for every recorded message, instant markers, and counter
-/// tracks for the recorder's samples.  Virtual nanoseconds map to trace
-/// microseconds exactly (ts = ns/1000, three fractional digits), and every
-/// list is emitted in a canonical order, so the bytes depend only on the
-/// run — not on host threads or hash seeds.  `activity` may be empty and
-/// `recorder` null; whatever is present is exported.
-void write_chrome_trace(std::ostream& os, std::span<const ActivitySpan> activity,
-                        const Recorder* recorder, const ChromeTraceOptions& options = {});
+/// tracks for the samples.  Virtual nanoseconds map to trace microseconds
+/// exactly (ts = ns/1000, three fractional digits), and every list is
+/// emitted in a canonical order, so the bytes depend only on the run — not
+/// on host threads or hash seeds.
+void write_chrome_trace(std::ostream& os, const Recorder& recorder,
+                        const ChromeTraceOptions& options = {});
 
 }  // namespace dlb::obs

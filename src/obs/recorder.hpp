@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -34,6 +35,27 @@ enum class InstantKind {
   kDrop,       // frame lost on the wire
 };
 [[nodiscard]] const char* instant_name(InstantKind k) noexcept;
+
+/// What a workstation was doing during a segment of the activity log: the
+/// paper's account of where each workstation's time goes.  Gaps between a
+/// workstation's segments are idle time.
+enum class ActivityKind {
+  kCompute,  // executing loop iterations
+  kSync,     // interrupt / profile exchange / waiting for the verdict
+  kMove,     // shipping or receiving migrated work
+  kRecover,  // reclaiming a dead workstation's iterations (fault mode)
+};
+/// Chrome-trace slice label for a kind ("compute", "sync", "move", "recover").
+[[nodiscard]] const char* activity_name(ActivityKind k) noexcept;
+/// Gantt glyph for a kind ('#', 's', 'm', 'r').
+[[nodiscard]] char activity_glyph(ActivityKind k) noexcept;
+
+struct ActivityEvent {
+  int proc = 0;
+  ActivityKind kind = ActivityKind::kCompute;
+  sim::SimTime begin = 0;
+  sim::SimTime end = 0;
+};
 
 struct PhaseEvent {
   int proc = 0;
@@ -72,10 +94,10 @@ struct SampleEvent {
 };
 
 /// Deterministic per-run observability recorder: protocol phase spans,
-/// point events, per-frame message records, counter samples, and a metrics
-/// registry — everything stamped with virtual time, appended in engine
-/// event order, so a recording replays byte-identically at any host thread
-/// count.
+/// point events, per-frame message records, counter samples, a metrics
+/// registry and, when asked for, the activity log — everything stamped with
+/// virtual time, appended in engine event order, so a recording replays
+/// byte-identically at any host thread count.
 ///
 /// Arming discipline (same bar as the fault layer): every instrumentation
 /// site holds a `Recorder*` that is null when observability is off, so the
@@ -84,9 +106,19 @@ struct SampleEvent {
 /// virtual time, only host time.
 class Recorder {
  public:
-  Recorder();
+  /// `record_activity` gives the recorder its activity log
+  /// (DlbConfig::record_trace).  Without it activity() records nothing: a
+  /// --metrics sweep would otherwise keep one segment per executed
+  /// iteration of every cell until the sweep ends.
+  explicit Recorder(bool record_activity = false);
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
+
+  /// Appends one activity segment when the log is armed.  A zero-length
+  /// segment is dropped; a negative proc or a reversed segment throws.
+  void activity(int proc, ActivityKind kind, sim::SimTime begin, sim::SimTime end) {
+    if (record_activity_) append_activity(proc, kind, begin, end);
+  }
 
   void phase(int proc, PhaseKind kind, sim::SimTime begin, sim::SimTime end,
              std::int64_t detail = 0);
@@ -99,11 +131,34 @@ class Recorder {
   [[nodiscard]] const std::vector<InstantEvent>& instants() const noexcept { return instants_; }
   [[nodiscard]] const std::vector<MessageEvent>& messages() const noexcept { return messages_; }
   [[nodiscard]] const std::vector<SampleEvent>& samples() const noexcept { return samples_; }
+  [[nodiscard]] const std::vector<ActivityEvent>& activities() const noexcept {
+    return activities_;
+  }
+  /// Latest end of any activity segment (0 when the log is empty).
+  [[nodiscard]] sim::SimTime activity_end() const noexcept { return activity_end_; }
+
+  /// Compute-only time per processor from the activity log, seconds.
+  [[nodiscard]] std::vector<double> compute_seconds(int procs) const;
+  /// Compute utilization per processor: compute time / activity_end().
+  [[nodiscard]] std::vector<double> utilization(int procs) const;
+
+  /// Renders the activity log as an ASCII Gantt chart: one row per
+  /// processor, `width` columns spanning [0, activity_end()]; '#' compute,
+  /// 's' sync, 'm' move, 'r' recover, '.' idle.  For a column covering
+  /// several kinds, the most specific (r > m > s > #) wins.  Degenerate
+  /// inputs (procs <= 0, width <= 0, or an empty log) render as
+  /// "(empty trace)" instead of dividing by the span.
+  void render_gantt(std::ostream& os, int procs, int width = 80) const;
 
   [[nodiscard]] MetricsRegistry& metrics() noexcept { return metrics_; }
   [[nodiscard]] const MetricsRegistry& metrics() const noexcept { return metrics_; }
 
  private:
+  void append_activity(int proc, ActivityKind kind, sim::SimTime begin, sim::SimTime end);
+
+  bool record_activity_ = false;
+  std::vector<ActivityEvent> activities_;
+  sim::SimTime activity_end_ = 0;
   std::vector<PhaseEvent> phases_;
   std::vector<InstantEvent> instants_;
   std::vector<MessageEvent> messages_;

@@ -7,14 +7,11 @@
 #include <sstream>
 #include <string>
 
-#include "core/trace.hpp"
 #include "obs/recorder.hpp"
 
 namespace {
 
-using dlb::core::ActivityKind;
-using dlb::core::Trace;
-using dlb::core::to_activity_spans;
+using dlb::obs::ActivityKind;
 using dlb::obs::ChromeTraceOptions;
 using dlb::obs::InstantKind;
 using dlb::obs::PhaseKind;
@@ -76,8 +73,9 @@ void expect_valid_json_structure(const std::string& doc) {
 }
 
 TEST(ChromeTrace, EmptyInputsStillProduceValidDocument) {
+  const Recorder rec;
   std::ostringstream os;
-  write_chrome_trace(os, {}, nullptr);
+  write_chrome_trace(os, rec);
   const std::string doc = os.str();
   expect_valid_json_structure(doc);
   EXPECT_NE(doc.find("process_name"), std::string::npos);
@@ -86,8 +84,9 @@ TEST(ChromeTrace, EmptyInputsStillProduceValidDocument) {
 TEST(ChromeTrace, OneNamedTrackPerWorkstation) {
   ChromeTraceOptions options;
   options.procs = 3;
+  const Recorder rec;
   std::ostringstream os;
-  write_chrome_trace(os, {}, nullptr, options);
+  write_chrome_trace(os, rec, options);
   const std::string doc = os.str();
   expect_valid_json_structure(doc);
   for (int p = 0; p < 3; ++p) {
@@ -98,12 +97,11 @@ TEST(ChromeTrace, OneNamedTrackPerWorkstation) {
 }
 
 TEST(ChromeTrace, ActivityAndPhaseSlices) {
-  Trace activity;
-  activity.record(0, ActivityKind::kCompute, 0, from_seconds(1.0));
-  Recorder rec;
+  Recorder rec(/*record_activity=*/true);
+  rec.activity(0, ActivityKind::kCompute, 0, from_seconds(1.0));
   rec.phase(1, PhaseKind::kSync, from_seconds(0.25), from_seconds(0.5), 3);
   std::ostringstream os;
-  write_chrome_trace(os, to_activity_spans(&activity), &rec);
+  write_chrome_trace(os, rec);
   const std::string doc = os.str();
   expect_valid_json_structure(doc);
   EXPECT_NE(doc.find("\"name\":\"compute\",\"cat\":\"activity\""), std::string::npos);
@@ -117,7 +115,7 @@ TEST(ChromeTrace, TimestampsAreExactMicroseconds) {
   Recorder rec;
   rec.phase(0, PhaseKind::kProfile, 1234567, 2000001);  // ns
   std::ostringstream os;
-  write_chrome_trace(os, {}, &rec);
+  write_chrome_trace(os, rec);
   const std::string doc = os.str();
   // 1234567 ns = 1234.567 us; dur = 765434 ns = 765.434 us.  Exact decimal,
   // no floating point rounding.
@@ -132,7 +130,7 @@ TEST(ChromeTrace, MessageFlowsPairUpAndDropsBecomeMarkers) {
   ChromeTraceOptions options;
   options.tag_namer = [](int tag) { return tag == 101 ? std::string("profile") : std::string(); };
   std::ostringstream os;
-  write_chrome_trace(os, {}, &rec, options);
+  write_chrome_trace(os, rec, options);
   const std::string doc = os.str();
   expect_valid_json_structure(doc);
   // Delivered frame: one flow start + one flow finish with the same id.
@@ -151,7 +149,7 @@ TEST(ChromeTrace, InstantsAndCounterSamples) {
   rec.instant(2, InstantKind::kInterrupt, from_seconds(0.5), 7);
   rec.sample("engine.queue_depth", from_seconds(0.5), 12.0);
   std::ostringstream os;
-  write_chrome_trace(os, {}, &rec);
+  write_chrome_trace(os, rec);
   const std::string doc = os.str();
   expect_valid_json_structure(doc);
   EXPECT_NE(doc.find("\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":2"), std::string::npos);
@@ -163,15 +161,14 @@ TEST(ChromeTrace, InstantsAndCounterSamples) {
 
 TEST(ChromeTrace, OutputIsDeterministic) {
   const auto render = [] {
-    Trace activity;
-    activity.record(1, ActivityKind::kSync, from_seconds(0.5), from_seconds(0.75));
-    activity.record(0, ActivityKind::kCompute, 0, from_seconds(1.0));
-    Recorder rec;
+    Recorder rec(/*record_activity=*/true);
+    rec.activity(1, ActivityKind::kSync, from_seconds(0.5), from_seconds(0.75));
+    rec.activity(0, ActivityKind::kCompute, 0, from_seconds(1.0));
     rec.phase(0, PhaseKind::kShipment, from_seconds(0.2), from_seconds(0.4), 64);
     rec.message(0, 1, 102, 256, from_seconds(0.1), from_seconds(0.15), false);
     rec.instant(1, InstantKind::kRejoin, from_seconds(0.6), 8);
     std::ostringstream os;
-    write_chrome_trace(os, to_activity_spans(&activity), &rec);
+    write_chrome_trace(os, rec);
     return os.str();
   };
   EXPECT_EQ(render(), render());
@@ -180,8 +177,9 @@ TEST(ChromeTrace, OutputIsDeterministic) {
 TEST(ChromeTrace, ProcessNameIsEscaped) {
   ChromeTraceOptions options;
   options.process_name = "mxm \"quoted\" \\ run";
+  const Recorder rec;
   std::ostringstream os;
-  write_chrome_trace(os, {}, nullptr, options);
+  write_chrome_trace(os, rec, options);
   const std::string doc = os.str();
   expect_valid_json_structure(doc);
   EXPECT_NE(doc.find("mxm \\\"quoted\\\" \\\\ run"), std::string::npos);
