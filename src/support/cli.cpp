@@ -21,7 +21,9 @@ Cli::Cli(int argc, const char* const* argv) {
     if (arg.rfind("--", 0) == 0) {
       const auto eq = arg.find('=');
       if (eq == std::string::npos) {
-        options_[arg.substr(2)] = "1";
+        // A std::string, not the literal: assigning "1" here trips a GCC 12
+        // -Wrestrict false positive in the inlined char_traits copy.
+        options_[arg.substr(2)] = std::string("1");
       } else {
         options_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
       }
