@@ -11,6 +11,7 @@
 #include "cluster/cluster.hpp"
 #include "core/runtime.hpp"
 #include "core/types.hpp"
+#include "fault/plan.hpp"
 #include "net/network.hpp"
 #include "net/params.hpp"
 #include "sim/engine.hpp"
@@ -244,15 +245,23 @@ TEST(SwitchedCluster, RejectsNonPositiveRackSize) {
 }
 
 TEST(SwitchedCluster, ObservabilityRequiresUnsharded) {
-  DlbConfig config;
-  config.strategy = Strategy::kGCDLB;
-  config.observe = true;
+  // Each layer that samples global engine state or injects cross-station
+  // actions is rejected on a sharded engine: the recorder, its activity log
+  // and an armed fault plan.
+  DlbConfig observed;
+  observed.observe = true;
+  DlbConfig traced;
+  traced.record_trace = true;
+  DlbConfig faulty;
+  faulty.faults = dlb::fault::FaultPlan::preset("crash-half");
   const auto app = make_uniform(16, 20e3, 100.0);
-  EXPECT_THROW(run_app(switched_params(8, 4, 2), app, config),
-               std::invalid_argument);
-  // With one shard the engine runs no windows and observability works.
-  const auto r = run_app(switched_params(8, 4, 1), app, config);
-  EXPECT_GT(r.exec_seconds, 0.0);
+  for (DlbConfig config : {observed, traced, faulty}) {
+    config.strategy = Strategy::kGCDLB;
+    EXPECT_THROW(run_app(switched_params(8, 4, 2), app, config), std::invalid_argument);
+    // With one shard the engine runs no windows and each layer works.
+    const auto r = run_app(switched_params(8, 4, 1), app, config);
+    EXPECT_GT(r.exec_seconds, 0.0);
+  }
 }
 
 void expect_identical(const RunResult& a, const RunResult& b) {
