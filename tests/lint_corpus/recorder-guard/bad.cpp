@@ -13,4 +13,8 @@ void note(Ctx& ctx, int proc) {
   ctx.obs->instant(proc, obs::InstantKind::kInterrupt, 0);
 }
 
+void count(Ctx& ctx, int proc) {
+  ctx.obs->activity(proc, obs::ActivityKind::kCompute, 0, 1);
+}
+
 }  // namespace dlb::core

@@ -14,4 +14,8 @@ void note(Ctx& ctx, int proc) {
   }
 }
 
+void count(Ctx& ctx, int proc) {
+  if (ctx.obs != nullptr) ctx.obs->activity(proc, obs::ActivityKind::kCompute, 0, 1);
+}
+
 }  // namespace dlb::core

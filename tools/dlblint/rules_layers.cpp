@@ -55,8 +55,8 @@ bool recorder_component(const std::string& name) {
   return name == "obs" || name == "obs_" || name == "recorder" || name == "recorder_";
 }
 
-static const std::set<std::string> kRecorderMethods = {"phase", "instant", "message", "sample",
-                                                       "metrics"};
+static const std::set<std::string> kRecorderMethods = {"activity", "phase",  "instant",
+                                                       "message",  "sample", "metrics"};
 
 /// Reconstructs the access path ending just before index `arrow` (which
 /// holds "->"), e.g. tokens for `ctx.obs` or `recorder_`.  Returns indices
