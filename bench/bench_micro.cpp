@@ -9,7 +9,6 @@
 #include "cluster/cluster.hpp"
 #include "core/policy.hpp"
 #include "core/runtime.hpp"
-#include "fault/plan.hpp"
 #include "net/patterns.hpp"
 #include "sim/engine.hpp"
 #include "sim/mailbox.hpp"
@@ -157,90 +156,6 @@ void BM_FullMxmRun(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullMxmRun)->Arg(4)->Arg(16);
-
-// Cost of the fault layer.  Disarmed must be indistinguishable from
-// BM_FullMxmRun (the plan gates every hook, so the hot path is untouched);
-// armed-idle prices the fault-tolerant protocol itself — acks, heartbeats,
-// ledgers — with a crash scheduled far beyond the horizon so it never
-// disturbs the run.
-void BM_FaultLayerDisarmed(benchmark::State& state) {
-  const auto procs = static_cast<int>(state.range(0));
-  const auto app = apps::make_mxm({procs * 25L, 64, 64});
-  cluster::ClusterParams params;
-  params.procs = procs;
-  params.base_ops_per_sec = 1e6;
-  params.external_load = true;
-  core::DlbConfig config;
-  config.strategy = core::Strategy::kGDDLB;
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    params.seed = seed++;
-    benchmark::DoNotOptimize(core::run_app(params, app, config));
-  }
-}
-BENCHMARK(BM_FaultLayerDisarmed)->Arg(4);
-
-void BM_FaultLayerArmedIdle(benchmark::State& state) {
-  const auto procs = static_cast<int>(state.range(0));
-  const auto app = apps::make_mxm({procs * 25L, 64, 64});
-  cluster::ClusterParams params;
-  params.procs = procs;
-  params.base_ops_per_sec = 1e6;
-  params.external_load = true;
-  core::DlbConfig config;
-  config.strategy = core::Strategy::kGDDLB;
-  fault::FaultSpec never;
-  never.trigger.at_seconds = 1e6;  // armed, but fires long after the loops end
-  config.faults.name = "armed-idle";
-  config.faults.events.push_back(never);
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    params.seed = seed++;
-    benchmark::DoNotOptimize(core::run_app(params, app, config));
-  }
-}
-BENCHMARK(BM_FaultLayerArmedIdle)->Arg(4);
-
-// Cost of the observability layer, priced the same way as the fault layer.
-// Disarmed (observe = false) must be indistinguishable from BM_FullMxmRun:
-// every instrumentation site is a null Recorder* check, and the only
-// unconditional addition is the engine's peak-queue-depth compare.  Armed
-// prices full recording — phase spans, per-frame message records, metrics —
-// which buys the Chrome trace and metric columns.
-void BM_ObsDisarmed(benchmark::State& state) {
-  const auto procs = static_cast<int>(state.range(0));
-  const auto app = apps::make_mxm({procs * 25L, 64, 64});
-  cluster::ClusterParams params;
-  params.procs = procs;
-  params.base_ops_per_sec = 1e6;
-  params.external_load = true;
-  core::DlbConfig config;
-  config.strategy = core::Strategy::kGDDLB;
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    params.seed = seed++;
-    benchmark::DoNotOptimize(core::run_app(params, app, config));
-  }
-}
-BENCHMARK(BM_ObsDisarmed)->Arg(4);
-
-void BM_ObsArmed(benchmark::State& state) {
-  const auto procs = static_cast<int>(state.range(0));
-  const auto app = apps::make_mxm({procs * 25L, 64, 64});
-  cluster::ClusterParams params;
-  params.procs = procs;
-  params.base_ops_per_sec = 1e6;
-  params.external_load = true;
-  core::DlbConfig config;
-  config.strategy = core::Strategy::kGDDLB;
-  config.observe = true;
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    params.seed = seed++;
-    benchmark::DoNotOptimize(core::run_app(params, app, config));
-  }
-}
-BENCHMARK(BM_ObsArmed)->Arg(4);
 
 }  // namespace
 
