@@ -59,9 +59,9 @@ struct WorkMsg {
   std::uint64_t ship = 0;
 };
 
-/// Shared state of one load-balanced loop execution.  Owned by the Runtime;
-/// every protocol process holds a reference.  Single-threaded simulation
-/// makes plain member access safe.
+/// Shared state of one load-balanced loop execution.  Owned by the caller
+/// that drives the loop; every protocol process holds a reference.
+/// Single-threaded simulation makes plain member access safe.
 struct LoopContext {
   const LoopDescriptor* loop = nullptr;
   DlbConfig config;
@@ -147,7 +147,7 @@ void count_iteration(LoopContext& ctx, int self, sim::SimTime began);
 /// Static slave for the NoDLB baseline: executes its block, no communication.
 [[nodiscard]] sim::Process static_slave(LoopContext& ctx, int self);
 
-/// The fault-free loop driver shared by Runtime and StreamRuntime: spawns
+/// The fault-free loop driver shared by Runtime and svc::run_service: spawns
 /// the strategy's processes (each pinned to its station's engine shard),
 /// drains the engine, collects the statistics, and checks work conservation
 /// — every iteration executed exactly once.

@@ -50,9 +50,6 @@ int main(int argc, char** argv) {
     auto grid = exp::parse_grid(cli);
 
     const auto trace_dir = cli.get("trace-out", "");
-    if (!trace_dir.empty() && grid.service.armed) {
-      throw std::invalid_argument("dlb_sweep: --trace-out is not available in service mode");
-    }
     if (!trace_dir.empty()) {
       // A Chrome trace wants both layers: activity segments for the solid
       // track and the recorder for phases, flows, marks and counters.

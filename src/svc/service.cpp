@@ -7,8 +7,9 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/stream_runtime.hpp"
+#include "core/protocol.hpp"
 #include "model/predictor.hpp"
+#include "sim/engine.hpp"
 #include "sim/time.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -180,7 +181,6 @@ ServiceReport run_service(const cluster::ClusterParams& cluster,
   // The sim backend keeps one persistent cluster alive for the whole stream;
   // per-class loop descriptors are prebuilt so admission is allocation-light.
   std::unique_ptr<cluster::Cluster> live_cluster;
-  std::unique_ptr<core::StreamRuntime> stream;
   std::vector<core::LoopDescriptor> class_loops;
   if (params.backend == ServiceBackend::kSim) {
     cluster::ClusterParams pc = cluster;
@@ -188,9 +188,6 @@ ServiceReport run_service(const cluster::ClusterParams& cluster,
     pc.load.persistence = sim::from_seconds(params.mix.classes.front().tl_seconds);
     pc.external_load = pc.load.max_load > 0;
     live_cluster = std::make_unique<cluster::Cluster>(pc);
-    core::DlbConfig stream_config = config;
-    stream_config.strategy = core::Strategy::kNoDlb;
-    stream = std::make_unique<core::StreamRuntime>(*live_cluster, stream_config);
     class_loops.reserve(params.mix.classes.size());
     for (const auto& cls : params.mix.classes) class_loops.push_back(cls.loop());
   }
@@ -219,10 +216,27 @@ ServiceReport run_service(const cluster::ClusterParams& cluster,
       finish = start + service;
       next_free = finish;
     } else {
-      stream->advance_to(arrival);
-      start = stream->now();
-      (void)stream->run_loop(class_loops[static_cast<std::size_t>(job.class_index)], chosen);
-      finish = stream->now();
+      auto& engine = live_cluster->engine();
+      if (arrival > engine.now()) {
+        // A scheduled no-op is the idle clock tick: run() pops it and leaves
+        // the engine parked at exactly `arrival` with an empty queue.  On a
+        // sharded engine the tick is one trivial window on shard 0, and run()
+        // moves every shard's clock to `arrival`.
+        {
+          sim::Engine::ShardScope scope(engine, 0);
+          engine.schedule_at(arrival, [] {});
+        }
+        engine.run();
+      }
+      start = engine.now();
+      // Runtime::execute_loop's fault-free path, started at `start` on the
+      // persistent cluster; drive_loop re-checks work conservation per job.
+      core::DlbConfig job_config = config;
+      job_config.strategy = chosen;
+      core::LoopContext ctx = core::LoopContext::make(
+          class_loops[static_cast<std::size_t>(job.class_index)], job_config, *live_cluster);
+      (void)core::drive_loop(ctx);
+      finish = engine.now();
       next_free = finish;
     }
 

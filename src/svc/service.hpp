@@ -22,10 +22,11 @@ namespace dlb::svc {
 /// space.  This is the scale backend: millions of jobs per cell at a few
 /// hundred predictor evaluations.
 ///
-/// kSim: each job is admitted into a persistent cluster through
-/// core::StreamRuntime and actually executes the strategy's protocol at its
-/// absolute virtual arrival time.  The validation backend: slow, but the
-/// service times are the real coroutine-level makespans.
+/// kSim: run_service admits each job into a persistent cluster through
+/// core::LoopContext::make + core::drive_loop, so it actually executes the
+/// strategy's protocol at its absolute virtual arrival time.  The validation
+/// backend: slow, but the service times are the real coroutine-level
+/// makespans.
 enum class ServiceBackend { kModel, kSim };
 
 struct ServiceParams {

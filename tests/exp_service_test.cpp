@@ -11,6 +11,7 @@
 #include "exp/grid.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
+#include "fault/plan.hpp"
 #include "support/cli.hpp"
 
 namespace {
@@ -96,6 +97,20 @@ TEST(ServiceGrid, ServiceFlagsAreRejectedOutsideServiceFigures) {
 TEST(ServiceGrid, OnlineStrategyRequiresAServiceGrid) {
   EXPECT_THROW((void)grid_from({"--app=mxm", "--strategies=gd,online"}),
                std::invalid_argument);
+}
+
+// dlb_sweep sets record_trace after parsing (--trace-out), so the rejection
+// that holds for it is the one Runner::run makes when it validates the grid.
+TEST(ServiceGrid, RunnerRejectsTracesAndFaultPlans) {
+  ExperimentGrid tracing = small_service_grid();
+  tracing.config.record_trace = true;
+  tracing.config.observe = true;
+  EXPECT_THROW((void)Runner(RunnerOptions{}).run(tracing), std::invalid_argument);
+
+  ExperimentGrid faulty = small_service_grid();
+  faulty.config.faults = dlb::fault::FaultPlan::preset("crash-half");
+  ASSERT_TRUE(faulty.config.faults.armed());
+  EXPECT_THROW((void)Runner(RunnerOptions{}).run(faulty), std::invalid_argument);
 }
 
 TEST(ServiceGrid, UnknownArrivalAndBackendThrow) {
