@@ -1,9 +1,10 @@
 // Ablation A6: network topology (§4.1 lists it as a model parameter; the
 // paper assumes one fully connected uniform LAN).  Two Ethernet segments
-// joined by a store-and-forward bridge, with the local strategies' K-block
-// groups aligned to the segments: local balancing never crosses the bridge,
-// the global schemes must — the topology argument for customizing toward
-// local schemes on segmented department LANs.
+// joined by a switch (two racks of 8 on the switched topology; a switch is
+// a multiport bridge), with the local strategies' K-block groups aligned to
+// the segments: local balancing never crosses the bridge, the global
+// schemes must — the topology argument for customizing toward local schemes
+// on segmented department LANs.
 
 #include <iostream>
 
@@ -12,6 +13,7 @@
 #include "bench_common.hpp"
 #include "cluster/cluster.hpp"
 #include "core/runtime.hpp"
+#include "net/topology.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 
@@ -27,7 +29,10 @@ int main(int argc, char** argv) {
 
   for (const int segments : {1, 2}) {
     auto params = apps::kMxmCalibration.cluster(16);
-    params.network_segments = segments;
+    if (segments == 2) {
+      params.topology = net::TopologyKind::kSwitched;
+      params.switched.rack_size = 8;
+    }
     double baseline = 0.0;
     for (const auto strategy :
          {core::Strategy::kNoDlb, core::Strategy::kGDDLB, core::Strategy::kLDDLB}) {
