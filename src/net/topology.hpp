@@ -11,7 +11,7 @@ namespace dlb::net {
 /// Network topology of the simulated cluster.
 ///
 ///  - kShared: every workstation on one shared Ethernet segment (the paper's
-///    testbed; the byte-identical default).
+///    testbed; the byte-identical default).  The network is one rack.
 ///  - kSwitched: racks of shared segments under a non-blocking crossbar
 ///    core — the hierarchical LAN that makes P = 4k-64k tractable.  A
 ///    cross-rack frame occupies its source rack segment, cuts through the
@@ -20,40 +20,39 @@ namespace dlb::net {
 ///    destination rack segment.
 enum class TopologyKind { kShared, kSwitched };
 
-/// Parameters of the switched/hierarchical topology.  Rack segments reuse
-/// the EthernetParams cost model; the crossbar adds the three knobs below.
-/// Defaults model an early switching fabric that is an order of magnitude
-/// faster than the 10base-T segments it aggregates.
+/// Shape of the switched topology.  Rack segments reuse the EthernetParams
+/// cost model; the crossbar's costs are the constants below.
 struct SwitchedParams {
   /// Workstations per rack segment (the last rack may be smaller).
   int rack_size = 32;
-  /// Switch-fabric cut-through latency, source port to output port.  Also
-  /// the engine's conservative lookahead: it is the minimum virtual latency
-  /// of any cross-rack (hence any cross-shard) interaction.
-  sim::SimTime cut_through = sim::from_micros(20.0);
-  /// Per-frame overhead of an output port (header processing, arbitration).
-  sim::SimTime port_overhead = sim::from_micros(5.0);
-  /// Output-port serialization bandwidth.
-  double port_bandwidth_bytes_per_sec = 100e6;
-
-  /// Time a crossbar output port is held by one `bytes`-sized frame.
-  [[nodiscard]] sim::SimTime port_occupancy(std::size_t bytes) const noexcept {
-    return port_overhead +
-           sim::from_seconds(static_cast<double>(bytes) / port_bandwidth_bytes_per_sec);
-  }
 };
+
+// Crossbar costs: an early switching fabric an order of magnitude faster
+// than the 10base-T segments it aggregates.
+
+/// Switch-fabric cut-through latency, source port to output port.  Also the
+/// engine's conservative lookahead: it is the minimum virtual latency of any
+/// cross-rack (hence any cross-shard) interaction.
+inline constexpr sim::SimTime kCutThrough = sim::from_micros(20.0);
+/// Per-frame overhead of an output port (header processing, arbitration).
+inline constexpr sim::SimTime kPortOverhead = sim::from_micros(5.0);
+/// Output-port serialization bandwidth.
+inline constexpr double kPortBandwidthBytesPerSec = 100e6;
+
+/// Time a crossbar output port is held by one `bytes`-sized frame.
+[[nodiscard]] constexpr sim::SimTime port_occupancy(std::size_t bytes) noexcept {
+  return kPortOverhead + sim::from_seconds(static_cast<double>(bytes) / kPortBandwidthBytesPerSec);
+}
 
 /// One output port of the crossbar core: a FIFO, capacity-1 resource like a
 /// rack segment, but with switch-port costs and no propagation term (the
-/// fabric's flight time is already paid by cut_through).
+/// fabric's flight time is already paid by kCutThrough).
 class CrossbarPort {
  public:
-  explicit CrossbarPort(SwitchedParams params) noexcept : params_(params) {}
-
   /// Reserves the port for one frame; returns when its last byte has left.
   sim::SimTime transmit(std::size_t bytes, sim::SimTime ready_at) noexcept {
     const sim::SimTime start = ready_at > free_at_ ? ready_at : free_at_;
-    const sim::SimTime occupancy = params_.port_occupancy(bytes);
+    const sim::SimTime occupancy = port_occupancy(bytes);
     free_at_ = start + occupancy;
     busy_time_ += occupancy;
     ++messages_;
@@ -65,7 +64,6 @@ class CrossbarPort {
   [[nodiscard]] std::uint64_t messages_carried() const noexcept { return messages_; }
 
  private:
-  SwitchedParams params_;
   sim::SimTime free_at_ = 0;
   sim::SimTime busy_time_ = 0;
   std::uint64_t messages_ = 0;

@@ -30,8 +30,10 @@ using dlb::core::RunResult;
 using dlb::core::Strategy;
 using dlb::net::CrossbarPort;
 using dlb::net::EthernetParams;
+using dlb::net::kCutThrough;
 using dlb::net::Network;
 using dlb::net::parse_topology;
+using dlb::net::port_occupancy;
 using dlb::net::rack_count;
 using dlb::net::rack_of;
 using dlb::net::shard_of_rack;
@@ -89,9 +91,8 @@ TEST(Topology, ParseAndName) {
 }
 
 TEST(Topology, CrossbarPortSerializesFrames) {
-  SwitchedParams p;
-  CrossbarPort port(p);
-  const SimTime occ = p.port_occupancy(1000);
+  CrossbarPort port;
+  const SimTime occ = port_occupancy(1000);
   EXPECT_EQ(port.transmit(1000, 100), 100 + occ);
   // Second frame arrives while the port is busy: queued behind the first.
   EXPECT_EQ(port.transmit(1000, 150), 100 + 2 * occ);
@@ -158,8 +159,7 @@ TEST(SwitchedNetwork, CrossRackPaysFabricAndBothSegments) {
   // o_s + src segment (occ + prop) + cut-through + output port + dst segment
   // (occ + prop) + o_r.
   const SimTime expected = p.sender_overhead + 2 * (p.medium_occupancy(64) + p.propagation) +
-                           f.switched.cut_through + f.switched.port_occupancy(64) +
-                           p.receiver_overhead;
+                           kCutThrough + port_occupancy(64) + p.receiver_overhead;
   EXPECT_EQ(value, 7);
   EXPECT_EQ(recv_at, expected);
   // Sender resumes after o_s, exactly as on the shared medium.
@@ -167,28 +167,6 @@ TEST(SwitchedNetwork, CrossRackPaysFabricAndBothSegments) {
   EXPECT_EQ(f.network.messages_sent(), 1u);
   EXPECT_EQ(f.network.bytes_sent(), 64u);
   EXPECT_EQ(f.network.bridge_crossings(), 1u);
-}
-
-TEST(SwitchedNetwork, ExcludesSegments) {
-  Engine engine;
-  {
-    Network network(engine, EthernetParams{});
-    network.set_switched(4, SwitchedParams{}, 1);
-    EXPECT_THROW(network.set_switched(4, SwitchedParams{}, 1), std::logic_error);
-    EXPECT_THROW(network.set_segments(2, {0, 0, 1, 1}, 100), std::logic_error);
-  }
-  {
-    Network network(engine, EthernetParams{});
-    network.set_segments(2, {0, 0, 1, 1}, 100);
-    EXPECT_THROW(network.set_switched(4, SwitchedParams{}, 1), std::logic_error);
-  }
-  {
-    Network network(engine, EthernetParams{});
-    SwitchedParams p;
-    p.rack_size = 2;  // 4 procs -> 2 racks
-    EXPECT_THROW(network.set_switched(4, p, 3), std::invalid_argument);
-    EXPECT_THROW(network.set_switched(0, p, 1), std::invalid_argument);
-  }
 }
 
 ClusterParams switched_params(int procs, int rack_size, int shards) {
@@ -223,12 +201,6 @@ TEST(SwitchedCluster, ShardCountClampedToRacks) {
     EXPECT_EQ(cluster.shard_of(0), 0);
     EXPECT_EQ(cluster.shard_of(8), 1);
   }
-}
-
-TEST(SwitchedCluster, SwitchedExcludesSegments) {
-  auto p = switched_params(8, 4, 2);
-  p.network_segments = 2;
-  EXPECT_THROW(Cluster cluster(p), std::invalid_argument);
 }
 
 TEST(SwitchedCluster, RejectsNonPositiveRackSize) {

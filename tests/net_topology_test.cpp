@@ -1,6 +1,7 @@
-// Multi-segment topology: intra-segment traffic stays local; inter-segment
-// traffic pays both segments plus the bridge, and heavy cross traffic no
-// longer contends with local traffic on the other segment.
+// Rack segments: a new network is one rack (the paper's shared LAN);
+// set_switched splits it.  Intra-rack traffic stays on its segment, so
+// racks no longer contend with each other, and local groups aligned with
+// the racks never cross the fabric.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include "core/runtime.hpp"
 #include "net/network.hpp"
 #include "net/params.hpp"
+#include "net/topology.hpp"
 #include "sim/engine.hpp"
 #include "sim/mailbox.hpp"
 #include "sim/process.hpp"
@@ -17,25 +19,22 @@ namespace {
 
 using dlb::net::EthernetParams;
 using dlb::net::Network;
+using dlb::net::SwitchedParams;
+using dlb::net::TopologyKind;
 using dlb::sim::Engine;
-using dlb::sim::from_micros;
 using dlb::sim::Mailbox;
 using dlb::sim::Process;
 using dlb::sim::SimTime;
 
+// `endpoints` stations; split into racks of `rack_size` when that is
+// smaller, else left as the one rack a new network is.
 struct Fixture {
   Engine engine;
   Network network;
   std::vector<std::unique_ptr<Mailbox>> boxes;
 
-  explicit Fixture(int endpoints, int segments) : network(engine, EthernetParams{}) {
-    if (segments > 1) {
-      std::vector<int> segment_of;
-      for (int i = 0; i < endpoints; ++i) {
-        segment_of.push_back(i * segments / endpoints);
-      }
-      network.set_segments(segments, segment_of, from_micros(500.0));
-    }
+  explicit Fixture(int endpoints, int rack_size) : network(engine, EthernetParams{}) {
+    if (rack_size < endpoints) network.set_switched(endpoints, SwitchedParams{rack_size}, 1);
     for (int i = 0; i < endpoints; ++i) {
       boxes.push_back(std::make_unique<Mailbox>(engine));
       network.attach(i, *boxes.back());
@@ -53,10 +52,11 @@ Process one_recv(Fixture& f, int who, SimTime* at) {
 }
 
 TEST(Topology, DefaultIsSingleSegment) {
-  Fixture f(4, 1);
+  Fixture f(4, 4);
   EXPECT_EQ(f.network.segments(), 1);
   EXPECT_EQ(f.network.segment_of(0), 0);
   EXPECT_EQ(f.network.segment_of(3), 0);
+  EXPECT_EQ(f.network.shard_of(3), 0);
 }
 
 TEST(Topology, BlockAssignmentToSegments) {
@@ -66,27 +66,6 @@ TEST(Topology, BlockAssignmentToSegments) {
   EXPECT_EQ(f.network.segment_of(1), 0);
   EXPECT_EQ(f.network.segment_of(2), 1);
   EXPECT_EQ(f.network.segment_of(3), 1);
-}
-
-TEST(Topology, CrossSegmentMessagePaysBridge) {
-  SimTime local_at = 0;
-  SimTime cross_at = 0;
-  {
-    Fixture f(4, 2);
-    f.engine.spawn(one_send(f, 0, 1));  // intra-segment
-    f.engine.spawn(one_recv(f, 1, &local_at));
-    f.engine.run();
-  }
-  {
-    Fixture f(4, 2);
-    f.engine.spawn(one_send(f, 0, 2));  // inter-segment
-    f.engine.spawn(one_recv(f, 2, &cross_at));
-    f.engine.run();
-  }
-  const EthernetParams p;
-  // Cross traffic pays a second medium occupancy (with its propagation)
-  // plus the bridge latency.
-  EXPECT_EQ(cross_at - local_at, p.medium_occupancy(64) + p.propagation + from_micros(500.0));
 }
 
 TEST(Topology, CrossingsCounted) {
@@ -102,10 +81,10 @@ TEST(Topology, CrossingsCounted) {
 }
 
 TEST(Topology, SegmentsIsolateContention) {
-  // Two concurrent intra-segment conversations: with one shared segment the
-  // second message queues behind the first; with two segments they overlap.
-  const auto run_case = [](int segments) {
-    Fixture f(4, segments);
+  // Two concurrent intra-rack conversations: with one rack the second
+  // message queues behind the first; with two racks they overlap.
+  const auto run_case = [](int rack_size) {
+    Fixture f(4, rack_size);
     f.engine.spawn(one_send(f, 0, 1));
     f.engine.spawn(one_send(f, 2, 3));
     SimTime a = 0;
@@ -115,30 +94,47 @@ TEST(Topology, SegmentsIsolateContention) {
     f.engine.run();
     return std::max(a, b);
   };
-  EXPECT_GT(run_case(1), run_case(2));
+  EXPECT_GT(run_case(4), run_case(2));
 }
 
 TEST(Topology, Rejections) {
-  Fixture f(4, 1);
-  EXPECT_THROW(f.network.set_segments(0, {}), std::invalid_argument);
-  EXPECT_THROW(f.network.set_segments(2, {0, 0, 2, 1}), std::invalid_argument);
+  {
+    Fixture f(4, 4);
+    EXPECT_THROW(f.network.set_switched(0, SwitchedParams{2}, 1), std::invalid_argument);
+    EXPECT_THROW(f.network.set_switched(4, SwitchedParams{0}, 1), std::invalid_argument);
+    // 4 endpoints in racks of 2: two racks, so at most two shards.
+    EXPECT_THROW(f.network.set_switched(4, SwitchedParams{2}, 3), std::invalid_argument);
+    EXPECT_THROW(f.network.set_switched(4, SwitchedParams{2}, 0), std::invalid_argument);
+  }
+  {
+    Fixture f(4, 2);  // already split
+    EXPECT_THROW(f.network.set_switched(4, SwitchedParams{2}, 1), std::logic_error);
+    EXPECT_THROW((void)f.network.segment_of(4), std::invalid_argument);
+    EXPECT_THROW((void)f.network.segment_of(-1), std::invalid_argument);
+  }
 }
 
 TEST(Topology, NoReconfigurationAfterTraffic) {
-  Fixture f(2, 1);
+  Fixture f(2, 2);
   SimTime at = 0;
   f.engine.spawn(one_send(f, 0, 1));
   f.engine.spawn(one_recv(f, 1, &at));
   f.engine.run();
-  EXPECT_THROW(f.network.set_segments(2, {0, 1}), std::logic_error);
+  EXPECT_THROW(f.network.set_switched(2, SwitchedParams{1}, 1), std::logic_error);
 }
 
-TEST(TopologyCluster, SegmentedClusterRunsDlb) {
+dlb::cluster::ClusterParams two_racks_of_four() {
   dlb::cluster::ClusterParams params;
   params.procs = 8;
   params.base_ops_per_sec = 1e6;
   params.external_load = true;
-  params.network_segments = 2;
+  params.topology = TopologyKind::kSwitched;
+  params.switched.rack_size = 4;
+  return params;
+}
+
+TEST(TopologyCluster, SegmentedClusterRunsDlb) {
+  const auto params = two_racks_of_four();
   const auto app = dlb::apps::make_uniform(64, 30e3, 64.0);
   for (const auto strategy :
        {dlb::core::Strategy::kGDDLB, dlb::core::Strategy::kLDDLB}) {
@@ -152,17 +148,13 @@ TEST(TopologyCluster, SegmentedClusterRunsDlb) {
 }
 
 TEST(TopologyCluster, LocalGroupsAlignedWithSegmentsAvoidTheBridge) {
-  dlb::cluster::ClusterParams params;
-  params.procs = 8;
-  params.base_ops_per_sec = 1e6;
-  params.external_load = true;
-  params.network_segments = 2;
+  auto params = two_racks_of_four();
   params.seed = 3;
   const auto app = dlb::apps::make_uniform(96, 40e3, 256.0);
 
   dlb::core::DlbConfig local;
   local.strategy = dlb::core::Strategy::kLDDLB;
-  local.group_size = 4;  // groups == segments (both are contiguous blocks)
+  local.group_size = 4;  // groups == racks (both are contiguous blocks)
   dlb::cluster::Cluster c_local(params);
   dlb::core::Runtime r_local(c_local, app, local);
   (void)r_local.run();
@@ -173,16 +165,9 @@ TEST(TopologyCluster, LocalGroupsAlignedWithSegmentsAvoidTheBridge) {
   dlb::core::Runtime r_global(c_global, app, global);
   (void)r_global.run();
 
-  // The aligned local scheme never crosses the bridge; the global one must.
+  // The aligned local scheme never crosses the fabric; the global one must.
   EXPECT_EQ(c_local.network().bridge_crossings(), 0u);
   EXPECT_GT(c_global.network().bridge_crossings(), 0u);
-}
-
-TEST(TopologyCluster, RejectsBadSegmentCount) {
-  dlb::cluster::ClusterParams params;
-  params.procs = 4;
-  params.network_segments = 5;
-  EXPECT_THROW(dlb::cluster::Cluster{params}, std::invalid_argument);
 }
 
 }  // namespace
