@@ -28,6 +28,7 @@
 #include "core/ownership.hpp"
 #include "core/policy.hpp"
 #include "fault/coverage.hpp"
+#include "net/params.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 #include "sim/timer.hpp"
@@ -240,7 +241,7 @@ sim::Task<bool> handle_bg(FtState& ft, int self, FtSlaveState& st, sim::Message 
       // we already absorbed, and the sender needs the ack it lost.  The
       // sender's retry loop watches the ledger, so the ack carries nothing.
       co_await ctx.cluster->station(self).send(m.source, ft_tag(st.group, kFtOffAck), std::any{},
-                                                ctx.config.control_bytes, /*droppable=*/false);
+                                                net::kControlMessageBytes, /*droppable=*/false);
       co_return false;
     }
     case kFtOffInterrupt:
@@ -259,7 +260,7 @@ sim::Task<bool> answer_stale_profile(FtState& ft, int station_id, ProfileMsg pm)
   if (ft.last_outcome[g]) {
     co_await ft.ctx->cluster->station(station_id)
         .send(pm.snapshot.proc, ft_tag(pm.group, kFtOffOutcome), *ft.last_outcome[g],
-              ft.ctx->config.control_bytes, /*droppable=*/false);
+              net::kControlMessageBytes, /*droppable=*/false);
   }
   co_return true;
 }
@@ -374,8 +375,7 @@ sim::Task<OutcomeMsg> ft_decide(FtState& ft, int station_id, int g, Collected& g
     participants.push_back(p);
   }
 
-  co_await me.compute(ctx.config.decision_ops +
-                      (centralized_overhead ? ctx.config.balancer_overhead_ops : 0.0));
+  co_await me.compute(kDecisionOps + (centralized_overhead ? kBalancerOverheadOps : 0.0));
   const Decision d = decide(profiles, ctx.config);
   // Done means *executed*, not merely distributed: participant remaining
   // counts miss work a parked (inactive) member absorbed from a retried
@@ -458,7 +458,7 @@ sim::Task<FtStatus> ft_apply(FtState& ft, int self, FtSlaveState& st, OutcomeMsg
       wm.ship = ft.next_ship++;
       ft.ledger.push_back({wm.ship, self, t.to, g, out.round, mine.take_back(count)});
       const auto bytes =
-          ctx.config.control_bytes +
+          net::kControlMessageBytes +
           static_cast<std::size_t>(static_cast<double>(count) * ctx.loop->bytes_per_iteration);
       // Resolved once the receiver absorbed it or a death sweep reclaimed it.
       const auto resolved = [&ft, ship = wm.ship] {
@@ -556,7 +556,7 @@ sim::Task<FtStatus> ft_coordinate(FtState& ft, int self, FtSlaveState& st) {
     // reaches a live straggler — stuck in an old round or just slow.
     const InterruptMsg im{round, g};
     for (const int q : missing) {
-      co_await me.send(q, ft_tag(g, kFtOffInterrupt), im, ctx.config.control_bytes,
+      co_await me.send(q, ft_tag(g, kFtOffInterrupt), im, net::kControlMessageBytes,
                        /*droppable=*/false);
       count_retry(ft, self);
       if (!is_alive(ft, self)) co_return FtStatus::kDead;
@@ -574,7 +574,7 @@ sim::Task<FtStatus> ft_coordinate(FtState& ft, int self, FtSlaveState& st) {
   }
   // The final verdict must arrive: a straggler that misses loop_done would
   // retry forever against a group that no longer answers.
-  co_await me.multicast(others, ft_tag(g, kFtOffOutcome), out, ctx.config.control_bytes,
+  co_await me.multicast(others, ft_tag(g, kFtOffOutcome), out, net::kControlMessageBytes,
                         /*droppable=*/!out.loop_done);
   if (!is_alive(ft, self)) co_return FtStatus::kDead;
   co_return co_await ft_apply(ft, self, st, out);
@@ -619,7 +619,7 @@ sim::Task<FtStatus> ft_participate(FtState& ft, int self, FtSlaveState& st) {
     const ProfileMsg pm{st.round, g, make_snapshot(ctx, self, st)};
     const int profile_tag =
         ctx.centralized ? kFtCentralProfileBase + g : ft_tag(g, kFtOffProfile);
-    co_await me.send(coord, profile_tag, pm, ctx.config.control_bytes,
+    co_await me.send(coord, profile_tag, pm, net::kControlMessageBytes,
                      /*droppable=*/attempt == 0);
     if (!is_alive(ft, self)) co_return FtStatus::kDead;
 
@@ -729,7 +729,7 @@ sim::Process ft_dlb_slave(FtState& ft, int self, int group) {
       if (initiate) {
         const InterruptMsg im{st.round, group};
         co_await me.multicast(st.active, ft_tag(group, kFtOffInterrupt), im,
-                              ctx.config.control_bytes);
+                              net::kControlMessageBytes);
         if (!is_alive(ft, self)) break;
       }
       const FtStatus status = co_await ft_participate(ft, self, st);
@@ -812,7 +812,7 @@ sim::Process ft_central_balancer(FtState& ft, int station_id) {
       if (heard) continue;  // progress: re-evaluate who is still missing
       const InterruptMsg im{ft.round[static_cast<std::size_t>(g)], g};
       for (const int q : missing) {
-        co_await me.send(q, ft_tag(g, kFtOffInterrupt), im, ctx.config.control_bytes,
+        co_await me.send(q, ft_tag(g, kFtOffInterrupt), im, net::kControlMessageBytes,
                          /*droppable=*/false);
         count_retry(ft, station_id);
       }
@@ -830,10 +830,10 @@ sim::Process ft_central_balancer(FtState& ft, int station_id) {
       recipients.push_back(p);
       if (p == station_id) self_in_group = true;
     }
-    co_await me.multicast(recipients, ft_tag(g, kFtOffOutcome), out, ctx.config.control_bytes,
+    co_await me.multicast(recipients, ft_tag(g, kFtOffOutcome), out, net::kControlMessageBytes,
                           /*droppable=*/!out.loop_done);
     if (self_in_group && is_alive(ft, station_id)) {
-      co_await me.send(station_id, ft_tag(g, kFtOffOutcome), out, ctx.config.control_bytes,
+      co_await me.send(station_id, ft_tag(g, kFtOffOutcome), out, net::kControlMessageBytes,
                        /*droppable=*/false);
     }
   }
@@ -859,7 +859,7 @@ sim::Process ft_heartbeat_emitter(FtState& ft, int self, int group) {
     if (!peers.empty()) {
       // Receivers note the source; the beacon carries nothing.
       co_await me.multicast(peers, ft_tag(group, kFtOffHeartbeat), std::any{},
-                            ctx.config.control_bytes);
+                            net::kControlMessageBytes);
     }
   }
 }

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "core/groups.hpp"
+#include "net/params.hpp"
 
 #include "sim/frame_arena.hpp"
 #include "sim/task.hpp"
@@ -153,7 +154,7 @@ sim::Task<SyncStatus> apply_plan(LoopContext& ctx, int self, SlaveState& st, boo
       wm.ranges = mine.take_back(t.count);
       iterations_shipped += t.count;
       const auto bytes =
-          ctx.config.control_bytes +
+          net::kControlMessageBytes +
           static_cast<std::size_t>(static_cast<double>(t.count) * ctx.loop->bytes_per_iteration);
       co_await me.send(t.to, kTagWork, wm, bytes);
     }
@@ -190,7 +191,7 @@ sim::Task<SyncStatus> participate_centralized(LoopContext& ctx, int self, SlaveS
   pm.round = st.round;
   pm.group = ctx.group_of[static_cast<std::size_t>(self)];
   pm.snapshot = make_snapshot(ctx, self, st);
-  co_await me.send(ctx.balancer_proc, kTagProfile, pm, ctx.config.control_bytes);
+  co_await me.send(ctx.balancer_proc, kTagProfile, pm, net::kControlMessageBytes);
 
   const sim::Message m = co_await me.receive(kTagOutcome, ctx.balancer_proc);
   const auto& out = m.as<OutcomeMsg>();
@@ -213,7 +214,7 @@ sim::Task<SyncStatus> participate_distributed(LoopContext& ctx, int self, SlaveS
   pm.group = ctx.group_of[static_cast<std::size_t>(self)];
   pm.snapshot = make_snapshot(ctx, self, st);
 
-  co_await me.multicast(st.active, kTagProfile, pm, ctx.config.control_bytes);
+  co_await me.multicast(st.active, kTagProfile, pm, net::kControlMessageBytes);
   std::vector<ProfileSnapshot> profiles{pm.snapshot};
   for (const int peer : st.active) {
     if (peer == self) continue;
@@ -231,7 +232,7 @@ sim::Task<SyncStatus> participate_distributed(LoopContext& ctx, int self, SlaveS
 
   // The replicated distribution calculation runs on every member in
   // parallel (same deterministic inputs -> same plan everywhere).
-  co_await me.compute(ctx.config.decision_ops);
+  co_await me.compute(kDecisionOps);
   const Decision d = decide(profiles, ctx.config);
   const bool loop_done = d.total_remaining == 0;
   const std::vector<int> active_after = remove_inactive(st.active, d.newly_inactive);
@@ -331,7 +332,7 @@ sim::Process dlb_slave(LoopContext& ctx, int self) {
         ctx.obs->metrics().counter("proto.interrupts").increment();
       }
       sample_engine_health(ctx);
-      co_await me.multicast(st.active, kTagInterrupt, im, ctx.config.control_bytes);
+      co_await me.multicast(st.active, kTagInterrupt, im, net::kControlMessageBytes);
       const SyncStatus status = co_await participate(ctx, self, st);
       if (ctx.obs != nullptr) {
         ctx.obs->activity(self, obs::ActivityKind::kSync, sync_began, me.engine().now());
@@ -370,7 +371,7 @@ sim::Process central_balancer(LoopContext& ctx) {
     // The sequential distribution calculation occupies the master's CPU,
     // plus the context-switch / bookkeeping overhead of running the balancer
     // next to a compute slave (§6.2).
-    co_await me.compute(ctx.config.decision_ops + ctx.config.balancer_overhead_ops);
+    co_await me.compute(kDecisionOps + kBalancerOverheadOps);
     const Decision d = decide(profiles, ctx.config);
     const bool loop_done = d.total_remaining == 0;
 
@@ -386,9 +387,9 @@ sim::Process central_balancer(LoopContext& ctx) {
     std::vector<int> recipients = active[g];
     const bool self_in_group =
         std::find(recipients.begin(), recipients.end(), ctx.balancer_proc) != recipients.end();
-    co_await me.multicast(recipients, kTagOutcome, out, ctx.config.control_bytes);
+    co_await me.multicast(recipients, kTagOutcome, out, net::kControlMessageBytes);
     if (self_in_group) {
-      co_await me.send(ctx.balancer_proc, kTagOutcome, out, ctx.config.control_bytes);
+      co_await me.send(ctx.balancer_proc, kTagOutcome, out, net::kControlMessageBytes);
     }
 
     record_event(ctx, pm0.group, round[g], pm0.snapshot.proc, d);

@@ -119,7 +119,6 @@ void DlbConfig::validate(int procs) const {
   if (move_threshold_fraction < 0.0 || move_threshold_fraction >= 1.0) {
     throw std::invalid_argument("DlbConfig: move threshold must be in [0, 1)");
   }
-  if (decision_ops < 0.0) throw std::invalid_argument("DlbConfig: negative decision cost");
   if (faults.armed()) {
     faults.validate(procs);
     if (strategy == Strategy::kNoDlb) {

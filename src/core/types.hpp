@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
@@ -8,7 +7,6 @@
 #include <vector>
 
 #include "fault/plan.hpp"
-#include "net/params.hpp"
 
 namespace dlb::core {
 
@@ -85,6 +83,14 @@ struct AppDescriptor {
   void validate() const;
 };
 
+/// Cost of one distribution calculation (the model's eta) in basic ops.
+inline constexpr double kDecisionOps = 10e3;
+/// Extra per-round cost paid by a *centralized* balancer collocated with a
+/// compute slave (context switching, profile bookkeeping, sequential
+/// instruction dispatch — the overheads §6.2 attributes to the centralized
+/// schemes), in basic ops on the master.
+inline constexpr double kBalancerOverheadOps = 10e3;
+
 /// Knobs of the DLB run-time library.  Defaults are the paper's choices.
 struct DlbConfig {
   Strategy strategy = Strategy::kGDDLB;
@@ -97,15 +103,6 @@ struct DlbConfig {
   /// phi(j) below this fraction of the remaining work means "almost balanced
   /// or almost done" — skip the move (§3.3).
   double move_threshold_fraction = 0.05;
-  /// Cost of one distribution calculation (the model's eta) in basic ops.
-  double decision_ops = 10e3;
-  /// Extra per-round cost paid by a *centralized* balancer collocated with a
-  /// compute slave (context switching, profile bookkeeping, sequential
-  /// instruction dispatch — the overheads §6.2 attributes to the centralized
-  /// schemes), in basic ops on the master.
-  double balancer_overhead_ops = 10e3;
-  /// Wire size of profile/interrupt/instruction messages.
-  std::size_t control_bytes = net::kControlMessageBytes;
   /// Give the recorder its activity log: per-processor compute, sync, move
   /// and recover segments (RunResult::obs).  Implies the recorder of
   /// `observe`; `observe` alone records no segment.

@@ -73,9 +73,6 @@ TEST(DlbConfig, Validation) {
   bad = c;
   bad.move_threshold_fraction = 1.0;
   EXPECT_THROW(bad.validate(4), std::invalid_argument);
-  bad = c;
-  bad.decision_ops = -1.0;
-  EXPECT_THROW(bad.validate(4), std::invalid_argument);
 }
 
 }  // namespace
