@@ -47,6 +47,10 @@ int main(int argc, char** argv) {
                         "topology", "rack-size", "shards", "iters-per-proc", "arrivals",
                         "rate", "jobs", "hysteresis", "load-variants", "mix",
                         "service-backend"});
+    const auto format = cli.get("format", "summary");
+    if (format != "summary" && format != "csv" && format != "json") {
+      throw std::invalid_argument("--format must be summary, csv or json");
+    }
     auto grid = exp::parse_grid(cli);
 
     const auto trace_dir = cli.get("trace-out", "");
@@ -80,19 +84,16 @@ int main(int argc, char** argv) {
     // Same non-default rule for the service columns: they appear iff the
     // grid is armed, so disarmed sweeps (fig5-8) stay byte-identical.
     report.include_service = grid.service.armed;
-    const auto format = cli.get("format", "summary");
     if (format == "csv") {
       exp::write_csv(std::cout, sweep, report);
     } else if (format == "json") {
       exp::write_json(std::cout, sweep, report);
-    } else if (format == "summary" && cli.get("figure", "").starts_with("table")) {
+    } else if (cli.get("figure", "").starts_with("table")) {
       // Tables 1-2 summarize as the actual-vs-predicted order table.
       exp::write_order_table(std::cout, exp::order_rows(grid, sweep));
-    } else if (format == "summary") {
+    } else {
       exp::write_summary(std::cout, sweep, grid.seeds, report.include_topology,
                          report.include_service);
-    } else {
-      throw std::invalid_argument("dlb_sweep: --format must be summary, csv or json");
     }
     exp::write_timing(std::cerr, sweep);
     return 0;
