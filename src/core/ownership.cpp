@@ -81,9 +81,16 @@ void IterationSet::coalesce() {
   ranges_ = std::move(merged);
 }
 
-double IterationSet::ops(const LoopDescriptor& loop) const {
+double IterationSet::ops(std::span<const double> work) const {
   double total = 0.0;
-  for (const auto& r : ranges_) total += loop.ops_in_range(r.lo, r.hi);
+  for (const auto& r : ranges_) {
+    if (r.hi > static_cast<std::int64_t>(work.size())) {
+      throw std::out_of_range("IterationSet: work table shorter than the owned ranges");
+    }
+    double range_ops = 0.0;
+    for (std::int64_t j = r.lo; j < r.hi; ++j) range_ops += work[static_cast<std::size_t>(j)];
+    total += range_ops;
+  }
   return total;
 }
 

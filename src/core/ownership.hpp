@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/types.hpp"
@@ -54,8 +55,10 @@ class IterationSet {
   /// owned range.
   void add(IterRange range);
 
-  /// Total work in basic ops of the owned iterations under `loop`.
-  [[nodiscard]] double ops(const LoopDescriptor& loop) const;
+  /// Total work in basic ops of the owned iterations, where `work[j]` is
+  /// iteration j's work: each range summed in index order from 0.0, then
+  /// the ranges in order.
+  [[nodiscard]] double ops(std::span<const double> work) const;
 
  private:
   void coalesce();

@@ -262,7 +262,8 @@ LoopContext LoopContext::make(const LoopDescriptor& loop, const DlbConfig& confi
   ctx.groups = form_groups(procs, config);
   ctx.group_of.assign(static_cast<std::size_t>(procs), 0);
   for (std::size_t g = 0; g < ctx.groups.size(); ++g) {
-    for (const int p : ctx.groups[g]) ctx.group_of[static_cast<std::size_t>(p)] = static_cast<int>(g);
+    for (const int p : ctx.groups[g])
+      ctx.group_of[static_cast<std::size_t>(p)] = static_cast<int>(g);
   }
   ctx.centralized =
       config.strategy == Strategy::kGCDLB || config.strategy == Strategy::kLCDLB;

@@ -248,7 +248,8 @@ std::vector<core::Strategy> parse_strategies(const std::string& spec) {
   }
   if (spec == "ranked") {
     std::vector<core::Strategy> out;
-    for (int id = 0; id < core::kRankedStrategyCount; ++id) out.push_back(core::ranked_strategy(id));
+    for (int id = 0; id < core::kRankedStrategyCount; ++id)
+      out.push_back(core::ranked_strategy(id));
     return out;
   }
   std::vector<core::Strategy> out;

@@ -30,7 +30,7 @@ void FaultInjector::arm(sim::Engine& engine, net::Network& network) {
     if (spec.trigger.at_seconds >= 0.0) {
       timed_.push_back(engine.schedule_cancellable_at(
           sim::from_seconds(spec.trigger.at_seconds),
-          // dlblint:allow(schedule-ref-capture) armed injector outlives the run; cancel_pending() clears the timers
+          // dlblint:allow(schedule-ref-capture) outlives the run; cancel_pending() drops its timers
           [this, spec] { fire(spec); }));
     } else {
       progress_pending_.push_back(spec);

@@ -18,7 +18,8 @@ void FaultPlan::validate(int procs) const {
     const bool timed = spec.trigger.at_seconds >= 0.0;
     const bool progress = spec.trigger.at_progress > 0.0;
     if (timed == progress) {
-      throw std::invalid_argument("FaultPlan: trigger must set exactly one of at_seconds/at_progress");
+      throw std::invalid_argument(
+          "FaultPlan: trigger must set exactly one of at_seconds/at_progress");
     }
     if (progress && spec.trigger.at_progress > 1.0) {
       throw std::invalid_argument("FaultPlan: at_progress outside (0, 1]");

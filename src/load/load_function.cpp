@@ -6,12 +6,14 @@ namespace dlb::load {
 
 LoadFunction::LoadFunction(LoadParams params, support::Rng rng) : params_(params), rng_(rng) {
   if (params_.max_load < 0) throw std::invalid_argument("LoadFunction: negative max_load");
-  if (params_.persistence <= 0) throw std::invalid_argument("LoadFunction: persistence must be > 0");
+  if (params_.persistence <= 0)
+    throw std::invalid_argument("LoadFunction: persistence must be > 0");
 }
 
 LoadFunction::LoadFunction(LoadParams params, std::vector<int> scripted_levels)
     : params_(params), rng_(0), levels_(std::move(scripted_levels)), scripted_(true) {
-  if (params_.persistence <= 0) throw std::invalid_argument("LoadFunction: persistence must be > 0");
+  if (params_.persistence <= 0)
+    throw std::invalid_argument("LoadFunction: persistence must be > 0");
   if (levels_.empty()) throw std::invalid_argument("LoadFunction: empty script");
   for (const int level : levels_) {
     if (level < 0) throw std::invalid_argument("LoadFunction: negative scripted level");

@@ -54,19 +54,23 @@ double ops_available(load::LoadFunction& lf, double speed, double base_rate, sim
 /// Recurrence state of one processor within its group.  `resume_at` is the
 /// time it goes back to computing after the previous synchronization —
 /// receivers of migrated work resume later than the rest of the group, as
-/// their shipment must finish transmitting first.
+/// their shipment must finish transmitting first.  `finish` is when its
+/// owned work would complete from there.
 struct Member {
   int proc = 0;
   core::IterationSet owned;
   bool active = true;
   double last_rate = 0.0;
   sim::SimTime resume_at = 0;
+  sim::SimTime finish = 0;
 };
 
 /// Recurrence state of one group (global strategies: a single group of P).
+/// `next_sync` is its first active finisher's `finish`.
 struct Group {
   std::vector<Member> members;
   bool done = false;
+  sim::SimTime next_sync = 0;
   sim::SimTime finish = 0;
   int syncs = 0;
   int redistributions = 0;
@@ -86,27 +90,32 @@ int active_count(const Group& g) {
 
 Predictor::Predictor(PredictorInputs inputs) : inputs_(std::move(inputs)) {
   if (inputs_.loop == nullptr) throw std::invalid_argument("Predictor: null loop");
-  inputs_.loop->validate();
+  const core::LoopDescriptor& loop = *inputs_.loop;
+  loop.validate();
   inputs_.config.validate(inputs_.cluster.procs);
-}
 
-StrategyPrediction Predictor::predict(core::Strategy strategy) const {
   // The paper folds intrinsic communication into the per-iteration time
   // T(W, IC) (§4.1); we add the op-equivalent of one IC message exchange to
   // every iteration's work.
-  core::LoopDescriptor effective_loop = *inputs_.loop;
-  if (effective_loop.intrinsic_bytes_per_iteration > 0.0 &&
-      inputs_.cluster.procs > 1) {
-    const double ic_seconds =
-        inputs_.costs.latency_seconds +
-        effective_loop.intrinsic_bytes_per_iteration / inputs_.costs.bandwidth_bytes;
-    const double ic_ops = ic_seconds * inputs_.cluster.base_ops_per_sec;
-    const auto base_work = effective_loop.work_ops;
-    effective_loop.work_ops = [base_work, ic_ops](std::int64_t j) {
-      return base_work(j) + ic_ops;
-    };
+  const bool intrinsic = loop.intrinsic_bytes_per_iteration > 0.0 && inputs_.cluster.procs > 1;
+  double ic_ops = 0.0;
+  if (intrinsic) {
+    const double ic_seconds = inputs_.costs.latency_seconds +
+                              loop.intrinsic_bytes_per_iteration / inputs_.costs.bandwidth_bytes;
+    ic_ops = ic_seconds * inputs_.cluster.base_ops_per_sec;
   }
-  const auto& loop = effective_loop;
+  work_.reserve(static_cast<std::size_t>(loop.iterations));
+  double total = 0.0;
+  for (std::int64_t j = 0; j < loop.iterations; ++j) {
+    const double w = loop.work_ops(j);
+    work_.push_back(intrinsic ? w + ic_ops : w);
+    total += work_.back();
+  }
+  mean_ops_ = loop.iterations == 0 ? 0.0 : total / static_cast<double>(loop.iterations);
+}
+
+StrategyPrediction Predictor::predict(core::Strategy strategy) const {
+  const auto& loop = *inputs_.loop;
   const auto& cp = inputs_.cluster;
   const int procs = cp.procs;
   const double base_rate = cp.base_ops_per_sec;
@@ -127,7 +136,7 @@ StrategyPrediction Predictor::predict(core::Strategy strategy) const {
     for (int i = 0; i < procs; ++i) {
       auto set = core::IterationSet::block_partition(loop.iterations, procs, i);
       const sim::SimTime fin = advance_ops(loads[static_cast<std::size_t>(i)], station_speed(cp, i),
-                                           base_rate, 0, set.ops(loop));
+                                           base_rate, 0, set.ops(work_));
       makespan = std::max(makespan, fin);
     }
     out.makespan_seconds = sim::to_seconds(makespan);
@@ -164,17 +173,18 @@ StrategyPrediction Predictor::predict(core::Strategy strategy) const {
   // The single central balancer's busy horizon (LCDLB delay factor g(j)).
   sim::SimTime balancer_busy_until = 0;
 
-  auto next_sync_time = [&](Group& g) {
-    sim::SimTime t_sync = sim::kTimeInfinity;
+  // Only a synchronization changes a group's members, so each group's next
+  // sync time is computed once per sync of that group.
+  auto update_next_sync = [&](Group& g) {
+    g.next_sync = sim::kTimeInfinity;
     for (auto& m : g.members) {
       if (!m.active) continue;
-      auto& lf = loads[static_cast<std::size_t>(m.proc)];
-      const sim::SimTime fin =
-          advance_ops(lf, station_speed(cp, m.proc), base_rate, m.resume_at, m.owned.ops(loop));
-      t_sync = std::min(t_sync, fin);
+      m.finish = advance_ops(loads[static_cast<std::size_t>(m.proc)], station_speed(cp, m.proc),
+                             base_rate, m.resume_at, m.owned.ops(work_));
+      g.next_sync = std::min(g.next_sync, m.finish);
     }
-    return t_sync;
   };
+  for (auto& g : groups) update_next_sync(g);
 
   while (true) {
     // Pick the unfinished group with the earliest next synchronization; for
@@ -183,9 +193,8 @@ StrategyPrediction Predictor::predict(core::Strategy strategy) const {
     sim::SimTime t_sync = sim::kTimeInfinity;
     for (auto& g : groups) {
       if (g.done) continue;
-      const sim::SimTime t = next_sync_time(g);
-      if (t < t_sync) {
-        t_sync = t;
+      if (g.next_sync < t_sync) {
+        t_sync = g.next_sync;
         group = &g;
       }
     }
@@ -206,17 +215,16 @@ StrategyPrediction Predictor::predict(core::Strategy strategy) const {
       const double window = std::max(sim::to_seconds(t_sync - m.resume_at), 0.0);
       std::int64_t done = 0;
       if (m.resume_at < t_sync) {
-        const sim::SimTime own_finish =
-            advance_ops(lf, station_speed(cp, m.proc), base_rate, m.resume_at, m.owned.ops(loop));
-        if (own_finish <= t_sync) {
+        if (m.finish <= t_sync) {
           done = m.owned.size();
           m.owned = core::IterationSet();
         } else {
           double capacity =
               ops_available(lf, station_speed(cp, m.proc), base_rate, m.resume_at, t_sync) *
               (1.0 + 1e-9);
-          while (!m.owned.empty() && loop.ops_of(m.owned.front()) <= capacity) {
-            capacity -= loop.ops_of(m.owned.front());
+          while (!m.owned.empty() &&
+                 work_[static_cast<std::size_t>(m.owned.front())] <= capacity) {
+            capacity -= work_[static_cast<std::size_t>(m.owned.front())];
             (void)m.owned.pop_front();
             ++done;
           }
@@ -232,7 +240,7 @@ StrategyPrediction Predictor::predict(core::Strategy strategy) const {
       } else if (m.last_rate > 0.0) {
         rate = m.last_rate;
       } else {
-        rate = station_speed(cp, m.proc) * base_rate / std::max(loop.mean_ops(), 1.0);
+        rate = station_speed(cp, m.proc) * base_rate / std::max(mean_ops_, 1.0);
       }
       m.last_rate = rate;
       profiles.push_back({m.proc, m.owned.size(), rate, true});
@@ -331,6 +339,8 @@ StrategyPrediction Predictor::predict(core::Strategy strategy) const {
     if (active_count(g) == 0) {
       g.done = true;
       g.finish = base_resume;
+    } else {
+      update_next_sync(g);
     }
   }
 

@@ -67,6 +67,10 @@ class Predictor {
 
  private:
   PredictorInputs inputs_;
+  /// Effective work of each iteration in ops, IC term included, and its
+  /// mean: computed once, read by every prediction.
+  std::vector<double> work_;
+  double mean_ops_ = 0.0;
 };
 
 }  // namespace dlb::model

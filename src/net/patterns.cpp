@@ -37,16 +37,9 @@ sim::Process receiver(sim::Engine& engine, Network& network, sim::Mailbox& mailb
   *finished_at = engine.now();
 }
 
-sim::Process sender_then_receiver(sim::Engine& engine, Network& network, sim::Mailbox& mailbox,
-                                  int self, std::vector<int> dsts, std::size_t bytes,
-                                  int recv_count, sim::SimTime* finished_at) {
-  for (const int dst : dsts) {
-    if (dst == self) continue;
-    co_await network.send(self, dst, kPatternTag, std::any{}, bytes);
-  }
-  for (int i = 0; i < recv_count; ++i) {
-    (void)co_await network.receive(mailbox, kPatternTag);
-  }
+sim::Process leaf_sender(sim::Engine& engine, Network& network, int self, std::size_t bytes,
+                         sim::SimTime* finished_at) {
+  co_await network.send(self, 0, kPatternTag, std::any{}, bytes);
   *finished_at = engine.now();
 }
 
@@ -104,9 +97,7 @@ double alltoall_analytic(int procs, std::size_t bytes, const EthernetParams& par
 double measure_pattern(Pattern pattern, int procs, std::size_t bytes,
                        const EthernetParams& params) {
   if (procs < 2) throw std::invalid_argument("measure_pattern: need at least 2 processors");
-  if (pattern == Pattern::kAllToAll && procs > kAnalyticAllToAllThreshold) {
-    return alltoall_analytic(procs, bytes, params);
-  }
+  if (pattern == Pattern::kAllToAll) return alltoall_analytic(procs, bytes, params);
 
   sim::Engine engine;
   Network network(engine, params);
@@ -121,31 +112,18 @@ double measure_pattern(Pattern pattern, int procs, std::size_t bytes,
   std::vector<int> all_but_root(static_cast<std::size_t>(procs) - 1);
   std::iota(all_but_root.begin(), all_but_root.end(), 1);
 
-  switch (pattern) {
-    case Pattern::kOneToAll:
-      engine.spawn(root_sender(engine, network, all_but_root, bytes, &finished[0]));
-      for (int i = 1; i < procs; ++i) {
-        engine.spawn(receiver(engine, network, *mailboxes[static_cast<std::size_t>(i)], 1,
-                              &finished[static_cast<std::size_t>(i)]));
-      }
-      break;
-    case Pattern::kAllToOne:
-      engine.spawn(receiver(engine, network, *mailboxes[0], procs - 1, &finished[0]));
-      for (int i = 1; i < procs; ++i) {
-        engine.spawn(sender_then_receiver(engine, network, *mailboxes[static_cast<std::size_t>(i)],
-                                          i, std::vector<int>{0}, bytes, 0,
-                                          &finished[static_cast<std::size_t>(i)]));
-      }
-      break;
-    case Pattern::kAllToAll:
-      for (int i = 0; i < procs; ++i) {
-        std::vector<int> dsts(static_cast<std::size_t>(procs));
-        std::iota(dsts.begin(), dsts.end(), 0);
-        engine.spawn(sender_then_receiver(engine, network, *mailboxes[static_cast<std::size_t>(i)],
-                                          i, std::move(dsts), bytes, procs - 1,
-                                          &finished[static_cast<std::size_t>(i)]));
-      }
-      break;
+  if (pattern == Pattern::kOneToAll) {
+    engine.spawn(root_sender(engine, network, all_but_root, bytes, &finished[0]));
+    for (int i = 1; i < procs; ++i) {
+      engine.spawn(receiver(engine, network, *mailboxes[static_cast<std::size_t>(i)], 1,
+                            &finished[static_cast<std::size_t>(i)]));
+    }
+  } else {
+    engine.spawn(receiver(engine, network, *mailboxes[0], procs - 1, &finished[0]));
+    for (int i = 1; i < procs; ++i) {
+      engine.spawn(
+          leaf_sender(engine, network, i, bytes, &finished[static_cast<std::size_t>(i)]));
+    }
   }
 
   engine.run();

@@ -13,17 +13,14 @@ namespace dlb::net {
 ///   AllToAll : everyone -> everyone      (profile broadcast, distributed)
 enum class Pattern { kOneToAll, kAllToOne, kAllToAll };
 
-/// Largest processor count measure_pattern simulates all-to-all event by
-/// event; beyond it the closed form below is returned instead.  The two are
-/// exactly equal (a differential test pins them together bit for bit), so
-/// the threshold is purely a cost knob: the simulated exchange is O(P^2)
-/// events while the closed form is O(P) arithmetic.
-inline constexpr int kAnalyticAllToAllThreshold = 64;
-
-/// Closed-form completion time of the all-to-all exchange, exactly equal to
-/// the simulated measurement.  The simulated pattern is regular enough to
-/// fold analytically: all P senders wake at multiples of o_s and reserve the
-/// shared medium in sender-id order each round, so round j's first grab is
+/// Closed-form completion time of the all-to-all exchange: every endpoint
+/// sends one frame to each other endpoint (pvm_send per destination), then
+/// consumes its P-1 arrivals.  It is bit-equal to simulating that exchange
+/// event by event (net_patterns_test keeps the simulation as its oracle, at
+/// P = 2..64 and under skewed parameters), at O(P) arithmetic instead of
+/// O(P^2) events.  The pattern is regular enough to fold analytically: all P
+/// senders wake at multiples of o_s and reserve the shared medium in
+/// sender-id order each round, so round j's first grab is
 /// B_j = max(j*o_s, F_{j-1}) with F_j = B_j + P*occ, and receiver d's
 /// arrivals form two affine-in-position segments (round d from lower-id
 /// senders, round d+1 from higher-id ones).  The receive fold
@@ -32,10 +29,11 @@ inline constexpr int kAnalyticAllToAllThreshold = 64;
 [[nodiscard]] double alltoall_analytic(int procs, std::size_t bytes,
                                        const EthernetParams& params);
 
-/// Runs one pattern among `procs` endpoints exchanging `bytes`-sized messages
-/// on a fresh simulator and returns the completion time in seconds (the time
-/// at which the last participant has consumed its last message).  This is the
-/// simulated analogue of the paper's measurement runs.
+/// Completion time in seconds of one pattern among `procs` endpoints
+/// exchanging `bytes`-sized messages: the time at which the last participant
+/// has consumed its last message.  One-to-all and all-to-one run on a fresh
+/// simulator, the analogue of the paper's measurement runs; all-to-all is
+/// alltoall_analytic.
 [[nodiscard]] double measure_pattern(Pattern pattern, int procs, std::size_t bytes,
                                      const EthernetParams& params);
 

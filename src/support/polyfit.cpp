@@ -21,7 +21,8 @@ std::vector<double> solve_linear(std::vector<double> a, std::vector<double> b) {
     for (std::size_t row = col + 1; row < n; ++row) {
       if (std::abs(a[row * n + col]) > std::abs(a[pivot * n + col])) pivot = row;
     }
-    if (std::abs(a[pivot * n + col]) < 1e-14) throw std::runtime_error("solve_linear: singular system");
+    if (std::abs(a[pivot * n + col]) < 1e-14)
+      throw std::runtime_error("solve_linear: singular system");
     if (pivot != col) {
       for (std::size_t k = 0; k < n; ++k) std::swap(a[col * n + k], a[pivot * n + k]);
       std::swap(b[col], b[pivot]);

@@ -13,7 +13,9 @@ class Polynomial {
   explicit Polynomial(std::vector<double> coefficients) : coeffs_(std::move(coefficients)) {}
 
   [[nodiscard]] double operator()(double x) const noexcept;
-  [[nodiscard]] std::size_t degree() const noexcept { return coeffs_.empty() ? 0 : coeffs_.size() - 1; }
+  [[nodiscard]] std::size_t degree() const noexcept {
+    return coeffs_.empty() ? 0 : coeffs_.size() - 1;
+  }
   [[nodiscard]] const std::vector<double>& coefficients() const noexcept { return coeffs_; }
 
  private:

@@ -39,8 +39,8 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
   const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
   if (span == 0) return static_cast<std::int64_t>(next());  // full 64-bit range
   // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit =
-      std::numeric_limits<std::uint64_t>::max() - (std::numeric_limits<std::uint64_t>::max() % span);
+  const std::uint64_t limit = std::numeric_limits<std::uint64_t>::max() -
+                              (std::numeric_limits<std::uint64_t>::max() % span);
   std::uint64_t draw = next();
   while (draw >= limit) draw = next();
   return lo + static_cast<std::int64_t>(draw % span);

@@ -33,19 +33,33 @@ Summary summarize(std::span<const double> samples) {
 
 double mean_of(std::span<const double> samples) { return summarize(samples).mean; }
 
-double percentile_nearest_rank(std::span<double> samples, double q) {
-  if (samples.empty()) throw std::invalid_argument("percentile_nearest_rank: empty sample");
-  if (!(q > 0.0) || !(q <= 1.0)) {
-    throw std::invalid_argument("percentile_nearest_rank: q must be in (0, 1]");
-  }
+std::vector<double> percentiles_nearest_rank(std::span<double> samples,
+                                             std::span<const double> quantiles) {
+  if (samples.empty()) throw std::invalid_argument("percentiles_nearest_rank: empty sample");
   const auto n = samples.size();
-  const double exact = q * static_cast<double>(n);
-  std::size_t rank = static_cast<std::size_t>(std::ceil(exact));
-  if (rank < 1) rank = 1;
-  if (rank > n) rank = n;
-  auto nth = samples.begin() + static_cast<std::ptrdiff_t>(rank - 1);
-  std::nth_element(samples.begin(), nth, samples.end());
-  return *nth;
+  std::vector<double> out;
+  out.reserve(quantiles.size());
+  // Every sample before `first` is <= every sample from it on, so a higher
+  // rank is selected within [first, end) alone.
+  auto first = samples.begin();
+  double previous = 0.0;
+  for (const double q : quantiles) {
+    if (!(q > 0.0) || !(q <= 1.0)) {
+      throw std::invalid_argument("percentiles_nearest_rank: q must be in (0, 1]");
+    }
+    if (q < previous) {
+      throw std::invalid_argument("percentiles_nearest_rank: quantiles must ascend");
+    }
+    previous = q;
+    std::size_t rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(n)));
+    if (rank < 1) rank = 1;
+    if (rank > n) rank = n;
+    const auto nth = samples.begin() + static_cast<std::ptrdiff_t>(rank - 1);
+    std::nth_element(first, nth, samples.end());
+    out.push_back(*nth);
+    first = nth;
+  }
+  return out;
 }
 
 }  // namespace dlb::support

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <span>
+#include <vector>
 
 namespace dlb::support {
 
@@ -19,11 +20,14 @@ struct Summary {
 
 [[nodiscard]] double mean_of(std::span<const double> samples);
 
-/// Exact nearest-rank percentile: the value at ascending rank ceil(q * n)
-/// for q in (0, 1].  Always an actual sample (never an interpolation), so
-/// the reported p50/p99/p999 are bit-identical wherever the sample multiset
-/// is identical — the SLA determinism guarantee of service mode.  Partially
+/// Exact nearest-rank percentiles: for each q of `quantiles` (ascending, each
+/// in (0, 1]), the value at ascending rank ceil(q * n).  Always an actual
+/// sample (never an interpolation), so the reported p50/p99/p999 are
+/// bit-identical wherever the sample multiset is identical — the SLA
+/// determinism guarantee of service mode.  One selection pass: each rank is
+/// selected only within the suffix past the previous one.  Partially
 /// reorders `samples` in place (nth_element); requires a non-empty span.
-[[nodiscard]] double percentile_nearest_rank(std::span<double> samples, double q);
+[[nodiscard]] std::vector<double> percentiles_nearest_rank(std::span<double> samples,
+                                                           std::span<const double> quantiles);
 
 }  // namespace dlb::support

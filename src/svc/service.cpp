@@ -89,14 +89,14 @@ int strategy_slot(core::Strategy s) {
   return core::ranked_id(s);
 }
 
-std::vector<std::vector<std::array<double, 5>>> predicted_service_table(
-    const cluster::ClusterParams& cluster, const core::DlbConfig& config, const JobMix& mix,
-    const net::CollectiveCosts& costs, int load_variants) {
+PredictionTable predicted_service_table(const cluster::ClusterParams& cluster,
+                                        const core::DlbConfig& config, const JobMix& mix,
+                                        const net::CollectiveCosts& costs, int load_variants) {
   mix.validate();
   if (load_variants < 1) {
     throw std::invalid_argument("predicted_service_table: load_variants must be >= 1");
   }
-  std::vector<std::vector<std::array<double, 5>>> table;
+  PredictionTable table;
   table.reserve(mix.classes.size());
   for (const auto& cls : mix.classes) {
     const core::LoopDescriptor loop = cls.loop();
@@ -127,8 +127,7 @@ std::vector<std::vector<std::array<double, 5>>> predicted_service_table(
   return table;
 }
 
-double mean_best_service_seconds(
-    const std::vector<std::vector<std::array<double, 5>>>& table, const JobMix& mix) {
+double mean_best_service_seconds(const PredictionTable& table, const JobMix& mix) {
   const double total_weight = mix.total_weight();
   double mean = 0.0;
   for (std::size_t c = 0; c < table.size(); ++c) {
@@ -149,14 +148,30 @@ double mean_best_service_seconds(
 ServiceReport run_service(const cluster::ClusterParams& cluster,
                           const core::DlbConfig& config, const ServiceParams& params,
                           const net::CollectiveCosts& costs, obs::MetricsRegistry* metrics) {
+  return run_service(
+      cluster, config, params,
+      predicted_service_table(cluster, config, params.mix, costs, params.load_variants),
+      metrics);
+}
+
+ServiceReport run_service(const cluster::ClusterParams& cluster,
+                          const core::DlbConfig& config, const ServiceParams& params,
+                          const PredictionTable& table, obs::MetricsRegistry* metrics) {
   params.validate();
   if (config.observe || config.record_trace || config.faults.armed()) {
     throw std::invalid_argument(
         "run_service: observe/trace/fault hooks must be disarmed in service mode");
   }
+  const bool table_fits =
+      table.size() == params.mix.classes.size() &&
+      std::all_of(table.begin(), table.end(), [&params](const auto& per_variant) {
+        return per_variant.size() == static_cast<std::size_t>(params.load_variants);
+      });
+  if (!table_fits) {
+    throw std::invalid_argument(
+        "run_service: the prediction table does not match the job mix and load variants");
+  }
 
-  const auto table =
-      predicted_service_table(cluster, config, params.mix, costs, params.load_variants);
   const double mean_best = mean_best_service_seconds(table, params.mix);
   const double rate = params.rho / mean_best;
 
@@ -260,9 +275,11 @@ ServiceReport run_service(const cluster::ClusterParams& cluster,
   report.mean_sojourn_seconds = sum_sojourn / n;
   report.mean_service_seconds = sum_service / n;
   report.mean_wait_seconds = sum_wait / n;
-  report.p50_sojourn_seconds = support::percentile_nearest_rank(sojourns, 0.50);
-  report.p99_sojourn_seconds = support::percentile_nearest_rank(sojourns, 0.99);
-  report.p999_sojourn_seconds = support::percentile_nearest_rank(sojourns, 0.999);
+  constexpr double kSlaQuantiles[] = {0.50, 0.99, 0.999};
+  const auto sla = support::percentiles_nearest_rank(sojourns, kSlaQuantiles);
+  report.p50_sojourn_seconds = sla[0];
+  report.p99_sojourn_seconds = sla[1];
+  report.p999_sojourn_seconds = sla[2];
   report.strategy_switches = selector.switches();
   if (metrics != nullptr) {
     metrics->counter("svc.switches").add(static_cast<double>(report.strategy_switches));

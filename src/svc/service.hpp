@@ -77,24 +77,39 @@ struct ServiceReport {
 /// the four DLB strategies, 4 for NoDLB.
 [[nodiscard]] int strategy_slot(core::Strategy s);
 
-/// Predicted makespan seconds per (class, load variant, strategy slot); the
-/// memo table that prices admissions and decisions in the model backend.
-/// Variant v reconstructs the load realization from a seed salted with v,
-/// so the table is a pure function of (cluster params, mix, costs).
-[[nodiscard]] std::vector<std::vector<std::array<double, 5>>> predicted_service_table(
-    const cluster::ClusterParams& cluster, const core::DlbConfig& config, const JobMix& mix,
-    const net::CollectiveCosts& costs, int load_variants);
+/// Predicted makespan seconds per (class, load variant, strategy slot).
+using PredictionTable = std::vector<std::vector<std::array<double, 5>>>;
+
+/// The memo table that prices admissions and decisions in the model
+/// backend.  Variant v reconstructs the load realization from a seed salted
+/// with v, so the table is a pure function of (cluster params, config, mix,
+/// costs, load_variants): service cells that differ only in arrival shape,
+/// offered load or strategy can share one.
+[[nodiscard]] PredictionTable predicted_service_table(const cluster::ClusterParams& cluster,
+                                                      const core::DlbConfig& config,
+                                                      const JobMix& mix,
+                                                      const net::CollectiveCosts& costs,
+                                                      int load_variants);
 
 /// Mix-weighted mean of the best ranked-strategy makespan — the service time
 /// the offered-load knob rho is measured against (lambda = rho / this).
-[[nodiscard]] double mean_best_service_seconds(
-    const std::vector<std::vector<std::array<double, 5>>>& table, const JobMix& mix);
+[[nodiscard]] double mean_best_service_seconds(const PredictionTable& table, const JobMix& mix);
 
 /// Runs one open-stream service cell to completion and reports SLA metrics.
-/// `config` supplies the protocol knobs (group size, thresholds); its
-/// strategy field is ignored and its observe/trace/fault hooks must be
-/// disarmed.  When `metrics` is non-null, latency histograms (log-spaced
-/// bounds) and job counters are recorded into it.
+/// `table` is predicted_service_table(cluster, config, params.mix, costs,
+/// params.load_variants) for the network's fitted costs; its shape must
+/// match the mix and the variant count.  `config` supplies the protocol
+/// knobs (group size, thresholds); its strategy field is ignored and its
+/// observe/trace/fault hooks must be disarmed.  When `metrics` is non-null,
+/// latency histograms (log-spaced bounds) and job counters are recorded
+/// into it.
+[[nodiscard]] ServiceReport run_service(const cluster::ClusterParams& cluster,
+                                        const core::DlbConfig& config,
+                                        const ServiceParams& params,
+                                        const PredictionTable& table,
+                                        obs::MetricsRegistry* metrics = nullptr);
+
+/// The same, building the prediction table from `costs` first.
 [[nodiscard]] ServiceReport run_service(const cluster::ClusterParams& cluster,
                                         const core::DlbConfig& config,
                                         const ServiceParams& params,

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
+#include <span>
+#include <stdexcept>
+#include <vector>
 
 #include "apps/synthetic.hpp"
 
@@ -142,10 +146,13 @@ TEST(IterationSet, RoundTripTransferPreservesPartition) {
 TEST(IterationSet, OpsSumsWork) {
   const auto app = dlb::apps::make_triangular(10, 100.0, 10.0, 0.0);
   const auto& loop = app.loops[0];
+  std::vector<double> work;
+  for (std::int64_t j = 0; j < loop.iterations; ++j) work.push_back(loop.ops_of(j));
   IterationSet s(IterRange{0, 10});
-  EXPECT_DOUBLE_EQ(s.ops(loop), loop.total_ops());
+  EXPECT_DOUBLE_EQ(s.ops(work), loop.total_ops());
   (void)s.take_back(5);
-  EXPECT_DOUBLE_EQ(s.ops(loop), loop.ops_in_range(0, 5));
+  EXPECT_DOUBLE_EQ(s.ops(work), loop.ops_in_range(0, 5));
+  EXPECT_THROW((void)s.ops(std::span<const double>(work).first(4)), std::out_of_range);
 }
 
 }  // namespace

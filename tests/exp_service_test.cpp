@@ -207,6 +207,40 @@ TEST(ServiceReport, CsvIsByteIdenticalAcrossThreadCounts) {
   EXPECT_FALSE(reference.empty());
 }
 
+TEST(ServiceGrid, SharedSetupMatchesPerCellSetup) {
+  // Runner::run builds one prediction table per distinct set-up key and
+  // shares it across the cells that read it; run_serial's cells each build
+  // their own.  The model grid has four keys (two P x two seeds) under
+  // arrival, rate and strategy axes; the sim grid two.  Every width and
+  // submission order must print run_serial's bytes.
+  ReportOptions options;
+  options.include_service = true;
+  const auto csv_of = [&options](const SweepResult& sweep) {
+    std::ostringstream csv;
+    dlb::exp::write_csv(csv, sweep, options);
+    return csv.str();
+  };
+  const ExperimentGrid model = grid_from(
+      {"--figure=service", "--procs=4,16", "--seeds=2", "--mix=hetero", "--jobs=300",
+       "--rate=0.5,0.9", "--arrivals=poisson,bursty", "--strategies=gc,ld,online",
+       "--load-variants=3"});
+  const ExperimentGrid sim =
+      grid_from({"--figure=service", "--service-backend=sim", "--procs=4", "--seeds=2",
+                 "--jobs=20", "--rate=0.5,0.9", "--arrivals=poisson", "--strategies=gd,online",
+                 "--load-variants=2"});
+  for (const ExperimentGrid* grid : {&model, &sim}) {
+    const std::string reference = csv_of(Runner::run_serial(*grid));
+    for (const int threads : {1, 4}) {
+      RunnerOptions ro;
+      ro.threads = threads;
+      ro.shuffle_submission = true;
+      ro.shuffle_seed = 7;
+      EXPECT_EQ(csv_of(Runner(ro).run(*grid)), reference)
+          << "threads=" << threads << " cells=" << grid->cell_count();
+    }
+  }
+}
+
 TEST(ServiceReport, SimBackendCsvIsByteIdenticalAcrossShardCounts) {
   // Four racks of four: at --shards=2 and 4 every admission and every idle
   // advance of the persistent sim-backend cluster runs as conservative

@@ -80,7 +80,8 @@ INSTANTIATE_TEST_SUITE_P(Strategies, FaultMatrix, ::testing::ValuesIn(kRanked),
 
 TEST_P(FaultMatrix, CrashHalfTerminatesWithRecovery) {
   const auto app = make_uniform(64, 25e3, 8.0);
-  const auto r = run_app(base_params(4), app, config_for(GetParam(), FaultPlan::preset("crash-half")));
+  const auto r =
+      run_app(base_params(4), app, config_for(GetParam(), FaultPlan::preset("crash-half")));
   EXPECT_EQ(r.faults.crashes, 1);
   EXPECT_GE(r.faults.recoveries, 1);
   EXPECT_GE(r.faults.iterations_recovered, 1);

@@ -2,14 +2,61 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <any>
+#include <cstddef>
+#include <memory>
+#include <vector>
 
+#include "net/network.hpp"
 #include "net/params.hpp"
+#include "sim/engine.hpp"
+#include "sim/mailbox.hpp"
+#include "sim/process.hpp"
 
 namespace {
 
 using dlb::net::EthernetParams;
 using dlb::net::measure_pattern;
+using dlb::net::Network;
 using dlb::net::Pattern;
+using dlb::sim::SimTime;
+
+constexpr int kTag = 7;
+
+/// One endpoint of the simulated all-to-all exchange: a pvm_send to every
+/// other endpoint in id order, full sender overhead each, then the P-1
+/// receives.
+dlb::sim::Process exchange(dlb::sim::Engine& engine, Network& network,
+                           dlb::sim::Mailbox& mailbox, int self, int procs, std::size_t bytes,
+                           SimTime* finished_at) {
+  for (int dst = 0; dst < procs; ++dst) {
+    if (dst == self) continue;
+    co_await network.send(self, dst, kTag, std::any{}, bytes);
+  }
+  for (int i = 0; i < procs - 1; ++i) (void)co_await network.receive(mailbox, kTag);
+  *finished_at = engine.now();
+}
+
+/// The all-to-all exchange simulated event by event on a fresh shared LAN:
+/// the oracle alltoall_analytic folds.  Returns the time at which the last
+/// endpoint has consumed its last message, in seconds.
+double simulated_alltoall(int procs, std::size_t bytes, const EthernetParams& params) {
+  dlb::sim::Engine engine;
+  Network network(engine, params);
+  std::vector<std::unique_ptr<dlb::sim::Mailbox>> mailboxes;
+  for (int i = 0; i < procs; ++i) {
+    mailboxes.push_back(std::make_unique<dlb::sim::Mailbox>(engine));
+    network.attach(i, *mailboxes.back());
+  }
+  std::vector<SimTime> finished(static_cast<std::size_t>(procs), 0);
+  for (int i = 0; i < procs; ++i) {
+    const auto slot = static_cast<std::size_t>(i);
+    engine.spawn(exchange(engine, network, *mailboxes[slot], i, procs, bytes, &finished[slot]));
+  }
+  engine.run();
+  return dlb::sim::to_seconds(*std::max_element(finished.begin(), finished.end()));
+}
 
 class PatternCost : public ::testing::TestWithParam<int> {};
 
@@ -78,12 +125,12 @@ TEST(PatternCost, Deterministic) {
 }
 
 TEST(PatternCost, AnalyticAllToAllMatchesSimulationExactly) {
-  // The closed form must be bit-equal to the simulated exchange for every
-  // size below the routing threshold — it is the same cost model, folded.
+  // The closed form must be bit-equal to the simulated exchange: it is the
+  // same cost model, folded.
   const EthernetParams params;
-  for (int procs = 2; procs <= dlb::net::kAnalyticAllToAllThreshold; ++procs) {
+  for (int procs = 2; procs <= 64; ++procs) {
     for (const std::size_t bytes : {std::size_t{64}, std::size_t{1500}, std::size_t{65536}}) {
-      const double simulated = measure_pattern(Pattern::kAllToAll, procs, bytes, params);
+      const double simulated = simulated_alltoall(procs, bytes, params);
       const double analytic = dlb::net::alltoall_analytic(procs, bytes, params);
       ASSERT_EQ(simulated, analytic) << "procs=" << procs << " bytes=" << bytes;
     }
@@ -100,7 +147,7 @@ TEST(PatternCost, AnalyticAllToAllMatchesUnderSkewedParams) {
   medium_bound.receiver_overhead = dlb::sim::from_micros(5.0);
   for (const auto& params : {sender_bound, medium_bound}) {
     for (const int procs : {2, 3, 5, 16, 33, 64}) {
-      const double simulated = measure_pattern(Pattern::kAllToAll, procs, 4096, params);
+      const double simulated = simulated_alltoall(procs, 4096, params);
       const double analytic = dlb::net::alltoall_analytic(procs, 4096, params);
       ASSERT_EQ(simulated, analytic) << "procs=" << procs;
     }
@@ -108,14 +155,14 @@ TEST(PatternCost, AnalyticAllToAllMatchesUnderSkewedParams) {
 }
 
 TEST(PatternCost, LargeAllToAllRoutesToClosedForm) {
-  // Above the threshold the call must stay cheap (no O(P^2) event storm)
-  // and continuous with the simulated regime at the boundary.
+  // measure_pattern prices every all-to-all with the closed form, so even
+  // P = 4096 stays O(P) arithmetic (no O(P^2) event storm).
   const EthernetParams params;
-  const double at_boundary = measure_pattern(Pattern::kAllToAll, 64, 64, params);
-  const double above = measure_pattern(Pattern::kAllToAll, 65, 64, params);
-  const double huge = measure_pattern(Pattern::kAllToAll, 4096, 64, params);
-  EXPECT_GT(above, at_boundary);
-  EXPECT_GT(huge, above);
+  for (const int procs : {2, 16, 64, 65, 512, 4096}) {
+    EXPECT_EQ(measure_pattern(Pattern::kAllToAll, procs, 64, params),
+              dlb::net::alltoall_analytic(procs, 64, params))
+        << "procs=" << procs;
+  }
 }
 
 }  // namespace

@@ -30,6 +30,7 @@ using dlb::svc::JobMix;
 using dlb::svc::mean_best_service_seconds;
 using dlb::svc::parse_arrival_spec;
 using dlb::svc::predicted_service_table;
+using dlb::svc::PredictionTable;
 using dlb::svc::run_service;
 using dlb::svc::ServiceBackend;
 using dlb::svc::ServiceParams;
@@ -343,6 +344,17 @@ TEST(Service, ValidatesParams) {
   ASSERT_TRUE(faulty.faults.armed());
   EXPECT_THROW((void)run_service(cluster_for(4), faulty, params_for(10, 0.5), costs()),
                std::invalid_argument);
+
+  // A shared prediction table must have the mix's classes and variants.
+  const auto table = predicted_service_table(cluster_for(4), DlbConfig{}, small_mix(), costs(), 2);
+  ServiceParams three_variants = params_for(10, 0.5);
+  three_variants.load_variants = 3;
+  EXPECT_THROW((void)run_service(cluster_for(4), DlbConfig{}, three_variants, table),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)run_service(cluster_for(4), DlbConfig{}, params_for(10, 0.5), PredictionTable{}),
+      std::invalid_argument);
+  EXPECT_NO_THROW((void)run_service(cluster_for(4), DlbConfig{}, params_for(10, 0.5), table));
 }
 
 TEST(Service, BuiltinMixesValidate) {

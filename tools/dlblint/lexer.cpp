@@ -110,7 +110,8 @@ std::vector<Token> lex(const std::string& src) {
     if (const std::size_t pre = raw_prefix_len(src, i); pre != 0) {
       std::size_t j = i + pre + 1;
       std::string delim;
-      while (j < n && src[j] != '(' && src[j] != '\n' && delim.size() <= 16) delim.push_back(src[j++]);
+      while (j < n && src[j] != '(' && src[j] != '\n' && delim.size() <= 16)
+        delim.push_back(src[j++]);
       if (j < n && src[j] == '(') {
         Token t{TokenKind::kString, "", line, i, 0};
         const std::string close = ")" + delim + "\"";
@@ -152,7 +153,8 @@ std::vector<Token> lex(const std::string& src) {
       Token t{TokenKind::kIdentifier, "", line, i, 0};
       while (i < n && ident_char(src[i])) t.text.push_back(src[i++]);
       // Encoding-prefixed string like u8"..." — re-lex the literal part.
-      if (i < n && src[i] == '"' && (t.text == "u8" || t.text == "u" || t.text == "U" || t.text == "L")) {
+      if (i < n && src[i] == '"' &&
+          (t.text == "u8" || t.text == "u" || t.text == "U" || t.text == "L")) {
         at_line_start = false;
         finish(t, i);
         continue;  // prefix token kept; quote handled next iteration
