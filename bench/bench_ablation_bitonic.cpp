@@ -26,7 +26,6 @@ dlb::core::AppDescriptor make_unfolded_loop2(int n) {
     return dlb::apps::trfd_loop2_unfolded_work(n, j + 1);
   };
   loop.bytes_per_iteration = static_cast<double>(N) * 8.0;
-  loop.uniform = false;
   dlb::core::AppDescriptor app;
   app.name = "TRFD-L2-unfolded";
   app.loops.push_back(std::move(loop));
@@ -59,7 +58,7 @@ int main(int argc, char** argv) {
 
     // Dedicated cluster: only the *algorithmic* (triangular) imbalance acts.
     auto dedicated = params;
-    dedicated.external_load = false;
+    dedicated.load.max_load = 0;
     const auto base_dedicated =
         bench::measure_scheme(dedicated, app, core::Strategy::kNoDlb, 1, args.seed0);
 

@@ -41,13 +41,11 @@ int main(int argc, char** argv) {
        {sched::QueueScheme::kSelfScheduling, sched::QueueScheme::kFixedChunk,
         sched::QueueScheme::kGuided, sched::QueueScheme::kFactoring,
         sched::QueueScheme::kTrapezoid}) {
-    sched::TaskQueueConfig config;
-    config.scheme = scheme;
     std::vector<double> times;
     double requests = 0.0;
     for (int s = 0; s < args.seeds; ++s) {
       params.seed = args.seed0 + static_cast<std::uint64_t>(s);
-      const auto r = sched::run_task_queue(params, app, config);
+      const auto r = sched::run_task_queue(params, app, scheme);
       times.push_back(r.exec_seconds);
       requests += r.loops[0].syncs;
     }
@@ -57,13 +55,11 @@ int main(int argc, char** argv) {
                    support::fmt_fixed(requests / args.seeds, 1)});
   }
   for (const auto policy : {sched::StealPolicy::kRandomHalf, sched::StealPolicy::kAffinity}) {
-    sched::WorkStealingConfig config;
-    config.policy = policy;
     std::vector<double> times;
     double steals = 0.0;
     for (int s = 0; s < args.seeds; ++s) {
       params.seed = args.seed0 + static_cast<std::uint64_t>(s);
-      const auto r = sched::run_work_stealing(params, app, config);
+      const auto r = sched::run_work_stealing(params, app, policy);
       times.push_back(r.exec_seconds);
       steals += r.loops[0].redistributions;
     }

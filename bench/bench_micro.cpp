@@ -146,7 +146,6 @@ void BM_FullMxmRun(benchmark::State& state) {
   cluster::ClusterParams params;
   params.procs = procs;
   params.base_ops_per_sec = 1e6;
-  params.external_load = true;
   core::DlbConfig config;
   config.strategy = core::Strategy::kGDDLB;
   std::uint64_t seed = 0;

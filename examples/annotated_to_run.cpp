@@ -68,8 +68,7 @@ int main(int argc, char** argv) {
     const auto app = codegen::compile_app(source, bindings);
     const auto& loop = app.loops[0];
     std::cout << "descriptor: " << loop.iterations << " iterations, "
-              << support::fmt_sig(loop.mean_ops(), 4) << " ops/iteration ("
-              << (loop.uniform ? "uniform" : "non-uniform") << "), "
+              << support::fmt_sig(loop.mean_ops(), 4) << " ops/iteration, "
               << support::fmt_sig(loop.bytes_per_iteration, 4) << " bytes moved/iteration\n\n";
 
     // MXM's calibration (apps/calibration.hpp) unless overridden.

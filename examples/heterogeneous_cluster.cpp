@@ -12,6 +12,7 @@
 #include "apps/calibration.hpp"
 #include "apps/mxm.hpp"
 #include "core/runtime.hpp"
+#include "load/load_function.hpp"
 #include "support/cli.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -31,7 +32,7 @@ int main(int argc, char** argv) {
   const auto app = apps::make_mxm({R, 400, 400});
 
   for (const bool with_load : {false, true}) {
-    params.external_load = with_load;
+    params.load.max_load = with_load ? load::LoadParams{}.max_load : 0;
     std::cout << (with_load ? "\nDedicated? No — multi-user external load (m_l=5):\n"
                             : "Dedicated heterogeneous cluster (speeds 2.0/2.0/1.0/0.5):\n")
               << "\n";

@@ -15,7 +15,6 @@ core::AppDescriptor make_mxm(const MxmParams& params) {
   loop.iterations = params.R;
   loop.work_ops = [work](std::int64_t) { return work; };
   loop.bytes_per_iteration = static_cast<double>(params.C) * 8.0;  // DC = C doubles
-  loop.uniform = true;
 
   core::AppDescriptor app;
   app.name = "MXM";

@@ -23,7 +23,6 @@ core::AppDescriptor make_uniform(std::int64_t iterations, double ops_per_iterati
   loop.iterations = iterations;
   loop.work_ops = [ops_per_iteration](std::int64_t) { return ops_per_iteration; };
   loop.bytes_per_iteration = bytes_per_iteration;
-  loop.uniform = true;
   return wrap("synthetic-uniform", std::move(loop));
 }
 
@@ -39,7 +38,6 @@ core::AppDescriptor make_triangular(std::int64_t iterations, double ops_max, dou
     return ops_max - (ops_max - ops_min) * t;
   };
   loop.bytes_per_iteration = bytes_per_iteration;
-  loop.uniform = false;
   return wrap("synthetic-triangular", std::move(loop));
 }
 
@@ -59,7 +57,6 @@ core::AppDescriptor make_sawtooth(std::int64_t iterations, double ops_a, double 
   loop.iterations = iterations;
   loop.work_ops = [=](std::int64_t j) { return (j % 2 == 0) ? ops_a : ops_b; };
   loop.bytes_per_iteration = bytes_per_iteration;
-  loop.uniform = false;
   return wrap("synthetic-sawtooth", std::move(loop));
 }
 

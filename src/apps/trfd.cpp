@@ -29,7 +29,6 @@ core::AppDescriptor make_trfd(const TrfdParams& params) {
   const double w1 = dn * dn * dn + 3.0 * dn * dn + dn;
   loop1.work_ops = [w1](std::int64_t) { return w1; };
   loop1.bytes_per_iteration = column_bytes;
-  loop1.uniform = true;
 
   // Loop 2 is triangular; the compiler folds it into a uniform loop by
   // bitonic scheduling [Cierniak/Li/Zaki 95]: folded iteration k combines
@@ -47,7 +46,6 @@ core::AppDescriptor make_trfd(const TrfdParams& params) {
   };
   // Each folded iteration owns two columns of the array.
   loop2.bytes_per_iteration = 2.0 * column_bytes;
-  loop2.uniform = true;  // bitonic folding equalizes pair sums
 
   core::SequentialPhase transpose;
   transpose.gather_bytes_per_iteration = column_bytes;

@@ -36,13 +36,11 @@ Cluster::Cluster(ClusterParams params)
     const double speed = station_speed(params_, i);
     load::LoadFunction lf = station_load(params_, root, i);
     stations_.push_back(std::make_unique<Workstation>(i, speed, params_.base_ops_per_sec,
-                                                      std::move(lf), engine_, network_,
-                                                      params_.cpu_quantum));
+                                                      std::move(lf), engine_, network_));
   }
 }
 
 load::LoadFunction station_load(const ClusterParams& params, const support::Rng& root, int i) {
-  if (!params.external_load) return load::constant_load(0, params.load.persistence);
   return load::LoadFunction(params.load, root.fork(static_cast<std::uint64_t>(i)));
 }
 

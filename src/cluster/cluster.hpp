@@ -24,15 +24,9 @@ struct ClusterParams {
   /// Relative speeds S_i; empty means homogeneous 1.0 (the paper's testbed
   /// was homogeneous SPARC LXs; heterogeneity is exercised in ablations).
   std::vector<double> speeds;
-  /// OS scheduling quantum: a computing coroutine releases the CPU at this
-  /// granularity so a collocated process (the centralized load balancer) is
-  /// delayed by at most one quantum, approximating Unix timesharing.
-  /// 0 disables preemption (compute holds the CPU to completion).
-  sim::SimTime cpu_quantum = sim::from_seconds(0.02);
-  /// External load model; `external_load = false` gives dedicated machines
-  /// (load level 0 everywhere).
+  /// External load model; max_load = 0 gives dedicated machines (load
+  /// level 0 everywhere).
   load::LoadParams load;
-  bool external_load = true;
   std::uint64_t seed = 42;
   net::EthernetParams network;
   /// Network topology.  kShared (default) is the paper's single broadcast
@@ -51,9 +45,9 @@ struct ClusterParams {
 
 /// Load function of station `i`: stream `i` forked from `root`, which must be
 /// support::Rng(params.seed) (paper §4.1: "each processor has an independent
-/// load function"), or load level 0 throughout when `external_load` is off.
-/// The cluster builds its stations from it, and the model rebuilds the same
-/// realization.  The caller seeds `root` once for all stations.
+/// load function").  The cluster builds its stations from it, and the model
+/// rebuilds the same realization.  The caller seeds `root` once for all
+/// stations.
 [[nodiscard]] load::LoadFunction station_load(const ClusterParams& params,
                                               const support::Rng& root, int i);
 

@@ -8,7 +8,7 @@ namespace dlb::cluster {
 
 Workstation::Workstation(int id, double speed, double base_ops_per_sec,
                          load::LoadFunction load_function, sim::Engine& engine,
-                         net::Network& network, sim::SimTime cpu_quantum)
+                         net::Network& network)
     : id_(id),
       speed_(speed),
       base_ops_per_sec_(base_ops_per_sec),
@@ -16,8 +16,7 @@ Workstation::Workstation(int id, double speed, double base_ops_per_sec,
       engine_(engine),
       network_(network),
       mailbox_(engine),
-      cpu_(engine, 1),
-      cpu_quantum_(cpu_quantum) {
+      cpu_(engine, 1) {
   if (speed <= 0.0) throw std::invalid_argument("Workstation: speed must be positive");
   if (base_ops_per_sec <= 0.0) throw std::invalid_argument("Workstation: rate must be positive");
   network_.attach(id, mailbox_);
@@ -31,7 +30,7 @@ sim::Task<void> Workstation::compute(double ops) {
     cpu_.release();
     co_return;
   }
-  sim::SimTime quantum_end = cpu_quantum_ > 0 ? engine_.now() + cpu_quantum_ : sim::kTimeInfinity;
+  sim::SimTime quantum_end = engine_.now() + kCpuQuantum;
   auto segment = load_.segment_at(engine_.now());
   double rate = base_ops_per_sec_ * speed_ / (1.0 + segment.level);
   double remaining = ops;
@@ -49,7 +48,7 @@ sim::Task<void> Workstation::compute(double ops) {
           co_return;
         }
       }
-      quantum_end = engine_.now() + cpu_quantum_;
+      quantum_end = engine_.now() + kCpuQuantum;
     }
     if (engine_.now() >= segment.end) {
       segment = load_.segment_at(engine_.now());

@@ -14,6 +14,11 @@
 
 namespace dlb::cluster {
 
+/// OS scheduling quantum: a computing coroutine releases the CPU at this
+/// granularity so a collocated process (the centralized load balancer) is
+/// delayed by at most one quantum, approximating Unix timesharing.
+inline constexpr sim::SimTime kCpuQuantum = sim::from_seconds(0.02);
+
 /// One simulated workstation: a CPU with bare speed S_i (relative to the base
 /// processor), an external load function l_i(t), and a network endpoint.
 /// The CPU's instantaneous effective rate is
@@ -29,8 +34,7 @@ namespace dlb::cluster {
 class Workstation {
  public:
   Workstation(int id, double speed, double base_ops_per_sec, load::LoadFunction load_function,
-              sim::Engine& engine, net::Network& network,
-              sim::SimTime cpu_quantum = sim::from_seconds(0.02));
+              sim::Engine& engine, net::Network& network);
   Workstation(const Workstation&) = delete;
   Workstation& operator=(const Workstation&) = delete;
 
@@ -103,7 +107,6 @@ class Workstation {
   net::Network& network_;
   sim::Mailbox mailbox_;
   sim::Resource cpu_;
-  sim::SimTime cpu_quantum_;
   double ops_executed_ = 0.0;
   sim::SimTime busy_time_ = 0;
   bool off_ = false;

@@ -26,7 +26,6 @@ core::AppDescriptor compile_app(const std::string& source, const Bindings& bindi
   core::LoopDescriptor loop;
   loop.name = "compiled-" + program.root.var;
   loop.iterations = static_cast<std::int64_t>(span);
-  loop.uniform = !work->depends_on_index();
   loop.work_ops = [work, bindings](std::int64_t index) {
     return work->evaluate(bindings, static_cast<double>(index));
   };

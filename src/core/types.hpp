@@ -48,9 +48,6 @@ struct LoopDescriptor {
   /// ring neighbour after every iteration; the model folds it into the
   /// per-iteration time T(W, IC), as the paper does.
   double intrinsic_bytes_per_iteration = 0.0;
-  /// True when every iteration costs the same (enables the closed-form
-  /// uniform recurrence, Eq. 1).
-  bool uniform = true;
 
   [[nodiscard]] double ops_of(std::int64_t iteration) const;
   /// Total operations in the index range [lo, hi).

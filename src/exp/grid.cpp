@@ -126,6 +126,9 @@ void ExperimentGrid::validate() const {
   if (topologies.empty()) throw std::invalid_argument("ExperimentGrid: no topologies");
   if (strategies.empty()) throw std::invalid_argument("ExperimentGrid: no strategies");
   if (max_loads.empty()) throw std::invalid_argument("ExperimentGrid: no load amplitudes");
+  for (const auto m : max_loads) {
+    if (m < 0) throw std::invalid_argument("ExperimentGrid: --max-load values must be >= 0");
+  }
   if (seeds <= 0) throw std::invalid_argument("ExperimentGrid: seeds must be positive");
   for (const auto p : procs) {
     if (p <= 0) throw std::invalid_argument("ExperimentGrid: procs must be positive");
@@ -148,18 +151,14 @@ void ExperimentGrid::validate() const {
     if (service.arrivals.empty()) {
       throw std::invalid_argument("ExperimentGrid: service mode needs an arrival axis");
     }
-    for (const auto& a : service.arrivals) a.validate();
     if (service.rhos.empty()) {
       throw std::invalid_argument("ExperimentGrid: service mode needs an offered-load axis");
     }
     for (const auto rho : service.rhos) {
-      if (!(rho > 0.0) || !(rho <= 1.25)) {
-        throw std::invalid_argument("ExperimentGrid: --rate values must be in (0, 1.25]");
-      }
+      svc::ServiceParams point = service.params;
+      point.rho = rho;
+      point.validate();
     }
-    if (service.jobs < 1) throw std::invalid_argument("ExperimentGrid: --jobs must be >= 1");
-    service.mix.validate();
-    service.hysteresis.validate();
     if (config.faults.armed()) {
       throw std::invalid_argument("ExperimentGrid: service mode does not support fault plans");
     }
@@ -215,7 +214,6 @@ CellSpec ExperimentGrid::cell(std::size_t index) const {
   c.params.base_ops_per_sec = spec.calibration.base_ops_per_sec;
   c.params.load.max_load = max_loads[c.load_i];
   c.params.load.persistence = sim::from_seconds(c.tl_seconds);
-  c.params.external_load = max_loads[c.load_i] > 0;
   c.params.seed = seed0 + c.seed_i;
 
   c.config = config;
@@ -223,14 +221,9 @@ CellSpec ExperimentGrid::cell(std::size_t index) const {
   c.loop_index = loop_index;
   if (spec.per_proc) c.app_override = spec.per_proc(c.params.procs);
   if (service.armed) {
-    svc::ServiceParams sp;
-    sp.jobs = service.jobs;
+    svc::ServiceParams sp = service.params;
     sp.rho = service.rhos[c.rho_i];
     sp.arrival = service.arrivals[c.arr_i];
-    sp.mix = service.mix;
-    sp.load_variants = service.load_variants;
-    sp.hysteresis = service.hysteresis;
-    sp.backend = service.backend;
     if (c.config.strategy == core::Strategy::kAuto) {
       sp.online = true;
     } else {
@@ -392,27 +385,28 @@ void apply_service_flags(ExperimentGrid& grid, const support::Cli& cli) {
   service.armed = true;
   service.arrivals.clear();
   for (const auto& spec : split_commas(cli.get("arrivals", "poisson,bursty"))) {
-    service.arrivals.push_back(svc::parse_arrival_spec(spec));
+    service.arrivals.push_back(svc::parse_arrival_kind(spec));
   }
   service.rhos.clear();
   for (const auto& rho : split_commas(cli.get("rate", "0.3,0.5,0.7,0.8,0.9,0.95"))) {
     service.rhos.push_back(strict_double(rho, "rate"));
   }
-  service.jobs = static_cast<std::uint64_t>(
+  auto& params = service.params;
+  params.jobs = static_cast<std::uint64_t>(
       int_flag(cli, "jobs", 1'000'000, 1, std::numeric_limits<long>::max()));
   const auto hysteresis = split_commas(cli.get("hysteresis", "0.05,3"));
   if (hysteresis.size() != 2) {
     throw std::invalid_argument("parse_grid: --hysteresis wants <margin>,<k>");
   }
-  service.hysteresis.margin = strict_double(hysteresis[0], "hysteresis");
-  service.hysteresis.k = strict_int(hysteresis[1], "hysteresis");
-  service.load_variants = static_cast<int>(int_flag(cli, "load-variants", 8));
-  service.mix = svc::JobMix::builtin(cli.get("mix", "default"));
+  params.hysteresis.margin = strict_double(hysteresis[0], "hysteresis");
+  params.hysteresis.k = strict_int(hysteresis[1], "hysteresis");
+  params.load_variants = static_cast<int>(int_flag(cli, "load-variants", 8));
+  params.mix = svc::JobMix::builtin(cli.get("mix", "default"));
   const auto backend = cli.get("service-backend", "model");
   if (backend == "model") {
-    service.backend = svc::ServiceBackend::kModel;
+    params.backend = svc::ServiceBackend::kModel;
   } else if (backend == "sim") {
-    service.backend = svc::ServiceBackend::kSim;
+    params.backend = svc::ServiceBackend::kSim;
   } else {
     throw std::invalid_argument("parse_grid: --service-backend must be model or sim");
   }
@@ -430,9 +424,9 @@ ExperimentGrid service_grid(const support::Cli& cli) {
   // Placeholder descriptor for validate(); service cells admit per-class
   // loops from the mix, not this app.
   AppSpec spec;
-  spec.name = "svc[" + grid.service.mix.name + "]";
+  spec.name = "svc[" + grid.service.params.mix.name + "]";
   spec.app = apps::make_uniform(64, 100e3, 64.0);
-  spec.calibration.tl_seconds = grid.service.mix.classes.front().tl_seconds;
+  spec.calibration.tl_seconds = grid.service.params.mix.classes.front().tl_seconds;
   grid.apps.push_back(std::move(spec));
   return grid;
 }

@@ -56,21 +56,19 @@ struct CellSpec {
   [[nodiscard]] std::uint64_t seed() const noexcept { return params.seed; }
 };
 
-/// Service-mode axes and knobs of a grid.  Disarmed (the default), the
+/// Service-mode axes and parameters of a grid.  Disarmed (the default), the
 /// arrival and offered-load axes have size 1 and divide out of the
 /// row-major decode, so every pre-service grid keeps its canonical cell
 /// indices — the fig5-8 byte-identity guarantee.
 struct ServiceGridConfig {
   bool armed = false;
   /// Arrival-shape axis (between topology and tl in the row-major order).
-  std::vector<svc::ArrivalSpec> arrivals{svc::ArrivalSpec{}};
+  std::vector<svc::ArrivalKind> arrivals{svc::ArrivalKind::kPoisson};
   /// Offered-load axis rho (inside arrivals, outside tl).
   std::vector<double> rhos{0.7};
-  std::uint64_t jobs = 1'000'000;
-  svc::JobMix mix = svc::JobMix::builtin("default");
-  int load_variants = 8;
-  decision::HysteresisConfig hysteresis;
-  svc::ServiceBackend backend = svc::ServiceBackend::kModel;
+  /// Template for every cell's service parameters; the axes override the
+  /// arrival shape, rho and the strategy (or online re-customization).
+  svc::ServiceParams params;
 };
 
 /// The cross product strategy x app x cluster size x load parameters x

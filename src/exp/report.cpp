@@ -84,7 +84,7 @@ std::vector<std::string> cell_row(const CellResult& c, const ReportOptions& opti
   }
   if (options.include_service) {
     const auto& sp = c.spec.service;
-    row.push_back(sp ? sp->arrival.label : "none");
+    row.push_back(sp ? svc::arrival_name(sp->arrival) : "none");
     row.push_back(fmt_exact(sp ? sp->rho : 0.0));
   }
   row.insert(row.end(), {
@@ -304,7 +304,7 @@ void write_summary(std::ostream& os, const SweepResult& sweep, int seeds, bool i
       csv_row.emplace_back(net::topology_name(spec.params.topology));
     }
     if (include_service) {
-      const std::string arrivals = spec.service ? spec.service->arrival.label : "none";
+      const std::string arrivals = spec.service ? svc::arrival_name(spec.service->arrival) : "none";
       const std::string rate = fmt_exact(spec.service ? spec.service->rho : 0.0);
       table_row.push_back(arrivals);
       table_row.push_back(rate);

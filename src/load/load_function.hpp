@@ -25,11 +25,6 @@ class LoadFunction {
  public:
   LoadFunction(LoadParams params, support::Rng rng);
 
-  /// Scripted load: the first blocks take the given levels, after which the
-  /// last level persists forever.  Used for tests and dedicated-machine
-  /// baselines where the load realization must be exact.
-  LoadFunction(LoadParams params, std::vector<int> scripted_levels);
-
   /// Load level during the block containing virtual time `t` (t >= 0).
   [[nodiscard]] int level_at(sim::SimTime t);
 
@@ -58,11 +53,6 @@ class LoadFunction {
   LoadParams params_;
   support::Rng rng_;
   std::vector<int> levels_;
-  bool scripted_ = false;
 };
-
-/// A constant load function (level fixed for all time) — the degenerate case
-/// used in tests and in "dedicated machine" baselines.
-[[nodiscard]] LoadFunction constant_load(int level, sim::SimTime persistence);
 
 }  // namespace dlb::load

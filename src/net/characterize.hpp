@@ -44,11 +44,9 @@ struct Characterization {
   double r2_all_to_all = 0.0;
 };
 
-/// Measures all three patterns for P = 2..max_procs with `bytes`-sized
-/// messages and fits degree-`degree` polynomials (degree 2 captures the
+/// Measures all three patterns for P = 2..max_procs with control-message
+/// (kControlMessageBytes) frames and fits quadratics (degree 2 captures the
 /// quadratic all-to-all while staying honest for the linear patterns).
-[[nodiscard]] Characterization characterize(const EthernetParams& params, int max_procs,
-                                            std::size_t bytes = kControlMessageBytes,
-                                            std::size_t degree = 2);
+[[nodiscard]] Characterization characterize(const EthernetParams& params, int max_procs);
 
 }  // namespace dlb::net

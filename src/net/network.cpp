@@ -134,7 +134,7 @@ sim::Task<void> Network::multicast(int src, std::span<const int> dsts, int tag,
     if (dst == src) continue;
     // pvm_mcast packs once: follow-up sends pay only a fraction of o_s.
     co_await send(src, dst, tag, payload, bytes,
-                  first ? 1.0 : params_.multicast_extra_fraction, droppable);
+                  first ? 1.0 : kMulticastExtraFraction, droppable);
     first = false;
   }
 }

@@ -26,10 +26,6 @@ struct EthernetParams {
   sim::SimTime medium_overhead = sim::from_micros(400.0);     // tau_m
   sim::SimTime propagation = sim::from_micros(14.5);          // prop
   double bandwidth_bytes_per_sec = 0.96e6;                    // B
-  /// Sender CPU per *additional* destination of a multicast, as a fraction
-  /// of o_s: pvm_mcast packs the buffer once, so follow-up sends skip the
-  /// packing and pay only the transmit syscall.
-  double multicast_extra_fraction = 0.4;
 
   /// End-to-end latency of a `bytes`-sized message on an idle network.
   [[nodiscard]] sim::SimTime message_latency(std::size_t bytes) const noexcept {
@@ -42,6 +38,11 @@ struct EthernetParams {
            sim::from_seconds(static_cast<double>(bytes) / bandwidth_bytes_per_sec);
   }
 };
+
+/// Sender CPU per *additional* destination of a multicast, as a fraction of
+/// o_s: pvm_mcast packs the buffer once, so follow-up sends skip the packing
+/// and pay only the transmit syscall.
+inline constexpr double kMulticastExtraFraction = 0.4;
 
 /// Wire size of a DLB profile / instruction message (a handful of scalars
 /// plus the PVM header).  Used consistently by protocols, characterization,

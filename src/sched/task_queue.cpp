@@ -76,7 +76,7 @@ sim::Process queue_slave(QueueState& q, int self) {
 }
 
 core::RunResult finish_result(QueueState& q, const core::AppDescriptor& app,
-                              const TaskQueueConfig& config) {
+                              QueueScheme scheme) {
   auto& cluster = *q.cluster;
   q.stats.executed_per_proc = q.executed;
   for (const auto t : q.finished_at) q.stats.finish_per_proc.push_back(sim::to_seconds(t));
@@ -88,7 +88,7 @@ core::RunResult finish_result(QueueState& q, const core::AppDescriptor& app,
 
   core::RunResult result;
   result.app_name = app.name;
-  result.strategy_name = queue_scheme_name(config.scheme);
+  result.strategy_name = queue_scheme_name(scheme);
   result.loops.push_back(std::move(q.stats));
   result.messages = cluster.network().messages_sent();
   result.bytes = cluster.network().bytes_sent();
@@ -98,7 +98,7 @@ core::RunResult finish_result(QueueState& q, const core::AppDescriptor& app,
 }  // namespace
 
 core::RunResult run_task_queue(const cluster::ClusterParams& params,
-                               const core::AppDescriptor& app, const TaskQueueConfig& config) {
+                               const core::AppDescriptor& app, QueueScheme scheme) {
   app.validate();
   if (app.loops.size() != 1) {
     throw std::invalid_argument("run_task_queue: single-loop applications only");
@@ -109,8 +109,7 @@ core::RunResult run_task_queue(const cluster::ClusterParams& params,
   QueueState q;
   q.loop = &loop;
   q.cluster = &cluster;
-  q.policy = make_chunk_policy(config.scheme, loop.iterations, cluster.size(),
-                               config.fixed_chunk);
+  q.policy = make_chunk_policy(scheme, loop.iterations, cluster.size());
   q.executed.assign(static_cast<std::size_t>(cluster.size()), 0);
   q.finished_at.assign(static_cast<std::size_t>(cluster.size()), 0);
   q.stats.loop_name = loop.name;
@@ -125,7 +124,7 @@ core::RunResult run_task_queue(const cluster::ClusterParams& params,
     throw std::logic_error("run_task_queue: iterations executed != scheduled");
   }
   q.stats.finish_seconds = sim::to_seconds(cluster.engine().now());
-  auto result = finish_result(q, app, config);
+  auto result = finish_result(q, app, scheme);
   result.exec_seconds = sim::to_seconds(cluster.engine().now());
   return result;
 }

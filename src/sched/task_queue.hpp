@@ -9,14 +9,9 @@
 
 namespace dlb::sched {
 
-/// Configuration of a central-task-queue run.
-struct TaskQueueConfig {
-  QueueScheme scheme = QueueScheme::kGuided;
-  std::int64_t fixed_chunk = 8;  // K for kFixedChunk
-};
-
-/// Runs a single-loop application under a central task queue on the
-/// simulated NOW: the queue lives on processor 0 (which also computes);
+/// Runs a single-loop application under a central task queue handing out
+/// chunks by `scheme` (kFixedChunk hands out make_chunk_policy's default K)
+/// on the simulated NOW: the queue lives on processor 0 (which also computes);
 /// slaves request chunks over the network, paying the full message costs the
 /// shared-memory formulations of these schemes get for free — exactly the
 /// mismatch the paper's receiver-initiated DLB is designed around.
@@ -25,6 +20,6 @@ struct TaskQueueConfig {
 /// (iterations_moved = chunk size), so syncs == number of queue requests.
 [[nodiscard]] core::RunResult run_task_queue(const cluster::ClusterParams& params,
                                              const core::AppDescriptor& app,
-                                             const TaskQueueConfig& config);
+                                             QueueScheme scheme);
 
 }  // namespace dlb::sched

@@ -16,6 +16,8 @@ namespace {
 
 constexpr int kTagStealRequest = 210;  // payload: requested share code
 constexpr int kTagStealReply = 211;    // payload: StealReply
+/// Root of the victim-choice streams; worker i draws from fork(i).
+constexpr std::uint64_t kStealSeed = 777;
 
 /// How much the victim should give up: half (Phish) or 1/P (affinity).
 enum class Share { kHalf, kOneOverP };
@@ -33,7 +35,7 @@ struct StealReply {
 struct StealState {
   const core::LoopDescriptor* loop = nullptr;
   cluster::Cluster* cluster = nullptr;
-  WorkStealingConfig config;
+  StealPolicy policy = StealPolicy::kRandomHalf;
   std::vector<core::IterationSet> owned;
   std::vector<std::int64_t> executed;
   std::vector<sim::SimTime> finished_at;
@@ -101,7 +103,7 @@ sim::Process steal_worker(StealState& st, int self) {
   auto& me = st.cluster->station(self);
   auto& mine = st.owned[static_cast<std::size_t>(self)];
   const int procs = st.cluster->size();
-  support::Rng rng = support::Rng(st.config.steal_seed).fork(static_cast<std::uint64_t>(self));
+  support::Rng rng = support::Rng(kStealSeed).fork(static_cast<std::uint64_t>(self));
 
   bool hunting = true;
   while (hunting) {
@@ -117,7 +119,7 @@ sim::Process steal_worker(StealState& st, int self) {
 
     // Out of work: one sweep of victims.
     bool got_work = false;
-    if (st.config.policy == StealPolicy::kRandomHalf) {
+    if (st.policy == StealPolicy::kRandomHalf) {
       // Random victim order; ask each for half until one delivers.
       std::vector<int> victims;
       for (int p = 0; p < procs; ++p) {
@@ -185,7 +187,7 @@ const char* steal_policy_name(StealPolicy p) noexcept {
 
 core::RunResult run_work_stealing(const cluster::ClusterParams& params,
                                   const core::AppDescriptor& app,
-                                  const WorkStealingConfig& config) {
+                                  StealPolicy policy) {
   app.validate();
   if (app.loops.size() != 1) {
     throw std::invalid_argument("run_work_stealing: single-loop applications only");
@@ -196,7 +198,7 @@ core::RunResult run_work_stealing(const cluster::ClusterParams& params,
   StealState st;
   st.loop = &loop;
   st.cluster = &cluster;
-  st.config = config;
+  st.policy = policy;
   for (int p = 0; p < cluster.size(); ++p) {
     st.owned.push_back(core::IterationSet::block_partition(loop.iterations, cluster.size(), p));
   }
@@ -230,7 +232,7 @@ core::RunResult run_work_stealing(const cluster::ClusterParams& params,
 
   core::RunResult result;
   result.app_name = app.name;
-  result.strategy_name = steal_policy_name(config.policy);
+  result.strategy_name = steal_policy_name(policy);
   result.exec_seconds = st.stats.finish_seconds;
   result.loops.push_back(std::move(st.stats));
   result.messages = cluster.network().messages_sent();

@@ -22,17 +22,12 @@ enum class StealPolicy { kRandomHalf, kAffinity };
 
 [[nodiscard]] const char* steal_policy_name(StealPolicy p) noexcept;
 
-struct WorkStealingConfig {
-  StealPolicy policy = StealPolicy::kRandomHalf;
-  /// A worker retires after one full sweep of victims yields no work.
-  /// (Retired workers keep answering steal requests with "nothing".)
-  std::uint64_t steal_seed = 777;
-};
-
-/// Runs a single-loop application under work stealing.  `events` records one
-/// SyncEvent per successful steal (iterations_moved = stolen count).
+/// Runs a single-loop application under work stealing by `policy`.  A
+/// worker retires after one full sweep of victims yields no work (retired
+/// workers keep answering steal requests with "nothing").  `events` records
+/// one SyncEvent per successful steal (iterations_moved = stolen count).
 [[nodiscard]] core::RunResult run_work_stealing(const cluster::ClusterParams& params,
                                                 const core::AppDescriptor& app,
-                                                const WorkStealingConfig& config);
+                                                StealPolicy policy);
 
 }  // namespace dlb::sched

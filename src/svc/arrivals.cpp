@@ -13,43 +13,32 @@ constexpr std::uint64_t kArrivalStream = 0x41525256ULL;  // "ARRV"
 constexpr std::uint64_t kClassStream = 0x434c5353ULL;    // "CLSS"
 constexpr std::uint64_t kVariantStream = 0x56524e54ULL;  // "VRNT"
 
+/// Bursty shape: the share of time ON, and the mean ON + OFF cycle length.
+constexpr double kBurstyOnFraction = 0.25;
+constexpr double kBurstyCycleSeconds = 40.0;
+
 }  // namespace
 
-void ArrivalSpec::validate() const {
-  if (!(on_fraction > 0.0) || !(on_fraction <= 1.0)) {
-    throw std::invalid_argument("ArrivalSpec: on_fraction must be in (0, 1]");
-  }
-  if (!(cycle_seconds > 0.0) || !std::isfinite(cycle_seconds)) {
-    throw std::invalid_argument("ArrivalSpec: cycle_seconds must be finite and > 0");
-  }
+const char* arrival_name(ArrivalKind kind) noexcept {
+  return kind == ArrivalKind::kPoisson ? "poisson" : "bursty";
 }
 
-ArrivalSpec parse_arrival_spec(const std::string& text) {
-  ArrivalSpec spec;
-  if (text == "poisson") {
-    spec.kind = ArrivalKind::kPoisson;
-    spec.label = "poisson";
-  } else if (text == "bursty") {
-    spec.kind = ArrivalKind::kBursty;
-    spec.label = "bursty";
-  } else {
-    throw std::invalid_argument("parse_arrival_spec: unknown arrival shape '" + text +
-                                "' (try poisson|bursty)");
-  }
-  spec.validate();
-  return spec;
+ArrivalKind parse_arrival_kind(const std::string& text) {
+  if (text == "poisson") return ArrivalKind::kPoisson;
+  if (text == "bursty") return ArrivalKind::kBursty;
+  throw std::invalid_argument("parse_arrival_kind: unknown arrival shape '" + text +
+                              "' (try poisson|bursty)");
 }
 
-ArrivalGenerator::ArrivalGenerator(ArrivalSpec spec, JobMix mix, double rate_per_sec,
+ArrivalGenerator::ArrivalGenerator(ArrivalKind kind, JobMix mix, double rate_per_sec,
                                    int load_variants, std::uint64_t seed)
-    : spec_(std::move(spec)),
+    : kind_(kind),
       mix_(std::move(mix)),
       rate_(rate_per_sec),
       load_variants_(load_variants),
       arrival_rng_(support::Rng(seed).fork(kArrivalStream)),
       class_rng_(support::Rng(seed).fork(kClassStream)),
       variant_rng_(support::Rng(seed).fork(kVariantStream)) {
-  spec_.validate();
   mix_.validate();
   if (!(rate_ > 0.0) || !std::isfinite(rate_)) {
     throw std::invalid_argument("ArrivalGenerator: rate must be finite and > 0");
@@ -66,14 +55,14 @@ double ArrivalGenerator::exp_draw(support::Rng& rng, double mean) {
 }
 
 double ArrivalGenerator::next_arrival_seconds() {
-  switch (spec_.kind) {
+  switch (kind_) {
     case ArrivalKind::kPoisson:
       clock_seconds_ += exp_draw(arrival_rng_, 1.0 / rate_);
       return clock_seconds_;
     case ArrivalKind::kBursty: {
-      const double mean_on = spec_.on_fraction * spec_.cycle_seconds;
-      const double mean_off = (1.0 - spec_.on_fraction) * spec_.cycle_seconds;
-      const double rate_on = rate_ / spec_.on_fraction;
+      constexpr double mean_on = kBurstyOnFraction * kBurstyCycleSeconds;
+      constexpr double mean_off = (1.0 - kBurstyOnFraction) * kBurstyCycleSeconds;
+      const double rate_on = rate_ / kBurstyOnFraction;
       if (!phase_initialized_) {
         phase_initialized_ = true;
         in_on_phase_ = true;
@@ -90,7 +79,7 @@ double ArrivalGenerator::next_arrival_seconds() {
           }
           clock_seconds_ = phase_end_seconds_;
           in_on_phase_ = false;
-          if (mean_off > 0.0) phase_end_seconds_ += exp_draw(arrival_rng_, mean_off);
+          phase_end_seconds_ += exp_draw(arrival_rng_, mean_off);
         } else {
           clock_seconds_ = phase_end_seconds_;
           in_on_phase_ = true;

@@ -9,27 +9,20 @@
 
 namespace dlb::svc {
 
+/// Shape of the offered traffic.  Bursty is an MMPP on/off stream: it
+/// alternates exponential ON phases (arrivals at rate lambda / on-fraction)
+/// and OFF phases (no arrivals).  Its long-run rate equals lambda, so bursty
+/// and Poisson cells at one rho offer the same load — only its variance
+/// differs.
 enum class ArrivalKind { kPoisson, kBursty };
 
-/// Shape of the offered traffic.  Parsed from the CLI spelling
-/// `poisson` | `bursty`; `label` keeps the canonical spelling for reports.
-struct ArrivalSpec {
-  ArrivalKind kind = ArrivalKind::kPoisson;
-  std::string label = "poisson";
-  /// Bursty (MMPP on/off) shape: the stream alternates exponential ON
-  /// phases (arrivals at rate lambda / on_fraction) and OFF phases (no
-  /// arrivals), with mean cycle length `cycle_seconds`.  The long-run rate
-  /// equals lambda, so bursty and Poisson cells at one rho offer the same
-  /// load — only its variance differs.
-  double on_fraction = 0.25;
-  double cycle_seconds = 40.0;
+/// Canonical spelling for the CLI and reports: "poisson" | "bursty".
+[[nodiscard]] const char* arrival_name(ArrivalKind kind) noexcept;
 
-  void validate() const;
-};
+/// Parses the CLI spelling `poisson` | `bursty`.
+[[nodiscard]] ArrivalKind parse_arrival_kind(const std::string& text);
 
-[[nodiscard]] ArrivalSpec parse_arrival_spec(const std::string& text);
-
-/// Deterministic virtual-time job stream: arrival instants from the spec at
+/// Deterministic virtual-time job stream: arrival instants of the shape at
 /// long-run rate `rate_per_sec`, job class from the mix, and a load-variant
 /// id selecting the salted load realization.  Arrival times, class draws and
 /// variant draws come from three independent streams forked from the
@@ -37,7 +30,7 @@ struct ArrivalSpec {
 /// (and vice versa).
 class ArrivalGenerator {
  public:
-  ArrivalGenerator(ArrivalSpec spec, JobMix mix, double rate_per_sec, int load_variants,
+  ArrivalGenerator(ArrivalKind kind, JobMix mix, double rate_per_sec, int load_variants,
                    std::uint64_t seed);
 
   /// Next job; arrival times are non-decreasing.
@@ -50,7 +43,7 @@ class ArrivalGenerator {
   [[nodiscard]] double next_arrival_seconds();
   [[nodiscard]] double exp_draw(support::Rng& rng, double mean);
 
-  ArrivalSpec spec_;
+  ArrivalKind kind_;
   JobMix mix_;
   double rate_ = 1.0;
   int load_variants_ = 1;

@@ -28,7 +28,6 @@ core::LoopDescriptor JobClass::loop() const {
   const double ops = ops_per_iteration;
   loop.work_ops = [ops](std::int64_t) { return ops; };
   loop.bytes_per_iteration = bytes_per_iteration;
-  loop.uniform = true;
   return loop;
 }
 

@@ -67,7 +67,6 @@ void ServiceParams::validate() const {
   if (!(rho > 0.0) || !(rho <= 1.25)) {
     throw std::invalid_argument("ServiceParams: rho must be in (0, 1.25]");
   }
-  arrival.validate();
   mix.validate();
   if (load_variants < 1) {
     throw std::invalid_argument("ServiceParams: load_variants must be >= 1");
@@ -106,7 +105,6 @@ PredictionTable predicted_service_table(const cluster::ClusterParams& cluster,
       cluster::ClusterParams pc = cluster;
       pc.load.max_load = cls.max_load;
       pc.load.persistence = sim::from_seconds(cls.tl_seconds);
-      pc.external_load = cls.max_load > 0;
       pc.seed = variant_seed(cluster.seed, v);
       model::PredictorInputs inputs;
       inputs.cluster = pc;
@@ -201,7 +199,6 @@ ServiceReport run_service(const cluster::ClusterParams& cluster,
     cluster::ClusterParams pc = cluster;
     pc.load.max_load = params.mix.classes.front().max_load;
     pc.load.persistence = sim::from_seconds(params.mix.classes.front().tl_seconds);
-    pc.external_load = pc.load.max_load > 0;
     live_cluster = std::make_unique<cluster::Cluster>(pc);
     class_loops.reserve(params.mix.classes.size());
     for (const auto& cls : params.mix.classes) class_loops.push_back(cls.loop());

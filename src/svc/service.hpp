@@ -34,7 +34,7 @@ struct ServiceParams {
   /// Offered load: arrival rate / best-strategy service rate.  Values > 1
   /// deliberately saturate the queue (capped at 1.25 to bound the horizon).
   double rho = 0.7;
-  ArrivalSpec arrival;
+  ArrivalKind arrival = ArrivalKind::kPoisson;
   JobMix mix = JobMix::builtin("default");
   /// Number of salted load realizations a job can draw; prediction space is
   /// classes x variants, so this bounds the Predictor evaluations per cell.

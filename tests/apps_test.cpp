@@ -22,7 +22,6 @@ TEST(Mxm, DescriptorMatchesPaperParameters) {
   EXPECT_DOUBLE_EQ(loop.ops_of(0), 800.0 * 400.0);  // W = C * R2
   EXPECT_DOUBLE_EQ(loop.ops_of(399), loop.ops_of(0));
   EXPECT_DOUBLE_EQ(loop.bytes_per_iteration, 800.0 * 8.0);  // DC = C doubles
-  EXPECT_TRUE(loop.uniform);
 }
 
 TEST(Mxm, RejectsBadDimensions) {
@@ -100,7 +99,6 @@ TEST(Synthetic, TriangularDecreases) {
   EXPECT_DOUBLE_EQ(app.loops[0].ops_of(0), 100.0);
   EXPECT_DOUBLE_EQ(app.loops[0].ops_of(10), 0.0);
   EXPECT_DOUBLE_EQ(app.loops[0].ops_of(5), 50.0);
-  EXPECT_FALSE(app.loops[0].uniform);
   EXPECT_THROW((void)make_triangular(5, 1.0, 2.0, 0.0), std::invalid_argument);
 }
 

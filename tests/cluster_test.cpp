@@ -22,7 +22,7 @@ ClusterParams dedicated(int procs, double base_rate = 1e6) {
   ClusterParams p;
   p.procs = procs;
   p.base_ops_per_sec = base_rate;
-  p.external_load = false;
+  p.load.max_load = 0;
   return p;
 }
 
@@ -54,9 +54,8 @@ TEST(Cluster, FasterStationFinishesSooner) {
 }
 
 TEST(Cluster, ExternalLoadSlowsCompute) {
-  // Scripted via constant max_load = 0 vs loaded run with forced seed.
+  // m_l = 0 vs a loaded run with forced seed.
   ClusterParams loaded = dedicated(1);
-  loaded.external_load = true;
   loaded.load.max_load = 5;
   loaded.seed = 11;
   Cluster lc(loaded);
@@ -76,7 +75,7 @@ TEST(Cluster, LoadedComputeMatchesHandIntegration) {
   // One processor, base 1 Mop/s, load blocks of 1 s.  Walk the generated
   // trace and integrate by hand, then compare with the simulated finish time.
   ClusterParams params = dedicated(1);
-  params.external_load = true;
+  params.load.max_load = 5;
   params.seed = 77;
   params.load.persistence = from_seconds(1.0);
   Cluster c(params);
@@ -128,7 +127,7 @@ TEST(Cluster, StationsExchangeMessages) {
 
 TEST(Cluster, IndependentLoadStreamsPerStation) {
   ClusterParams params = dedicated(4);
-  params.external_load = true;
+  params.load.max_load = 5;
   params.seed = 5;
   Cluster c(params);
   // Force generation of some blocks, then check the traces differ somewhere.

@@ -77,14 +77,12 @@ TEST(CompileApp, MatchesHandWrittenMxmDescriptor) {
   EXPECT_DOUBLE_EQ(c.ops_of(0), r.ops_of(0));
   EXPECT_DOUBLE_EQ(c.ops_of(399), r.ops_of(399));
   EXPECT_DOUBLE_EQ(c.bytes_per_iteration, r.bytes_per_iteration);
-  EXPECT_TRUE(c.uniform);
 }
 
 TEST(CompileApp, NonUniformWorkDetected) {
   const char* source =
       "#pragma dlb balance work(1000 - i)\nfor i = 0, 100 { body; }\n";
   const auto app = compile_app(source, {});
-  EXPECT_FALSE(app.loops[0].uniform);
   EXPECT_DOUBLE_EQ(app.loops[0].ops_of(0), 1000.0);
   EXPECT_DOUBLE_EQ(app.loops[0].ops_of(99), 901.0);
 }

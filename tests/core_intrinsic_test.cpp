@@ -17,7 +17,7 @@ dlb::cluster::ClusterParams params_for(int procs, bool load = false) {
   dlb::cluster::ClusterParams p;
   p.procs = procs;
   p.base_ops_per_sec = 1e6;
-  p.external_load = load;
+  if (!load) p.load.max_load = 0;  // dedicated machines
   return p;
 }
 

@@ -29,7 +29,7 @@ ClusterParams base_params(int procs, bool load = false, std::uint64_t seed = 42)
   ClusterParams p;
   p.procs = procs;
   p.base_ops_per_sec = 1e6;
-  p.external_load = load;
+  if (!load) p.load.max_load = 0;  // dedicated machines
   p.seed = seed;
   return p;
 }

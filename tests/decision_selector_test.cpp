@@ -28,7 +28,6 @@ ClusterParams params_for(int procs, std::uint64_t seed = 42) {
   ClusterParams p;
   p.procs = procs;
   p.base_ops_per_sec = 1e6;
-  p.external_load = true;
   p.seed = seed;
   return p;
 }

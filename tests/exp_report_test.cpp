@@ -152,6 +152,19 @@ TEST(ExpGrid, ListFlagsRejectTrailingJunk) {
   EXPECT_EQ(grid.tl_seconds, (std::vector<double>{2.0, 16.0}));
 }
 
+TEST(ExpGrid, NegativeMaxLoadIsRejected) {
+  // m_l < 0 is no load level; it used to run as dedicated machines under a
+  // -1 label.
+  const char* argv[] = {"prog", "--app=mxm", "--max-load=0,-1"};
+  const dlb::support::Cli cli(3, argv);
+  try {
+    (void)dlb::exp::parse_grid(cli);
+    ADD_FAILURE() << "accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--max-load"), std::string::npos) << e.what();
+  }
+}
+
 ExperimentGrid parse(std::vector<std::string> flags) {
   flags.insert(flags.begin(), "prog");
   std::vector<const char*> argv;
@@ -213,7 +226,7 @@ TEST(ExpGrid, PresetsAcceptTheFlagsTheyRead) {
        "--iters-per-proc=8", "--ops=1000", "--bytes=8"},
       {"--figure=service", "--arrivals=poisson", "--rate=0.9", "--strategies=gd,online",
        "--jobs=500", "--service-backend=sim", "--procs=4", "--hysteresis=0.1,2",
-       "--load-variants=2", "--mix=hetero"},
+       "--load-variants=2", "--mix=default"},
       {"--app=mxm,trfd,uniform", "--procs=4", "--strategies=all", "--tl=2", "--max-load=5",
        "--loop=0", "--R=40", "--C=40", "--R2=40", "--n=8", "--iters=10", "--ops=1",
        "--bytes=1"},

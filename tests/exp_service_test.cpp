@@ -47,7 +47,7 @@ ExperimentGrid small_service_grid(const std::string& extra = "") {
 TEST(ServiceGrid, PresetDefaults) {
   const ExperimentGrid grid = grid_from({"--figure=service"});
   EXPECT_TRUE(grid.service.armed);
-  EXPECT_EQ(grid.service.jobs, 1'000'000u);
+  EXPECT_EQ(grid.service.params.jobs, 1'000'000u);
   EXPECT_EQ(grid.service.arrivals.size(), 2u);  // poisson, bursty
   EXPECT_EQ(grid.service.rhos.size(), 6u);
   EXPECT_EQ(grid.strategies.size(), 5u);  // gc,gd,lc,ld,online
@@ -59,10 +59,10 @@ TEST(ServiceGrid, PresetDefaults) {
 
 TEST(ServiceGrid, FlagFamilyRefinesThePreset) {
   const ExperimentGrid grid = small_service_grid("--hysteresis=0.1,5");
-  EXPECT_EQ(grid.service.jobs, 400u);
-  EXPECT_DOUBLE_EQ(grid.service.hysteresis.margin, 0.1);
-  EXPECT_EQ(grid.service.hysteresis.k, 5);
-  EXPECT_EQ(grid.service.load_variants, 2);
+  EXPECT_EQ(grid.service.params.jobs, 400u);
+  EXPECT_DOUBLE_EQ(grid.service.params.hysteresis.margin, 0.1);
+  EXPECT_EQ(grid.service.params.hysteresis.k, 5);
+  EXPECT_EQ(grid.service.params.load_variants, 2);
   ASSERT_EQ(grid.service.rhos.size(), 2u);
   EXPECT_DOUBLE_EQ(grid.service.rhos[0], 0.5);
   EXPECT_DOUBLE_EQ(grid.service.rhos[1], 0.9);
@@ -120,6 +120,12 @@ TEST(ServiceGrid, UnknownArrivalAndBackendThrow) {
                std::invalid_argument);
   EXPECT_THROW((void)grid_from({"--figure=service", "--rate=0"}), std::invalid_argument);
   EXPECT_THROW((void)grid_from({"--figure=service", "--rate=1.5"}), std::invalid_argument);
+  // Settings a service set-up would reject fail at parse time, before any
+  // cell runs.
+  EXPECT_THROW((void)grid_from({"--figure=service", "--load-variants=0"}),
+               std::invalid_argument);
+  EXPECT_THROW((void)grid_from({"--figure=service", "--mix=hetero", "--service-backend=sim"}),
+               std::invalid_argument);
 }
 
 TEST(ServiceGrid, CellDecodePutsArrivalsOutsideRho) {
@@ -131,7 +137,7 @@ TEST(ServiceGrid, CellDecodePutsArrivalsOutsideRho) {
   for (std::size_t i = 0; i < 4; ++i) {
     const auto cell = grid.cell(i);
     ASSERT_TRUE(cell.service.has_value());
-    EXPECT_EQ(cell.service->arrival.label, want_arrival[i]) << i;
+    EXPECT_STREQ(dlb::svc::arrival_name(cell.service->arrival), want_arrival[i]) << i;
     EXPECT_DOUBLE_EQ(cell.service->rho, want_rho[i]) << i;
     EXPECT_FALSE(cell.service->online);  // gd is a fixed strategy
   }

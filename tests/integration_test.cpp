@@ -26,7 +26,6 @@ ClusterParams params_for(int procs, std::uint64_t seed = 42) {
   ClusterParams p;
   p.procs = procs;
   p.base_ops_per_sec = 1e6;
-  p.external_load = true;
   p.seed = seed;
   return p;
 }
@@ -72,7 +71,7 @@ TEST(Integration, LcdlbDelayFactorPenalizesSimultaneousGroups) {
   // g(j).  The replicated balancers of LDDLB have no queue at all.
   const auto app = dlb::apps::make_uniform(128, 40e3, 64.0);
   auto params = params_for(16, 9);
-  params.external_load = false;
+  params.load.max_load = 0;
   dlb::model::PredictorInputs in;
   in.cluster = params;
   in.loop = &app.loops[0];
@@ -87,7 +86,7 @@ TEST(Integration, LcdlbDelayFactorPenalizesSimultaneousGroups) {
 TEST(Integration, LcdlbDelayMeasurableInSimulator) {
   const auto app = dlb::apps::make_uniform(128, 40e3, 64.0);
   auto params = params_for(16, 9);
-  params.external_load = false;
+  params.load.max_load = 0;
   DlbConfig lc;
   lc.strategy = Strategy::kLCDLB;
   lc.group_size = 2;

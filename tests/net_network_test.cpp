@@ -95,7 +95,7 @@ TEST(Network, MulticastSkipsSelfAndPacksOnce) {
   // fraction (pack once, send many).
   const auto expected =
       p.sender_overhead + static_cast<SimTime>(static_cast<double>(p.sender_overhead) *
-                                               p.multicast_extra_fraction);
+                                               dlb::net::kMulticastExtraFraction);
   EXPECT_EQ(done, expected);
   EXPECT_EQ(f.network.messages_sent(), 2u);
   EXPECT_TRUE(f.box1.has_message(3));

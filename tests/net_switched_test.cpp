@@ -173,7 +173,6 @@ ClusterParams switched_params(int procs, int rack_size, int shards) {
   ClusterParams p;
   p.procs = procs;
   p.base_ops_per_sec = 1e6;
-  p.external_load = true;
   p.seed = 7;
   p.topology = TopologyKind::kSwitched;
   p.switched.rack_size = rack_size;

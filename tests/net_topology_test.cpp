@@ -127,7 +127,6 @@ dlb::cluster::ClusterParams two_racks_of_four() {
   dlb::cluster::ClusterParams params;
   params.procs = 8;
   params.base_ops_per_sec = 1e6;
-  params.external_load = true;
   params.topology = TopologyKind::kSwitched;
   params.switched.rack_size = 4;
   return params;

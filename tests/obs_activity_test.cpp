@@ -173,7 +173,6 @@ dlb::cluster::ClusterParams params_for(int procs) {
   dlb::cluster::ClusterParams p;
   p.procs = procs;
   p.base_ops_per_sec = 1e6;
-  p.external_load = true;
   return p;
 }
 
@@ -218,7 +217,7 @@ TEST(TraceIntegration, ComputeTimeConsistentWithWork) {
   // Dedicated homogeneous cluster: total traced compute time equals
   // iterations x ops / rate.
   auto params = params_for(4);
-  params.external_load = false;
+  params.load.max_load = 0;
   const auto app = dlb::apps::make_uniform(32, 20e3, 0.0);
   dlb::core::DlbConfig config;
   config.strategy = dlb::core::Strategy::kNoDlb;

@@ -58,7 +58,6 @@ TEST_P(RuntimeInvariants, HoldOnRandomizedConfigurations) {
   ClusterParams params;
   params.procs = procs;
   params.base_ops_per_sec = 1e6;
-  params.external_load = true;
   params.load.persistence = dlb::sim::from_seconds(0.25 + 0.25 * static_cast<double>(seed % 4));
   params.seed = seed;
 

@@ -9,13 +9,12 @@ namespace {
 
 using dlb::sched::run_work_stealing;
 using dlb::sched::StealPolicy;
-using dlb::sched::WorkStealingConfig;
 
 dlb::cluster::ClusterParams params_for(int procs, bool load = false, std::uint64_t seed = 42) {
   dlb::cluster::ClusterParams p;
   p.procs = procs;
   p.base_ops_per_sec = 1e6;
-  p.external_load = load;
+  if (!load) p.load.max_load = 0;  // dedicated machines
   p.seed = seed;
   return p;
 }
@@ -30,18 +29,14 @@ class WorkStealingPolicies : public ::testing::TestWithParam<StealPolicy> {};
 
 TEST_P(WorkStealingPolicies, CompletesAndConservesIterationsDedicated) {
   const auto app = dlb::apps::make_uniform(64, 20e3, 64.0);
-  WorkStealingConfig config;
-  config.policy = GetParam();
-  const auto r = run_work_stealing(params_for(4), app, config);
+  const auto r = run_work_stealing(params_for(4), app, GetParam());
   EXPECT_EQ(executed_total(r), 64);
   EXPECT_GT(r.exec_seconds, 0.0);
 }
 
 TEST_P(WorkStealingPolicies, CompletesUnderExternalLoad) {
   const auto app = dlb::apps::make_uniform(96, 40e3, 64.0);
-  WorkStealingConfig config;
-  config.policy = GetParam();
-  const auto r = run_work_stealing(params_for(8, /*load=*/true), app, config);
+  const auto r = run_work_stealing(params_for(8, /*load=*/true), app, GetParam());
   EXPECT_EQ(executed_total(r), 96);
 }
 
@@ -49,9 +44,7 @@ TEST_P(WorkStealingPolicies, StealsFromSlowProcessor) {
   auto params = params_for(4);
   params.speeds = {0.1, 1.0, 1.0, 1.0};
   const auto app = dlb::apps::make_uniform(80, 40e3, 64.0);
-  WorkStealingConfig config;
-  config.policy = GetParam();
-  const auto r = run_work_stealing(params, app, config);
+  const auto r = run_work_stealing(params, app, GetParam());
   EXPECT_GT(r.loops[0].redistributions, 0);
   const auto& executed = r.loops[0].executed_per_proc;
   EXPECT_LT(executed[0], executed[1]);
@@ -59,19 +52,15 @@ TEST_P(WorkStealingPolicies, StealsFromSlowProcessor) {
 
 TEST_P(WorkStealingPolicies, SingleProcessorNoStealing) {
   const auto app = dlb::apps::make_uniform(10, 10e3, 0.0);
-  WorkStealingConfig config;
-  config.policy = GetParam();
-  const auto r = run_work_stealing(params_for(1), app, config);
+  const auto r = run_work_stealing(params_for(1), app, GetParam());
   EXPECT_EQ(executed_total(r), 10);
   EXPECT_EQ(r.loops[0].syncs, 0);
 }
 
 TEST_P(WorkStealingPolicies, Deterministic) {
   const auto app = dlb::apps::make_uniform(64, 30e3, 64.0);
-  WorkStealingConfig config;
-  config.policy = GetParam();
-  const auto a = run_work_stealing(params_for(4, true, 9), app, config);
-  const auto b = run_work_stealing(params_for(4, true, 9), app, config);
+  const auto a = run_work_stealing(params_for(4, true, 9), app, GetParam());
+  const auto b = run_work_stealing(params_for(4, true, 9), app, GetParam());
   EXPECT_DOUBLE_EQ(a.exec_seconds, b.exec_seconds);
   EXPECT_EQ(a.loops[0].iterations_moved, b.loops[0].iterations_moved);
 }
@@ -86,8 +75,7 @@ TEST(WorkStealing, BeatsStaticOnSkewedSpeeds) {
   auto params = params_for(4);
   params.speeds = {0.2, 1.0, 1.0, 1.0};
   const auto app = dlb::apps::make_uniform(80, 50e3, 16.0);
-  WorkStealingConfig config;
-  const auto r = run_work_stealing(params, app, config);
+  const auto r = run_work_stealing(params, app, StealPolicy::kRandomHalf);
   // Static makespan: proc 0 holds 20 iterations at 0.2 speed: 20*0.05/0.2 = 5 s.
   EXPECT_LT(r.exec_seconds, 5.0);
 }
@@ -95,7 +83,7 @@ TEST(WorkStealing, BeatsStaticOnSkewedSpeeds) {
 TEST(WorkStealing, RejectsMultiLoopApps) {
   auto app = dlb::apps::make_uniform(8, 1e3, 0.0);
   app.loops.push_back(app.loops[0]);
-  EXPECT_THROW((void)run_work_stealing(params_for(2), app, WorkStealingConfig{}),
+  EXPECT_THROW((void)run_work_stealing(params_for(2), app, StealPolicy::kRandomHalf),
                std::invalid_argument);
 }
 
@@ -105,9 +93,7 @@ TEST(WorkStealing, AffinityTargetsMostLoaded) {
   auto params = params_for(4);
   params.speeds = {1.0, 1.0, 1.0, 0.05};
   const auto app = dlb::apps::make_uniform(64, 40e3, 64.0);
-  WorkStealingConfig config;
-  config.policy = StealPolicy::kAffinity;
-  const auto r = run_work_stealing(params, app, config);
+  const auto r = run_work_stealing(params, app, StealPolicy::kAffinity);
   const auto& executed = r.loops[0].executed_per_proc;
   EXPECT_LT(executed[3], 16);  // lost most of its initial 16 iterations
 }

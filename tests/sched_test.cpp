@@ -12,7 +12,6 @@ namespace {
 using dlb::sched::make_chunk_policy;
 using dlb::sched::QueueScheme;
 using dlb::sched::run_task_queue;
-using dlb::sched::TaskQueueConfig;
 
 /// Drains a policy over `total` iterations and returns the chunk sequence.
 std::vector<std::int64_t> drain(QueueScheme scheme, std::int64_t total, int procs,
@@ -95,7 +94,7 @@ dlb::cluster::ClusterParams params_for(int procs, bool load = false) {
   dlb::cluster::ClusterParams p;
   p.procs = procs;
   p.base_ops_per_sec = 1e6;
-  p.external_load = load;
+  if (!load) p.load.max_load = 0;  // dedicated machines
   return p;
 }
 
@@ -103,9 +102,7 @@ class TaskQueueAllSchemes : public ::testing::TestWithParam<QueueScheme> {};
 
 TEST_P(TaskQueueAllSchemes, CompletesAndConservesIterations) {
   const auto app = dlb::apps::make_uniform(64, 20e3, 0.0);
-  TaskQueueConfig config;
-  config.scheme = GetParam();
-  const auto r = run_task_queue(params_for(4), app, config);
+  const auto r = run_task_queue(params_for(4), app, GetParam());
   std::int64_t total = 0;
   for (const auto n : r.loops[0].executed_per_proc) total += n;
   EXPECT_EQ(total, 64);
@@ -115,9 +112,7 @@ TEST_P(TaskQueueAllSchemes, CompletesAndConservesIterations) {
 
 TEST_P(TaskQueueAllSchemes, CompletesUnderLoad) {
   const auto app = dlb::apps::make_uniform(64, 50e3, 0.0);
-  TaskQueueConfig config;
-  config.scheme = GetParam();
-  const auto r = run_task_queue(params_for(4, /*load=*/true), app, config);
+  const auto r = run_task_queue(params_for(4, /*load=*/true), app, GetParam());
   std::int64_t total = 0;
   for (const auto n : r.loops[0].executed_per_proc) total += n;
   EXPECT_EQ(total, 64);
@@ -133,12 +128,8 @@ INSTANTIATE_TEST_SUITE_P(Schemes, TaskQueueAllSchemes,
 
 TEST(TaskQueue, SelfSchedulingHasMostRequests) {
   const auto app = dlb::apps::make_uniform(64, 20e3, 0.0);
-  TaskQueueConfig ss;
-  ss.scheme = QueueScheme::kSelfScheduling;
-  TaskQueueConfig gss;
-  gss.scheme = QueueScheme::kGuided;
-  const auto r_ss = run_task_queue(params_for(4), app, ss);
-  const auto r_gss = run_task_queue(params_for(4), app, gss);
+  const auto r_ss = run_task_queue(params_for(4), app, QueueScheme::kSelfScheduling);
+  const auto r_gss = run_task_queue(params_for(4), app, QueueScheme::kGuided);
   EXPECT_GT(r_ss.loops[0].syncs, r_gss.loops[0].syncs);
   EXPECT_EQ(r_ss.loops[0].syncs, 64);  // one request per iteration
 }
@@ -147,27 +138,22 @@ TEST(TaskQueue, GuidedBeatsSelfSchedulingWhenMessagesAreExpensive) {
   // Small iterations relative to the 2.4 ms message latency: per-iteration
   // queue traffic dominates self-scheduling (the §2.2 critique).
   const auto app = dlb::apps::make_uniform(128, 5e3, 0.0);
-  TaskQueueConfig ss;
-  ss.scheme = QueueScheme::kSelfScheduling;
-  TaskQueueConfig gss;
-  gss.scheme = QueueScheme::kGuided;
-  const auto r_ss = run_task_queue(params_for(4), app, ss);
-  const auto r_gss = run_task_queue(params_for(4), app, gss);
+  const auto r_ss = run_task_queue(params_for(4), app, QueueScheme::kSelfScheduling);
+  const auto r_gss = run_task_queue(params_for(4), app, QueueScheme::kGuided);
   EXPECT_LT(r_gss.exec_seconds, r_ss.exec_seconds);
 }
 
 TEST(TaskQueue, RejectsMultiLoopApps) {
   auto app = dlb::apps::make_uniform(8, 1e3, 0.0);
   app.loops.push_back(app.loops[0]);
-  EXPECT_THROW((void)run_task_queue(params_for(2), app, TaskQueueConfig{}),
+  EXPECT_THROW((void)run_task_queue(params_for(2), app, QueueScheme::kGuided),
                std::invalid_argument);
 }
 
 TEST(TaskQueue, Deterministic) {
   const auto app = dlb::apps::make_uniform(64, 20e3, 0.0);
-  TaskQueueConfig config;
-  const auto a = run_task_queue(params_for(4, true), app, config);
-  const auto b = run_task_queue(params_for(4, true), app, config);
+  const auto a = run_task_queue(params_for(4, true), app, QueueScheme::kGuided);
+  const auto b = run_task_queue(params_for(4, true), app, QueueScheme::kGuided);
   EXPECT_DOUBLE_EQ(a.exec_seconds, b.exec_seconds);
 }
 

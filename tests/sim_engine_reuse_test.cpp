@@ -21,7 +21,7 @@ ClusterParams small_params() {
   ClusterParams p;
   p.procs = 2;
   p.base_ops_per_sec = 1e6;
-  p.external_load = false;
+  p.load.max_load = 0;
   return p;
 }
 

@@ -1,5 +1,5 @@
 // Arrival generators: the job stream must be a pure function of
-// (spec, mix, rate, seed), arrival times non-decreasing, long-run rates
+// (shape, mix, rate, seed), arrival times non-decreasing, long-run rates
 // matching the requested lambda, and the class/variant streams independent
 // of the arrival shape.
 #include "svc/arrivals.hpp"
@@ -17,10 +17,10 @@ namespace {
 
 using dlb::svc::ArrivalGenerator;
 using dlb::svc::ArrivalKind;
-using dlb::svc::ArrivalSpec;
 using dlb::svc::Job;
 using dlb::svc::JobMix;
-using dlb::svc::parse_arrival_spec;
+using dlb::svc::arrival_name;
+using dlb::svc::parse_arrival_kind;
 
 std::vector<Job> draw(ArrivalGenerator& gen, int n) {
   std::vector<Job> jobs;
@@ -30,14 +30,14 @@ std::vector<Job> draw(ArrivalGenerator& gen, int n) {
 }
 
 TEST(ParseArrivalSpec, RecognizesPoissonAndBursty) {
-  EXPECT_EQ(parse_arrival_spec("poisson").kind, ArrivalKind::kPoisson);
-  EXPECT_EQ(parse_arrival_spec("poisson").label, "poisson");
-  EXPECT_EQ(parse_arrival_spec("bursty").kind, ArrivalKind::kBursty);
-  EXPECT_EQ(parse_arrival_spec("bursty").label, "bursty");
-  EXPECT_THROW((void)parse_arrival_spec("uniform"), std::invalid_argument);
+  EXPECT_EQ(parse_arrival_kind("poisson"), ArrivalKind::kPoisson);
+  EXPECT_STREQ(arrival_name(ArrivalKind::kPoisson), "poisson");
+  EXPECT_EQ(parse_arrival_kind("bursty"), ArrivalKind::kBursty);
+  EXPECT_STREQ(arrival_name(ArrivalKind::kBursty), "bursty");
+  EXPECT_THROW((void)parse_arrival_kind("uniform"), std::invalid_argument);
   // Anything else fails with an error naming the accepted shapes.
   try {
-    (void)parse_arrival_spec("trace:x");
+    (void)parse_arrival_kind("trace:x");
     ADD_FAILURE() << "trace:x parsed";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("poisson|bursty"), std::string::npos) << e.what();
@@ -45,11 +45,11 @@ TEST(ParseArrivalSpec, RecognizesPoissonAndBursty) {
 }
 
 TEST(Arrivals, PoissonIsDeterministicPerSeedAndSaltedAcrossSeeds) {
-  const ArrivalSpec spec;
+  const ArrivalKind kind = ArrivalKind::kPoisson;
   const JobMix mix = JobMix::builtin("default");
-  ArrivalGenerator a(spec, mix, 2.0, 8, 42);
-  ArrivalGenerator b(spec, mix, 2.0, 8, 42);
-  ArrivalGenerator c(spec, mix, 2.0, 8, 43);
+  ArrivalGenerator a(kind, mix, 2.0, 8, 42);
+  ArrivalGenerator b(kind, mix, 2.0, 8, 42);
+  ArrivalGenerator c(kind, mix, 2.0, 8, 43);
   const auto ja = draw(a, 500);
   const auto jb = draw(b, 500);
   const auto jc = draw(c, 500);
@@ -67,7 +67,7 @@ TEST(Arrivals, PoissonIsDeterministicPerSeedAndSaltedAcrossSeeds) {
 TEST(Arrivals, LongRunRateMatchesLambda) {
   const JobMix mix = JobMix::builtin("default");
   for (const char* shape : {"poisson", "bursty"}) {
-    ArrivalGenerator gen(parse_arrival_spec(shape), mix, 4.0, 4, 9001);
+    ArrivalGenerator gen(parse_arrival_kind(shape), mix, 4.0, 4, 9001);
     const auto jobs = draw(gen, 20000);
     double prev = 0.0;
     for (const Job& j : jobs) {
@@ -80,10 +80,10 @@ TEST(Arrivals, LongRunRateMatchesLambda) {
 }
 
 TEST(Arrivals, BurstyClumpsArrivalsIntoOnPhases) {
-  // At on_fraction 0.25 the ON-phase rate is 4x the long-run rate, so the
+  // At an ON fraction of 0.25 the ON-phase rate is 4x the long-run rate, so the
   // median inter-arrival gap is far below the Poisson mean 1/lambda.
   const JobMix mix = JobMix::builtin("default");
-  ArrivalGenerator gen(parse_arrival_spec("bursty"), mix, 1.0, 4, 11);
+  ArrivalGenerator gen(parse_arrival_kind("bursty"), mix, 1.0, 4, 11);
   const auto jobs = draw(gen, 4000);
   std::vector<double> gaps;
   for (std::size_t i = 1; i < jobs.size(); ++i) {
@@ -97,8 +97,8 @@ TEST(Arrivals, ClassAndVariantStreamsAreIndependentOfTheShape) {
   // Swapping poisson for bursty must not perturb the class or variant draws:
   // the three streams are forked independently from the seed-salted root.
   const JobMix mix = JobMix::builtin("default");
-  ArrivalGenerator poisson(parse_arrival_spec("poisson"), mix, 2.0, 8, 123);
-  ArrivalGenerator bursty(parse_arrival_spec("bursty"), mix, 2.0, 8, 123);
+  ArrivalGenerator poisson(parse_arrival_kind("poisson"), mix, 2.0, 8, 123);
+  ArrivalGenerator bursty(parse_arrival_kind("bursty"), mix, 2.0, 8, 123);
   const auto jp = draw(poisson, 1000);
   const auto jb = draw(bursty, 1000);
   for (std::size_t i = 0; i < jp.size(); ++i) {
@@ -109,9 +109,9 @@ TEST(Arrivals, ClassAndVariantStreamsAreIndependentOfTheShape) {
 
 TEST(Arrivals, ValidatesRateAndVariants) {
   const JobMix mix = JobMix::builtin("default");
-  EXPECT_THROW(ArrivalGenerator(ArrivalSpec{}, mix, 0.0, 8, 1), std::invalid_argument);
-  EXPECT_THROW(ArrivalGenerator(ArrivalSpec{}, mix, -1.0, 8, 1), std::invalid_argument);
-  EXPECT_THROW(ArrivalGenerator(ArrivalSpec{}, mix, 1.0, 0, 1), std::invalid_argument);
+  EXPECT_THROW(ArrivalGenerator(ArrivalKind::kPoisson, mix, 0.0, 8, 1), std::invalid_argument);
+  EXPECT_THROW(ArrivalGenerator(ArrivalKind::kPoisson, mix, -1.0, 8, 1), std::invalid_argument);
+  EXPECT_THROW(ArrivalGenerator(ArrivalKind::kPoisson, mix, 1.0, 0, 1), std::invalid_argument);
 }
 
 }  // namespace

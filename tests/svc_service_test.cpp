@@ -25,10 +25,10 @@ using dlb::core::DlbConfig;
 using dlb::core::ranked_strategy;
 using dlb::core::Strategy;
 using dlb::net::CollectiveCosts;
+using dlb::svc::ArrivalKind;
 using dlb::svc::JobClass;
 using dlb::svc::JobMix;
 using dlb::svc::mean_best_service_seconds;
-using dlb::svc::parse_arrival_spec;
 using dlb::svc::predicted_service_table;
 using dlb::svc::PredictionTable;
 using dlb::svc::run_service;
@@ -47,7 +47,6 @@ ClusterParams cluster_for(int procs, std::uint64_t seed = 42) {
   ClusterParams p;
   p.procs = procs;
   p.base_ops_per_sec = 1e6;
-  p.external_load = true;
   p.seed = seed;
   return p;
 }
@@ -175,7 +174,7 @@ TEST(Service, MeanSojournIsMonotoneInRho) {
 
 TEST(Service, ReportIsBitDeterministic) {
   ServiceParams p = params_for(2000, 0.8);
-  p.arrival = parse_arrival_spec("bursty");
+  p.arrival = ArrivalKind::kBursty;
   p.online = true;
   const ServiceReport a = run_service(cluster_for(4), DlbConfig{}, p, costs());
   const ServiceReport b = run_service(cluster_for(4), DlbConfig{}, p, costs());
