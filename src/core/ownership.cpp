@@ -27,16 +27,22 @@ std::int64_t IterationSet::size() const noexcept {
   return total;
 }
 
-std::int64_t IterationSet::front() const {
-  if (ranges_.empty()) throw std::logic_error("IterationSet: front of empty set");
-  return ranges_.front().lo;
-}
-
 std::int64_t IterationSet::pop_front() {
   if (ranges_.empty()) throw std::logic_error("IterationSet: pop of empty set");
   const std::int64_t index = ranges_.front().lo;
   if (++ranges_.front().lo >= ranges_.front().hi) ranges_.erase(ranges_.begin());
   return index;
+}
+
+void IterationSet::drop_front(std::int64_t count) {
+  if (count < 0 || count > size()) throw std::invalid_argument("IterationSet: bad drop count");
+  auto first_kept = ranges_.begin();
+  while (count > 0 && count >= first_kept->size()) {
+    count -= first_kept->size();
+    ++first_kept;
+  }
+  ranges_.erase(ranges_.begin(), first_kept);
+  if (count > 0) ranges_.front().lo += count;
 }
 
 std::vector<IterRange> IterationSet::take_back(std::int64_t count) {

@@ -41,11 +41,12 @@ class IterationSet {
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }
   [[nodiscard]] const std::vector<IterRange>& ranges() const noexcept { return ranges_; }
 
-  /// Index of the next iteration to execute; throws if empty.
-  [[nodiscard]] std::int64_t front() const;
-
   /// Removes and returns the next iteration to execute.
   std::int64_t pop_front();
+
+  /// Removes the first `count` iterations (an executed prefix).  Throws if
+  /// count > size().
+  void drop_front(std::int64_t count);
 
   /// Removes up to `count` iterations from the back and returns them as
   /// ranges in ascending order (the shipment).  Throws if count > size().

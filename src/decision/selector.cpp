@@ -8,6 +8,18 @@
 
 namespace dlb::decision {
 
+namespace {
+
+/// Ranks the selection's predictions best-first and commits to the best.
+void rank_and_choose(Selection& selection) {
+  std::vector<double> costs;
+  for (const auto& p : selection.predictions) costs.push_back(p.makespan_seconds);
+  selection.predicted_order = support::rank_by_cost(costs);
+  selection.chosen = core::ranked_strategy(selection.predicted_order.front());
+}
+
+}  // namespace
+
 Selector::Selector(cluster::ClusterParams cluster, net::CollectiveCosts costs,
                    core::DlbConfig config)
     : cluster_(std::move(cluster)), costs_(std::move(costs)), config_(config) {
@@ -24,8 +36,7 @@ Selection Selector::select(const core::LoopDescriptor& loop) const {
 
   Selection selection;
   selection.predictions = predictor.predict_ranked();
-  selection.predicted_order = predictor.predicted_order();
-  selection.chosen = core::ranked_strategy(selection.predicted_order.front());
+  rank_and_choose(selection);
   return selection;
 }
 
@@ -49,10 +60,7 @@ Selection Selector::select(const core::AppDescriptor& app) const {
       total.overhead_seconds += p.overhead_seconds;
     }
   }
-  std::vector<double> costs;
-  for (const auto& p : selection.predictions) costs.push_back(p.makespan_seconds);
-  selection.predicted_order = support::rank_by_cost(costs);
-  selection.chosen = core::ranked_strategy(selection.predicted_order.front());
+  rank_and_choose(selection);
   return selection;
 }
 

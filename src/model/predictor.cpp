@@ -10,7 +10,6 @@
 #include "core/policy.hpp"
 #include "load/load_function.hpp"
 #include "sim/time.hpp"
-#include "support/ranking.hpp"
 #include "support/rng.hpp"
 
 namespace dlb::model {
@@ -222,16 +221,16 @@ StrategyPrediction Predictor::predict(core::Strategy strategy) const {
           double capacity =
               ops_available(lf, station_speed(cp, m.proc), base_rate, m.resume_at, t_sync) *
               (1.0 + 1e-9);
-          while (!m.owned.empty() &&
-                 work_[static_cast<std::size_t>(m.owned.front())] <= capacity) {
-            capacity -= work_[static_cast<std::size_t>(m.owned.front())];
-            (void)m.owned.pop_front();
-            ++done;
+          for (const auto& range : m.owned.ranges()) {
+            std::int64_t j = range.lo;
+            for (; j < range.hi && work_[static_cast<std::size_t>(j)] <= capacity; ++j) {
+              capacity -= work_[static_cast<std::size_t>(j)];
+            }
+            done += j - range.lo;
+            if (j < range.hi) break;
           }
-          if (!m.owned.empty()) {
-            (void)m.owned.pop_front();
-            ++done;
-          }
+          if (done < m.owned.size()) ++done;  // the in-flight iteration
+          m.owned.drop_front(done);
         }
       }
       double rate;
@@ -362,14 +361,6 @@ std::vector<StrategyPrediction> Predictor::predict_ranked() const {
     out.push_back(predict(core::ranked_strategy(id)));
   }
   return out;
-}
-
-std::vector<int> Predictor::predicted_order() const {
-  const auto predictions = predict_ranked();
-  std::vector<double> costs;
-  costs.reserve(predictions.size());
-  for (const auto& p : predictions) costs.push_back(p.makespan_seconds);
-  return support::rank_by_cost(costs);
 }
 
 }  // namespace dlb::model

@@ -58,12 +58,9 @@ class Predictor {
   /// Predicts one strategy (kNoDlb and the four DLB strategies).
   [[nodiscard]] StrategyPrediction predict(core::Strategy strategy) const;
 
-  /// Predicts the four ranked strategies (GC, GD, LC, LD).
+  /// Predicts the four ranked strategies (GC, GD, LC, LD), in ranked-id
+  /// order (see core::ranked_strategy).
   [[nodiscard]] std::vector<StrategyPrediction> predict_ranked() const;
-
-  /// Ranked-strategy ids (see core::ranked_strategy) ordered best-first by
-  /// predicted makespan — the "Predicted" columns of Tables 1-2.
-  [[nodiscard]] std::vector<int> predicted_order() const;
 
  private:
   PredictorInputs inputs_;

@@ -59,7 +59,6 @@ TEST(BlockPartition, RejectsBadArgs) {
 
 TEST(IterationSet, PopFrontWalksAscending) {
   IterationSet s(IterRange{10, 14});
-  EXPECT_EQ(s.front(), 10);
   EXPECT_EQ(s.pop_front(), 10);
   EXPECT_EQ(s.pop_front(), 11);
   EXPECT_EQ(s.size(), 2);
@@ -67,7 +66,24 @@ TEST(IterationSet, PopFrontWalksAscending) {
   EXPECT_EQ(s.pop_front(), 13);
   EXPECT_TRUE(s.empty());
   EXPECT_THROW((void)s.pop_front(), std::logic_error);
-  EXPECT_THROW((void)s.front(), std::logic_error);
+}
+
+TEST(IterationSet, DropFrontRemovesAnExecutedPrefix) {
+  IterationSet s(IterRange{0, 4});
+  s.add(IterRange{10, 14});
+  s.add(IterRange{20, 24});
+  s.drop_front(0);
+  EXPECT_EQ(s.size(), 12);
+  s.drop_front(2);
+  EXPECT_EQ(s.ranges(), (std::vector<IterRange>{{2, 4}, {10, 14}, {20, 24}}));
+  s.drop_front(3);  // across a range boundary
+  EXPECT_EQ(s.ranges(), (std::vector<IterRange>{{11, 14}, {20, 24}}));
+  s.drop_front(3);  // exactly the first range
+  EXPECT_EQ(s.ranges(), (std::vector<IterRange>{{20, 24}}));
+  EXPECT_THROW(s.drop_front(5), std::invalid_argument);
+  EXPECT_THROW(s.drop_front(-1), std::invalid_argument);
+  s.drop_front(4);
+  EXPECT_TRUE(s.empty());
 }
 
 TEST(IterationSet, TakeBackRemovesHighest) {

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "apps/mxm.hpp"
 #include "apps/synthetic.hpp"
 #include "core/runtime.hpp"
 #include "net/characterize.hpp"
+#include "support/ranking.hpp"
 
 namespace {
 
@@ -27,7 +30,7 @@ PredictorInputs inputs_for(const dlb::core::LoopDescriptor& loop, int procs, boo
   PredictorInputs in;
   in.cluster.procs = procs;
   in.cluster.base_ops_per_sec = 1e6;
-  in.cluster.external_load = load;
+  if (!load) in.cluster.load.max_load = 0;  // dedicated machines
   in.cluster.seed = seed;
   in.loop = &loop;
   in.costs = costs();
@@ -107,7 +110,12 @@ TEST(Predictor, RankedPredictionsCoverAllFour) {
   const Predictor p(inputs_for(app.loops[0], 4, /*load=*/true));
   const auto ranked = p.predict_ranked();
   ASSERT_EQ(ranked.size(), 4u);
-  const auto order = p.predicted_order();
+  std::vector<double> costs;
+  for (std::size_t id = 0; id < ranked.size(); ++id) {
+    EXPECT_EQ(ranked[id].strategy, dlb::core::ranked_strategy(static_cast<int>(id)));
+    costs.push_back(ranked[id].makespan_seconds);
+  }
+  const auto order = dlb::support::rank_by_cost(costs);
   ASSERT_EQ(order.size(), 4u);
   // order is a permutation of 0..3, sorted by predicted makespan.
   for (std::size_t i = 1; i < order.size(); ++i) {
