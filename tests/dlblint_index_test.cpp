@@ -150,20 +150,4 @@ TEST(DlblintIndex, EnclosingFunctionFindsBodyAndRejectsOutside) {
   EXPECT_EQ(dlb::lint::enclosing_function(index, "src/missing/none.cpp", 0), nullptr);
 }
 
-TEST(DlblintIndex, DigestTracksCrossFileFacts) {
-  const FileUnit a1 = make_unit("src/core/d.cpp", "int f() { return 1; }\n");
-  const FileUnit a2 = make_unit("src/core/d.cpp", "int f() { return g(); }\n");
-  const std::uint64_t d1 = dlb::lint::build_index({a1}).digest;
-  const std::uint64_t d2 = dlb::lint::build_index({a2}).digest;
-  const std::uint64_t d1_again = dlb::lint::build_index({a1}).digest;
-  EXPECT_EQ(d1, d1_again) << "digest must be stable for identical input";
-  EXPECT_NE(d1, d2) << "a new call edge must move the digest";
-}
-
-TEST(DlblintIndex, HashBytesIsStableAndSensitive) {
-  EXPECT_EQ(dlb::lint::hash_bytes("abc"), dlb::lint::hash_bytes("abc"));
-  EXPECT_NE(dlb::lint::hash_bytes("abc"), dlb::lint::hash_bytes("abd"));
-  EXPECT_NE(dlb::lint::hash_bytes(""), dlb::lint::hash_bytes(std::string("\0x", 2)));
-}
-
 }  // namespace

@@ -3,7 +3,6 @@
 // good fixture must lint clean, and the aggregate JSON must match the
 // checked-in golden byte for byte on every run.
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -266,55 +265,6 @@ TEST(DlblintFixer, FixesCoroRefParamToByValue) {
   EXPECT_NE(fixed.find("work(std::string name)"), std::string::npos) << fixed;
   const dlb::lint::FixStats again = dlb::lint::fix_files(inputs);
   EXPECT_EQ(again.edits_applied, 0u);
-}
-
-// ---- incremental cache ---------------------------------------------------
-
-TEST(DlblintCache, SecondRunHitsAndMatches) {
-  const std::string cache = testing::TempDir() + "/dlblint_cache_test.txt";
-  std::remove(cache.c_str());
-  dlb::lint::Options opts;
-  opts.cache_path = cache;
-  std::vector<dlb::lint::Input> inputs;
-  for (const CorpusEntry& e : kCorpus) {
-    inputs.push_back({corpus_dir() + "/" + e.dir + "/bad." + e.ext, e.virtual_path});
-  }
-  const std::vector<Diagnostic> cold = dlb::lint::lint_files(inputs, opts);
-  ASSERT_FALSE(cold.empty());
-  std::ifstream in(cache);
-  ASSERT_TRUE(in) << "cache file must be written";
-  const std::vector<Diagnostic> warm = dlb::lint::lint_files(inputs, opts);
-  ASSERT_EQ(cold.size(), warm.size());
-  for (std::size_t i = 0; i < cold.size(); ++i) {
-    EXPECT_EQ(cold[i].file, warm[i].file);
-    EXPECT_EQ(cold[i].line, warm[i].line);
-    EXPECT_EQ(cold[i].rule, warm[i].rule);
-    EXPECT_EQ(cold[i].message, warm[i].message) << cold[i].file << ":" << cold[i].line;
-  }
-  std::remove(cache.c_str());
-}
-
-TEST(DlblintCache, ContentChangeInvalidatesFile) {
-  const std::string cache = testing::TempDir() + "/dlblint_cache_inval.txt";
-  const std::string tmp = testing::TempDir() + "/cache_subject.cpp";
-  std::remove(cache.c_str());
-  dlb::lint::Options opts;
-  opts.cache_path = cache;
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out << "int a() { return 1; }\n";
-  }
-  const std::vector<dlb::lint::Input> inputs = {{tmp, "src/sim/cache_subject.cpp"}};
-  EXPECT_TRUE(dlb::lint::lint_files(inputs, opts).empty());
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out << "const char* a() { return getenv(\"A\"); }\n";
-  }
-  const std::vector<Diagnostic> diags = dlb::lint::lint_files(inputs, opts);
-  ASSERT_EQ(diags.size(), 1u) << "stale cache must not mask the new finding";
-  EXPECT_EQ(diags[0].rule, "env-read");
-  std::remove(cache.c_str());
-  std::remove(tmp.c_str());
 }
 
 // ---- suppression inventory ----------------------------------------------

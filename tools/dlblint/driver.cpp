@@ -4,17 +4,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <map>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
 namespace dlb::lint {
 namespace {
-
-/// Bumped whenever rule logic changes in a way the symbol-index digest
-/// cannot see; stale caches must never replay old findings.
-constexpr int kCacheFormat = 2;
 
 bool known_rule(const std::string& id) {
   for (const Rule& r : all_rules()) {
@@ -92,103 +86,6 @@ std::vector<Diagnostic> run_rules(const FileUnit& unit, const Project& project,
   return out;
 }
 
-// ---- incremental cache ---------------------------------------------------
-//
-// Line-oriented text, one header then per-file blocks:
-//   dlblintcache <format> <index-digest> <rule-filter>
-//   F <content-hash> <ndiags> <virtual-path>
-//   D <line> <rule> <json-escaped message>
-// The header ties every entry to the cross-TU graph: a change in any file
-// that moves a reach set or definition changes the digest and drops the
-// whole cache, so interprocedural findings can never go stale.  Edits are
-// not cached (fix runs bypass the cache).
-
-std::string rule_filter_key(const Options& options) {
-  std::vector<std::string> rules = options.rules;
-  std::sort(rules.begin(), rules.end());
-  std::string key = "*";
-  if (!rules.empty()) {
-    key.clear();
-    for (const std::string& r : rules) {
-      if (!key.empty()) key += ",";
-      key += r;
-    }
-  }
-  return key;
-}
-
-std::string json_unescape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\' || i + 1 >= s.size()) {
-      out += s[i];
-      continue;
-    }
-    const char n = s[++i];
-    if (n == 'n') out += '\n';
-    else if (n == 't') out += '\t';
-    else if (n == 'u' && i + 4 < s.size()) {
-      out += static_cast<char>(std::stoi(s.substr(i + 1, 4), nullptr, 16));
-      i += 4;
-    } else {
-      out += n;
-    }
-  }
-  return out;
-}
-
-using CacheMap = std::map<std::string, std::pair<std::uint64_t, std::vector<Diagnostic>>>;
-
-CacheMap load_cache(const std::string& path, std::uint64_t digest, const Options& options) {
-  CacheMap cache;
-  std::ifstream in(path);
-  if (!in) return cache;
-  std::string header;
-  if (!std::getline(in, header)) return cache;
-  std::ostringstream want;
-  want << "dlblintcache " << kCacheFormat << " " << digest << " " << rule_filter_key(options);
-  if (header != want.str()) return cache;  // graph or filter moved: full rerun
-  std::string line;
-  std::string file;
-  std::uint64_t hash = 0;
-  while (std::getline(in, line)) {
-    if (line.compare(0, 2, "F ") == 0) {
-      std::istringstream fs(line.substr(2));
-      std::size_t ndiags = 0;
-      fs >> hash >> ndiags;
-      std::getline(fs, file);
-      if (!file.empty() && file[0] == ' ') file.erase(0, 1);
-      cache[file] = {hash, {}};
-    } else if (line.compare(0, 2, "D ") == 0 && !file.empty()) {
-      std::istringstream ds(line.substr(2));
-      Diagnostic d;
-      d.file = file;
-      ds >> d.line >> d.rule;
-      std::string msg;
-      std::getline(ds, msg);
-      if (!msg.empty() && msg[0] == ' ') msg.erase(0, 1);
-      d.message = json_unescape(msg);
-      cache[file].second.push_back(std::move(d));
-    }
-  }
-  return cache;
-}
-
-void store_cache(const std::string& path, std::uint64_t digest, const Options& options,
-                 const CacheMap& cache) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return;  // unwritable cache is a soft failure, not an error
-  out << "dlblintcache " << kCacheFormat << " " << digest << " " << rule_filter_key(options)
-      << "\n";
-  for (const auto& [file, entry] : cache) {
-    out << "F " << entry.first << " " << entry.second.size() << " " << file << "\n";
-    for (const Diagnostic& d : entry.second) {
-      out << "D " << d.line << " " << d.rule << " " << json_escape(d.message) << "\n";
-    }
-  }
-}
-
 }  // namespace
 
 std::string json_escape(const std::string& s) {
@@ -220,37 +117,17 @@ std::vector<Diagnostic> lint_source(const std::string& source, const std::string
 
 std::vector<Diagnostic> lint_files(const std::vector<Input>& inputs, const Options& options) {
   std::vector<FileUnit> units;
-  std::vector<std::uint64_t> hashes;
   units.reserve(inputs.size());
-  hashes.reserve(inputs.size());
   for (const Input& input : inputs) {
-    const std::string source = read_file(input.disk_path);
-    hashes.push_back(hash_bytes(source));
-    units.push_back(make_unit(source, input.virtual_path));
+    units.push_back(make_unit(read_file(input.disk_path), input.virtual_path));
   }
   Project project;
   project.index = build_index(units);
 
-  CacheMap cache;
-  if (!options.cache_path.empty()) {
-    cache = load_cache(options.cache_path, project.index.digest, options);
-  }
-  CacheMap fresh;
   std::vector<Diagnostic> all;
-  for (std::size_t i = 0; i < units.size(); ++i) {
-    const FileUnit& unit = units[i];
-    const auto hit = cache.find(unit.path);
-    std::vector<Diagnostic> d;
-    if (hit != cache.end() && hit->second.first == hashes[i]) {
-      d = hit->second.second;  // pass 2 skipped: same bytes, same graph
-    } else {
-      d = run_rules(unit, project, options);
-    }
-    if (!options.cache_path.empty()) fresh[unit.path] = {hashes[i], d};
+  for (const FileUnit& unit : units) {
+    const std::vector<Diagnostic> d = run_rules(unit, project, options);
     all.insert(all.end(), d.begin(), d.end());
-  }
-  if (!options.cache_path.empty()) {
-    store_cache(options.cache_path, project.index.digest, options, fresh);
   }
   std::sort(all.begin(), all.end());
   return all;

@@ -11,11 +11,6 @@ namespace dlb::lint {
 struct Options {
   /// Restrict to these rule ids; empty = all rules.
   std::vector<std::string> rules;
-  /// Incremental-cache file (empty = no cache).  The cache stores per-file
-  /// diagnostics keyed by (content hash, symbol-index digest, rule filter):
-  /// pass 1 always runs — the cross-TU graph needs every file — but pass 2
-  /// is skipped for unchanged files when no cross-file fact moved.
-  std::string cache_path;
 };
 
 /// One input: a file on disk plus the repo-relative path rules should treat
@@ -75,8 +70,7 @@ struct FixStats {
 
 /// `dlblint --fix`: repeatedly lints `inputs` and applies every mechanical
 /// edit the rules attached, rewriting files in place until a pass produces
-/// no edits (bounded; a second run is always a no-op).  The cache is
-/// bypassed — cached diagnostics do not carry edits.
+/// no edits (bounded; a second run is always a no-op).
 FixStats fix_files(const std::vector<Input>& inputs, const Options& options = {});
 
 }  // namespace dlb::lint

@@ -48,8 +48,6 @@ std::string apply_edits(const std::string& source, std::vector<TextEdit> edits) 
 }
 
 FixStats fix_files(const std::vector<Input>& inputs, const Options& options) {
-  Options opts = options;
-  opts.cache_path.clear();  // cached diagnostics carry no edits
   FixStats stats;
   std::map<std::string, std::string> disk_of;  // virtual -> disk path
   for (const Input& i : inputs) disk_of[i.virtual_path] = i.disk_path;
@@ -59,7 +57,7 @@ FixStats fix_files(const std::vector<Input>& inputs, const Options& options) {
   // guards against a hypothetical oscillating rule.
   for (int round = 0; round < 4; ++round) {
     std::map<std::string, std::vector<TextEdit>> per_file;
-    for (const Diagnostic& d : lint_files(inputs, opts)) {
+    for (const Diagnostic& d : lint_files(inputs, options)) {
       if (d.edits.empty()) continue;
       std::vector<TextEdit>& dst = per_file[d.file];
       dst.insert(dst.end(), d.edits.begin(), d.edits.end());

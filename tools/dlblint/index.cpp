@@ -203,36 +203,6 @@ bool body_touches_ingress(const FileUnit& unit, const FunctionDef& def,
   return false;
 }
 
-std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  h ^= 0xff;
-  h *= 1099511628211ULL;
-  return h;
-}
-
-std::uint64_t digest_of(const SymbolIndex& index) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const std::string& s : index.task_functions) h = fnv1a(h, s);
-  h = fnv1a(h, "|ingress");
-  for (const std::string& s : index.ingress_reaching) h = fnv1a(h, s);
-  h = fnv1a(h, "|draw");
-  for (const std::string& s : index.draw_reaching) h = fnv1a(h, s);
-  h = fnv1a(h, "|defs");
-  for (const auto& [name, files] : index.defined_in) {
-    h = fnv1a(h, name);
-    for (const std::string& f : files) h = fnv1a(h, f);
-  }
-  h = fnv1a(h, "|calls");
-  for (const auto& [caller, callees] : index.calls) {
-    h = fnv1a(h, caller);
-    for (const std::string& c : callees) h = fnv1a(h, c);
-  }
-  return h;
-}
-
 }  // namespace
 
 SymbolIndex build_index(const std::vector<FileUnit>& units) {
@@ -341,17 +311,7 @@ SymbolIndex build_index(const std::vector<FileUnit>& units) {
     }
   }
 
-  index.digest = digest_of(index);
   return index;
-}
-
-std::uint64_t hash_bytes(const std::string& bytes) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 const FunctionDef* enclosing_function(const SymbolIndex& index, const std::string& file,

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -67,18 +66,10 @@ struct SymbolIndex {
   /// Rng-typed variable), directly or transitively.  Used by the seed-stream
   /// rule to spot draws hidden behind helpers in conditional expressions.
   std::set<std::string> draw_reaching;
-
-  /// Stable digest of everything above plus the registered rule set; the
-  /// incremental cache keys on it so any cross-file fact change invalidates
-  /// cached per-file results.
-  std::uint64_t digest = 0;
 };
 
 /// Pass 1: builds the project-wide index over all units.
 [[nodiscard]] SymbolIndex build_index(const std::vector<FileUnit>& units);
-
-/// FNV-1a over raw bytes; the incremental cache's per-file content key.
-[[nodiscard]] std::uint64_t hash_bytes(const std::string& bytes);
 
 /// Innermost function definition in `file` whose body contains significant
 /// token index `sig_idx`, or nullptr.

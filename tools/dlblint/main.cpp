@@ -1,6 +1,6 @@
 // dlblint — determinism & coroutine-safety static analysis for this repo.
 //
-//   dlblint --root=DIR [--json] [--sarif=FILE] [--rules=a,b] [--cache=FILE]
+//   dlblint --root=DIR [--json] [--sarif=FILE] [--rules=a,b]
 //                                                  scan src/ bench/ tests/
 //   dlblint [--as=VPATH] [--json] FILE...          lint explicit files
 //   dlblint --fix --root=DIR                       apply mechanical autofixes
@@ -22,7 +22,7 @@ namespace {
 
 int usage(const char* msg) {
   if (msg != nullptr) std::cerr << "dlblint: " << msg << "\n";
-  std::cerr << "usage: dlblint --root=DIR [--json] [--sarif=FILE] [--rules=a,b] [--cache=FILE]\n"
+  std::cerr << "usage: dlblint --root=DIR [--json] [--sarif=FILE] [--rules=a,b]\n"
                "       dlblint [--as=VIRTUAL_PATH] [--json] [--rules=a,b] FILE...\n"
                "       dlblint --fix (--root=DIR | FILE...)\n"
                "       dlblint --list-rules\n"
@@ -69,8 +69,6 @@ int main(int argc, char** argv) {
       as_path = arg.substr(5);
     } else if (arg.rfind("--sarif=", 0) == 0) {
       sarif_path = arg.substr(8);
-    } else if (arg.rfind("--cache=", 0) == 0) {
-      options.cache_path = arg.substr(8);
     } else if (arg.rfind("--rules=", 0) == 0) {
       options.rules = split_csv(arg.substr(8));
     } else if (arg.rfind("--", 0) == 0) {
