@@ -1,5 +1,9 @@
 // Event-core scaling benchmark (google-benchmark): events/sec sustained at
-// 1k / 10k / 100k pending events on the engine's 4-ary heap event queue.
+// 16 / 64 / 1k / 10k / 100k pending events on the engine's 4-ary heap event
+// queue.  16 and 64 are the depths the workloads run at: the mean queue depth
+// at push is about 3 on the P = 4 paper grids, 15 at P = 16, 8 on the fault
+// grids and 53 on the service sim backend.  1k and up are the deep queues of
+// the large-P switched runs (about 8k at P = 256).
 //
 // The queue-level benches use the classic *hold model*: the queue is primed
 // to the target occupancy with offsets drawn from the same increment
@@ -11,7 +15,7 @@
 // processes, and the step the replace-top pop serves with one sift.  The
 // engine-level bench runs the same queue under whole coroutine processes.
 //
-// Regenerate the committed baseline with:
+// Regenerate the committed baseline from the default Release (-O3) build:
 //   ./build/bench/bench_engine_scale --benchmark_out=BENCH_engine_scale.json
 //     --benchmark_out_format=json
 
@@ -93,8 +97,8 @@ void BM_EngineLiveProcs(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_QueueHoldUniform)->Arg(1000)->Arg(10000)->Arg(100000);
-BENCHMARK(BM_QueueHoldBursty)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_QueueHoldUniform)->Arg(16)->Arg(64)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_QueueHoldBursty)->Arg(16)->Arg(64)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_EngineLiveProcs)->Arg(1000)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -34,13 +34,15 @@ namespace dlb::sim {
 /// marks it consumed, which core::Runtime checks at construction.
 ///
 /// Hot-path representation: the queue is a 4-ary min-heap of 32-byte POD
-/// event records with a replace-top pop (EventQueue, DESIGN.md §5.2).  A
-/// coroutine resume (the dominant event kind — every sleep, mailbox delivery
-/// and spawn) stores the bare handle in the record; an arbitrary `schedule_at`
-/// callable lives in a per-shard pooled CallNode with a 64-byte inline
-/// buffer (larger captures spill to the heap, once, inside the node).  Nodes
-/// are recycled through a free list, so the steady state of a run performs
-/// no allocation per event.
+/// event records with a replace-top pop (EventQueue, DESIGN.md §5.2).  It
+/// orders records by one packed 128-bit (at, seq) key, so a sift picks the
+/// least child with conditional moves instead of branches that random event
+/// times would mispredict.  A coroutine resume (the dominant event kind —
+/// every sleep, mailbox delivery and spawn) stores the bare handle in the
+/// record; an arbitrary `schedule_at` callable lives in a per-shard pooled
+/// CallNode with a 64-byte inline buffer (larger captures spill to the heap,
+/// once, inside the node).  Nodes are recycled through a free list, so the
+/// steady state of a run performs no allocation per event.
 ///
 /// Shards: the run state (event queue, CallNode pool, live-process list,
 /// clock and counters) is a Shard.  A plain engine is its one root shard,

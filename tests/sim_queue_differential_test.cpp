@@ -5,14 +5,20 @@
 // cancel / sleep_for), including same-timestamp bursts, far-future timers,
 // cancel-at-front races, occupancy swings and empty/refill cycles.  Directed
 // cases drive the replace-top path: a pop leaves the root slot empty until
-// the next push or front() fills it.
+// the next push or front() fills it.  The reference orders by its own
+// two-field compare, not by the queue's packed key, so it is an independent
+// oracle for the key too: directed cases cover the key's corners (negative
+// times, times at and just below kTimeInfinity, and cross-shard ingress keys
+// with bit 63 set tied with shard-local sequence numbers).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -23,13 +29,26 @@ namespace {
 
 using dlb::sim::Event;
 using dlb::sim::EventQueue;
+using dlb::sim::kTimeInfinity;
 using dlb::sim::SimTime;
 using dlb::support::Rng;
 
+constexpr SimTime kTimeMin = std::numeric_limits<SimTime>::min();
+
+/// The engine's contract spelled out directly: virtual time first (signed),
+/// then the sequence key (unsigned).
 struct ByKey {
-  bool operator()(const Event& a, const Event& b) const { return dlb::sim::earlier(a, b); }
+  bool operator()(const Event& a, const Event& b) const {
+    return std::tie(a.at, a.seq) < std::tie(b.at, b.seq);
+  }
 };
 using Reference = std::set<Event, ByKey>;
+
+/// A cross-shard ingress key as net::Network builds one: bit 63 set, the
+/// source station in bits 32-62, that source's frame counter below.
+std::uint64_t ingress_key(std::uint32_t src, std::uint32_t n) {
+  return std::uint64_t{1} << 63 | std::uint64_t{src} << 32 | n;
+}
 
 /// Replicates Engine::run_until's front-of-queue logic: cancelled call
 /// events are discarded when they become the global (at, seq) minimum,
@@ -72,8 +91,18 @@ bool same_event(const Event& a, const Event& b) {
 /// discard logs at the end.
 class Lockstep {
  public:
-  void push(SimTime at, bool is_call) {
-    Event ev{at, seq_++, next_payload_++, is_call};
+  /// A shard-local event: the next insertion sequence number.
+  void push(SimTime at, bool is_call) { push_keyed(at, seq_++, is_call); }
+
+  /// A cross-shard ingress event from source `src` (a callable, as
+  /// Engine::schedule_ingress queues it).
+  void push_ingress(SimTime at, std::uint32_t src) {
+    if (src >= ingress_counts_.size()) ingress_counts_.resize(src + 1, 0);
+    push_keyed(at, ingress_key(src, ingress_counts_[src]++), true);
+  }
+
+  void push_keyed(SimTime at, std::uint64_t seq, bool is_call) {
+    Event ev{at, seq, next_payload_++, is_call};
     if (is_call) cancelled_.resize(next_payload_, false);
     queue_.push(ev);
     reference_.insert(ev);
@@ -129,7 +158,7 @@ class Lockstep {
     }
     EXPECT_TRUE(queue_.empty());
     EXPECT_TRUE(reference_.empty());
-    last_popped_at_ = 0;  // a drained queue accepts earlier times again
+    last_popped_at_ = kTimeMin;  // a drained queue accepts earlier times again
   }
 
   void check_discard_logs() const {
@@ -153,31 +182,44 @@ class Lockstep {
   std::vector<std::uintptr_t> live_calls_;
   std::vector<Event> queue_discards_;
   std::vector<Event> reference_discards_;
+  std::vector<std::uint32_t> ingress_counts_;
   std::uint64_t seq_ = 0;
   std::uintptr_t next_payload_ = 0;
-  SimTime last_popped_at_ = 0;
+  SimTime last_popped_at_ = kTimeMin;
 };
 
 // ---- the randomized property: >= 10k ops x >= 50 seeds -------------------
 
-void run_random_stream(std::uint64_t seed, int ops) {
+/// `ingress_percent` of the pushes carry a cross-shard ingress key from one
+/// of eight sources instead of the next local sequence number, so ingress
+/// events tie with local ones inside the same-time bursts.  The stream's
+/// clock starts at `start`.
+void run_random_stream(std::uint64_t seed, int ops, int ingress_percent = 0, SimTime start = 0) {
   Rng rng(seed);
   Lockstep q;
-  SimTime now = 0;
+  SimTime now = start;
+  // Draws nothing extra when ingress_percent is 0.
+  const auto push = [&](SimTime at, bool is_call) {
+    if (ingress_percent > 0 && rng.uniform_int(0, 99) < ingress_percent) {
+      q.push_ingress(at, static_cast<std::uint32_t>(rng.uniform_int(0, 7)));
+    } else {
+      q.push(at, is_call);
+    }
+  };
   for (int op = 0; op < ops; ++op) {
     const std::int64_t kind = rng.uniform_int(0, 99);
     if (kind < 40) {
       // schedule_resume-shaped: near-future coroutine wake, heavy tie bursts.
       const std::int64_t burst = rng.uniform_int(1, 4);
       const SimTime at = now + rng.uniform_int(0, 5'000);
-      for (std::int64_t i = 0; i < burst; ++i) q.push(at, false);
+      for (std::int64_t i = 0; i < burst; ++i) push(at, false);
     } else if (kind < 55) {
       // schedule_at-shaped callable, cancellable later.
-      q.push(now + rng.uniform_int(0, 50'000), true);
+      push(now + rng.uniform_int(0, 50'000), true);
     } else if (kind < 60) {
       // Far-future timer (heartbeats, fault deadlines): sinks to the heap's
       // leaves and must still surface after every nearer event.
-      q.push(now + rng.uniform_int(1'000'000'000, 1'000'000'000'000), true);
+      push(now + rng.uniform_int(1'000'000'000, 1'000'000'000'000), true);
     } else if (kind < 65) {
       // Cancel a random pending call — sometimes the current front
       // (cancel-at-front race), sometimes one deep in the heap.
@@ -202,6 +244,16 @@ TEST(QueueDifferential, RandomStreams50Seeds) {
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     run_random_stream(seed * 7919 + 17, 10'000);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(QueueDifferential, RandomStreamsMixIngressKeys) {
+  // A third of the pushes are bit-63 ingress keys, and the clock starts
+  // below zero and crosses it.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    run_random_stream(seed * 104'729 + 3, 10'000, 33, -100'000);
     if (::testing::Test::HasFailure()) return;
   }
 }
@@ -255,6 +307,51 @@ TEST(QueueDifferential, EmptyRefillCycles) {
     EXPECT_EQ(q.size(), 0u);
   }
   q.check_discard_logs();
+}
+
+TEST(QueueDifferential, IngressKeysTieWithLocalSeqs) {
+  // At one timestamp, every shard-local event pops before every bit-63
+  // ingress event, and ingress events pop in (source, counter) order.
+  Lockstep q;
+  for (int i = 0; i < 64; ++i) {
+    q.push_ingress(1'000, static_cast<std::uint32_t>(i * 5 % 8));
+    q.push(1'000, i % 2 == 0);
+  }
+  q.push_keyed(1'000, ~std::uint64_t{0}, false);  // the largest key: last
+  q.push_keyed(999, ~std::uint64_t{0}, false);    // before every 1000
+  q.pop_and_check();
+  q.push_ingress(1'000, 0);  // into the empty root
+  q.drain_and_check();
+  q.check_discard_logs();
+}
+
+TEST(QueueDifferential, TimesAtAndJustBelowInfinity) {
+  // kTimeInfinity is the engine's "never": the key's high half must keep it
+  // after kTimeInfinity - 1 and every finite time, for either kind of seq.
+  Lockstep q;
+  for (int i = 0; i < 16; ++i) {
+    q.push(kTimeInfinity, i % 2 == 0);
+    q.push_ingress(kTimeInfinity, static_cast<std::uint32_t>(i % 3));
+    q.push(kTimeInfinity - 1, false);
+    q.push_ingress(kTimeInfinity - 1, static_cast<std::uint32_t>(i % 3));
+    q.push(i, false);
+  }
+  q.drain_and_check();
+  q.check_discard_logs();
+}
+
+TEST(QueueDifferential, NegativeTimesPopBeforeZero) {
+  // The engine clamps times to now() >= 0, but the queue's order holds for
+  // every int64: negative times pop first, the most negative first.
+  Lockstep q;
+  const SimTime times[] = {0, -1, kTimeMin, 1, kTimeMin + 1, -1'000'000, kTimeInfinity, -2};
+  for (const SimTime at : times) {
+    q.push(at, false);
+    q.push_ingress(at, 3);
+  }
+  q.pop_and_check();        // kTimeMin, local
+  q.push(kTimeMin, false);  // into the empty root; a local seq pops first
+  q.drain_and_check();
 }
 
 TEST(QueueDifferential, CancelAtFrontRace) {
