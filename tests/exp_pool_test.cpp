@@ -1,9 +1,12 @@
 // exp::Pool unit tests: completion of all submitted tasks, wait()
-// semantics, reuse across waves, and submission from worker threads.
+// semantics, reuse across waves, submission from worker threads, and the
+// destructor draining the queue.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -129,6 +132,32 @@ TEST(ExpPool, TasksSpreadAcrossThreadsWhenParallel) {
   pool.wait();
   EXPECT_GE(seen.size(), 1u);
   EXPECT_TRUE(seen.find(std::this_thread::get_id()) == seen.end());
+}
+
+TEST(ExpPool, DestructionRunsQueuedTasks) {
+  // ~Pool without wait(): the only worker is still inside the first task
+  // when the destructor starts, and the tasks queued behind it must run
+  // before the pool is gone.
+  std::atomic<int> count{0};
+  std::promise<void> started;
+  std::promise<void> release;
+  std::thread releaser;
+  {
+    Pool pool(1);
+    pool.submit([&started, &count, gate = release.get_future().share()] {
+      started.set_value();
+      gate.wait();
+      count.fetch_add(1);
+    });
+    started.get_future().wait();
+    for (int i = 0; i < 10; ++i) pool.submit([&count] { count.fetch_add(1); });
+    releaser = std::thread([&release] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      release.set_value();
+    });
+  }
+  releaser.join();
+  EXPECT_EQ(count.load(), 11);
 }
 
 }  // namespace
