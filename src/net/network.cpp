@@ -139,11 +139,4 @@ sim::Task<void> Network::multicast(int src, std::span<const int> dsts, int tag,
   }
 }
 
-sim::Task<sim::Message> Network::receive(sim::Mailbox& mailbox, int tag, int source) {
-  sim::Message message = co_await mailbox.receive(tag, source);
-  // Receiver CPU: unpack.
-  co_await engine_.sleep_for(params_.receiver_overhead);
-  co_return message;
-}
-
 }  // namespace dlb::net

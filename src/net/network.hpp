@@ -22,8 +22,8 @@ namespace dlb::net {
 /// PVM-like message layer over racks of shared Ethernet segments.
 /// Endpoints (workstations) register a mailbox under an integer id; `send`
 /// models the sender's CPU overhead, medium contention, and asynchronous
-/// delivery; `receive` models the receiver-side unpack overhead at consume
-/// time.
+/// delivery.  The receiver pays the unpack overhead o_r on its own CPU when
+/// it consumes a message (cluster::Workstation::receive).
 ///
 /// Topology (§4.1 lists it as a network parameter): a network starts as one
 /// rack holding every endpoint — the paper's single shared Ethernet, with
@@ -94,10 +94,6 @@ class Network {
   [[nodiscard]] sim::Task<void> multicast(int src, std::span<const int> dsts, int tag,
                                           std::any payload, std::size_t bytes,
                                           bool droppable = true);
-
-  /// Receives from `mailbox` paying the receiver-side overhead o_r.
-  [[nodiscard]] sim::Task<sim::Message> receive(sim::Mailbox& mailbox, int tag = sim::kAnyTag,
-                                                int source = sim::kAnySource);
 
   [[nodiscard]] const EthernetParams& params() const noexcept { return params_; }
   [[nodiscard]] const Ethernet& medium(int segment = 0) const {

@@ -1,49 +1,12 @@
 #include "net/patterns.hpp"
 
 #include <algorithm>
-#include <memory>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
-#include "net/network.hpp"
-#include "sim/engine.hpp"
-#include "sim/mailbox.hpp"
-#include "sim/process.hpp"
+#include "sim/time.hpp"
 
 namespace dlb::net {
-
-namespace {
-
-constexpr int kPatternTag = 7;
-
-// The characterization measures the primitive send pattern (a pvm_send per
-// destination, full sender overhead each) — the paper's §6.1 methodology.
-// The DLB library's own broadcasts use the cheaper pack-once mcast path.
-sim::Process root_sender(sim::Engine& engine, Network& network, std::vector<int> dsts,
-                         std::size_t bytes, sim::SimTime* finished_at) {
-  for (const int dst : dsts) {
-    if (dst == 0) continue;
-    co_await network.send(0, dst, kPatternTag, std::any{}, bytes);
-  }
-  *finished_at = engine.now();
-}
-
-sim::Process receiver(sim::Engine& engine, Network& network, sim::Mailbox& mailbox, int count,
-                      sim::SimTime* finished_at) {
-  for (int i = 0; i < count; ++i) {
-    (void)co_await network.receive(mailbox, kPatternTag);
-  }
-  *finished_at = engine.now();
-}
-
-sim::Process leaf_sender(sim::Engine& engine, Network& network, int self, std::size_t bytes,
-                         sim::SimTime* finished_at) {
-  co_await network.send(self, 0, kPatternTag, std::any{}, bytes);
-  *finished_at = engine.now();
-}
-
-}  // namespace
 
 double alltoall_analytic(int procs, std::size_t bytes, const EthernetParams& params) {
   if (procs < 2) throw std::invalid_argument("alltoall_analytic: need at least 2 processors");
@@ -98,37 +61,21 @@ double measure_pattern(Pattern pattern, int procs, std::size_t bytes,
                        const EthernetParams& params) {
   if (procs < 2) throw std::invalid_argument("measure_pattern: need at least 2 processors");
   if (pattern == Pattern::kAllToAll) return alltoall_analytic(procs, bytes, params);
-
-  sim::Engine engine;
-  Network network(engine, params);
-  std::vector<std::unique_ptr<sim::Mailbox>> mailboxes;
-  mailboxes.reserve(static_cast<std::size_t>(procs));
-  for (int i = 0; i < procs; ++i) {
-    mailboxes.push_back(std::make_unique<sim::Mailbox>(engine));
-    network.attach(i, *mailboxes.back());
-  }
-
-  std::vector<sim::SimTime> finished(static_cast<std::size_t>(procs), 0);
-  std::vector<int> all_but_root(static_cast<std::size_t>(procs) - 1);
-  std::iota(all_but_root.begin(), all_but_root.end(), 1);
-
+  const sim::SimTime m = procs - 1;
+  const sim::SimTime o_s = params.sender_overhead;
+  const sim::SimTime o_r = params.receiver_overhead;
+  const sim::SimTime occ = params.medium_occupancy(bytes);
+  const sim::SimTime prop = params.propagation;
   if (pattern == Pattern::kOneToAll) {
-    engine.spawn(root_sender(engine, network, all_but_root, bytes, &finished[0]));
-    for (int i = 1; i < procs; ++i) {
-      engine.spawn(receiver(engine, network, *mailboxes[static_cast<std::size_t>(i)], 1,
-                            &finished[static_cast<std::size_t>(i)]));
-    }
-  } else {
-    engine.spawn(receiver(engine, network, *mailboxes[0], procs - 1, &finished[0]));
-    for (int i = 1; i < procs; ++i) {
-      engine.spawn(
-          leaf_sender(engine, network, i, bytes, &finished[static_cast<std::size_t>(i)]));
-    }
+    // The root hands frame k to the medium at k*o_s, which takes it at
+    // S_k = max(k*o_s, S_{k-1} + occ); S_m = o_s + (m-1)*max(o_s, occ).
+    // The last frame's receiver finishes last.
+    return sim::to_seconds(o_s + (m - 1) * std::max(o_s, occ) + occ + prop + o_r);
   }
-
-  engine.run();
-  const sim::SimTime last = *std::max_element(finished.begin(), finished.end());
-  return sim::to_seconds(last);
+  // All-to-one: every leaf hands its frame over at o_s, so the medium
+  // carries them back to back and frame k lands at o_s + k*occ + prop.  The
+  // root's fold r_k = max(r_{k-1}, a_k) + o_r peaks at k = 1 or k = m.
+  return sim::to_seconds(o_s + prop + std::max(occ + m * o_r, m * occ + o_r));
 }
 
 }  // namespace dlb::net

@@ -31,9 +31,14 @@ enum class Pattern { kOneToAll, kAllToOne, kAllToAll };
 
 /// Completion time in seconds of one pattern among `procs` endpoints
 /// exchanging `bytes`-sized messages: the time at which the last participant
-/// has consumed its last message.  One-to-all and all-to-one run on a fresh
-/// simulator, the analogue of the paper's measurement runs; all-to-all is
-/// alltoall_analytic.
+/// has consumed its last message.  Each pattern is priced in closed form,
+/// bit-equal to simulating it event by event on a fresh shared LAN, the
+/// analogue of the paper's measurement runs (net_patterns_test keeps those
+/// simulations as its oracle).  With m = procs - 1 and
+/// occ = params.medium_occupancy(bytes), in integer SimTime:
+///   one-to-all  o_s + (m-1)*max(o_s, occ) + occ + prop + o_r
+///   all-to-one  o_s + prop + max(occ + m*o_r, m*occ + o_r)
+///   all-to-all  alltoall_analytic
 [[nodiscard]] double measure_pattern(Pattern pattern, int procs, std::size_t bytes,
                                      const EthernetParams& params);
 

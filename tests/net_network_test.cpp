@@ -41,7 +41,8 @@ Process sender(Fixture& f, int src, int dst, int tag, int value, SimTime* done_a
 }
 
 Process receiver(Fixture& f, Mailbox& box, int* value, SimTime* at) {
-  const Message m = co_await f.network.receive(box);
+  const Message m = co_await box.receive();
+  co_await f.engine.sleep_for(f.network.params().receiver_overhead);  // unpack
   *value = m.as<int>();
   *at = f.engine.now();
 }

@@ -6,6 +6,7 @@
 #include <any>
 #include <cstddef>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/network.hpp"
@@ -24,24 +25,38 @@ using dlb::sim::SimTime;
 
 constexpr int kTag = 7;
 
-/// One endpoint of the simulated all-to-all exchange: a pvm_send to every
-/// other endpoint in id order, full sender overhead each, then the P-1
-/// receives.
-dlb::sim::Process exchange(dlb::sim::Engine& engine, Network& network,
-                           dlb::sim::Mailbox& mailbox, int self, int procs, std::size_t bytes,
-                           SimTime* finished_at) {
-  for (int dst = 0; dst < procs; ++dst) {
-    if (dst == self) continue;
-    co_await network.send(self, dst, kTag, std::any{}, bytes);
+/// One endpoint of a simulated pattern: a pvm_send to each of `dsts` in
+/// order, full sender overhead each (the paper's §6.1 methodology; the DLB
+/// library's own broadcasts use the cheaper pack-once multicast), then
+/// `receives` receives, each paying the receiver's unpack overhead o_r.
+dlb::sim::Process endpoint(dlb::sim::Engine& engine, Network& network,
+                           dlb::sim::Mailbox& mailbox, int self, std::vector<int> dsts,
+                           int receives, std::size_t bytes, SimTime* finished_at) {
+  for (const int dst : dsts) co_await network.send(self, dst, kTag, std::any{}, bytes);
+  for (int i = 0; i < receives; ++i) {
+    (void)co_await mailbox.receive(kTag);
+    co_await engine.sleep_for(network.params().receiver_overhead);
   }
-  for (int i = 0; i < procs - 1; ++i) (void)co_await network.receive(mailbox, kTag);
   *finished_at = engine.now();
 }
 
-/// The all-to-all exchange simulated event by event on a fresh shared LAN:
-/// the oracle alltoall_analytic folds.  Returns the time at which the last
-/// endpoint has consumed its last message, in seconds.
-double simulated_alltoall(int procs, std::size_t bytes, const EthernetParams& params) {
+/// The pattern simulated event by event on a fresh shared LAN, endpoint 0
+/// as the root: the oracle that measure_pattern's closed forms fold.
+/// Returns the time at which the last endpoint has consumed its last
+/// message, in seconds.
+double simulated(Pattern pattern, int procs, std::size_t bytes, const EthernetParams& params) {
+  const auto sends = [pattern](int src, int dst) {
+    if (src == dst) return false;
+    switch (pattern) {
+      case Pattern::kOneToAll:
+        return src == 0;
+      case Pattern::kAllToOne:
+        return dst == 0;
+      case Pattern::kAllToAll:
+        return true;
+    }
+    return false;
+  };
   dlb::sim::Engine engine;
   Network network(engine, params);
   std::vector<std::unique_ptr<dlb::sim::Mailbox>> mailboxes;
@@ -51,11 +66,29 @@ double simulated_alltoall(int procs, std::size_t bytes, const EthernetParams& pa
   }
   std::vector<SimTime> finished(static_cast<std::size_t>(procs), 0);
   for (int i = 0; i < procs; ++i) {
+    std::vector<int> dsts;
+    int receives = 0;
+    for (int j = 0; j < procs; ++j) {
+      if (sends(i, j)) dsts.push_back(j);
+      if (sends(j, i)) ++receives;
+    }
     const auto slot = static_cast<std::size_t>(i);
-    engine.spawn(exchange(engine, network, *mailboxes[slot], i, procs, bytes, &finished[slot]));
+    engine.spawn(endpoint(engine, network, *mailboxes[slot], i, std::move(dsts), receives, bytes,
+                          &finished[slot]));
   }
   engine.run();
   return dlb::sim::to_seconds(*std::max_element(finished.begin(), finished.end()));
+}
+
+/// Both regimes of a medium reservation max(ready, medium free): senders
+/// limited (huge o_s) and medium limited (tiny o_s, fat frames).
+std::vector<EthernetParams> skewed_params() {
+  EthernetParams sender_bound;
+  sender_bound.sender_overhead = dlb::sim::from_micros(10'000.0);
+  EthernetParams medium_bound;
+  medium_bound.sender_overhead = dlb::sim::from_micros(10.0);
+  medium_bound.receiver_overhead = dlb::sim::from_micros(5.0);
+  return {sender_bound, medium_bound};
 }
 
 class PatternCost : public ::testing::TestWithParam<int> {};
@@ -130,26 +163,41 @@ TEST(PatternCost, AnalyticAllToAllMatchesSimulationExactly) {
   const EthernetParams params;
   for (int procs = 2; procs <= 64; ++procs) {
     for (const std::size_t bytes : {std::size_t{64}, std::size_t{1500}, std::size_t{65536}}) {
-      const double simulated = simulated_alltoall(procs, bytes, params);
       const double analytic = dlb::net::alltoall_analytic(procs, bytes, params);
-      ASSERT_EQ(simulated, analytic) << "procs=" << procs << " bytes=" << bytes;
+      ASSERT_EQ(simulated(Pattern::kAllToAll, procs, bytes, params), analytic)
+          << "procs=" << procs << " bytes=" << bytes;
     }
   }
 }
 
 TEST(PatternCost, AnalyticAllToAllMatchesUnderSkewedParams) {
-  // Exercise both regimes of B_j = max(j*o_s, F_{j-1}): senders limited
-  // (huge o_s) and medium limited (tiny o_s, fat frames).
-  EthernetParams sender_bound;
-  sender_bound.sender_overhead = dlb::sim::from_micros(10'000.0);
-  EthernetParams medium_bound;
-  medium_bound.sender_overhead = dlb::sim::from_micros(10.0);
-  medium_bound.receiver_overhead = dlb::sim::from_micros(5.0);
-  for (const auto& params : {sender_bound, medium_bound}) {
+  // Exercise both regimes of B_j = max(j*o_s, F_{j-1}).
+  for (const auto& params : skewed_params()) {
     for (const int procs : {2, 3, 5, 16, 33, 64}) {
-      const double simulated = simulated_alltoall(procs, 4096, params);
       const double analytic = dlb::net::alltoall_analytic(procs, 4096, params);
-      ASSERT_EQ(simulated, analytic) << "procs=" << procs;
+      ASSERT_EQ(simulated(Pattern::kAllToAll, procs, 4096, params), analytic)
+          << "procs=" << procs;
+    }
+  }
+}
+
+TEST(PatternCost, OneToAllAndAllToOneMatchSimulationExactly) {
+  // The closed forms must be bit-equal to the simulated patterns, under the
+  // default parameters and in both skewed regimes, from control messages to
+  // frames far longer than o_s.
+  auto param_sets = skewed_params();
+  param_sets.insert(param_sets.begin(), EthernetParams{});
+  for (const auto& params : param_sets) {
+    for (int procs = 2; procs <= 64; ++procs) {
+      for (const std::size_t bytes : {std::size_t{1}, std::size_t{64}, std::size_t{4096},
+                                      std::size_t{100000}}) {
+        for (const auto pattern : {Pattern::kOneToAll, Pattern::kAllToOne}) {
+          ASSERT_EQ(simulated(pattern, procs, bytes, params),
+                    measure_pattern(pattern, procs, bytes, params))
+              << "pattern=" << static_cast<int>(pattern) << " procs=" << procs
+              << " bytes=" << bytes << " o_s=" << params.sender_overhead;
+        }
+      }
     }
   }
 }

@@ -128,7 +128,8 @@ Process switched_sender(SwitchedFixture& f, int src, int dst, SimTime* done_at) 
 }
 
 Process switched_receiver(SwitchedFixture& f, Mailbox& box, int* value, SimTime* at) {
-  const Message m = co_await f.network.receive(box);
+  const Message m = co_await box.receive();
+  co_await f.engine.sleep_for(f.network.params().receiver_overhead);  // unpack
   *value = m.as<int>();
   *at = f.engine.now();
 }

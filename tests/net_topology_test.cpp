@@ -47,7 +47,8 @@ Process one_send(Fixture& f, int src, int dst) {
 }
 
 Process one_recv(Fixture& f, int who, SimTime* at) {
-  (void)co_await f.network.receive(*f.boxes[static_cast<std::size_t>(who)], 1);
+  (void)co_await f.boxes[static_cast<std::size_t>(who)]->receive(1);
+  co_await f.engine.sleep_for(f.network.params().receiver_overhead);  // unpack
   *at = f.engine.now();
 }
 
