@@ -309,6 +309,22 @@ TEST(ExpReport, SummaryNormalizesToNoDlbWhenSwept) {
   EXPECT_EQ(os2.str().find("normalized"), std::string::npos);
 }
 
+TEST(ExpReport, SummaryOfEmptySweepPrintsItsHeaders) {
+  std::ostringstream os;
+  dlb::exp::write_summary(os, SweepResult{}, 1, /*include_topology=*/true,
+                          /*include_service=*/true);
+  const std::string text = os.str();
+  EXPECT_NE(text.find("| app | P | topology | arrivals | rate | strategy | tl | m_l |"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\ncsv:\napp,procs,topology,arrivals,rate,strategy,tl_seconds,max_load,"
+                      "mean_exec_seconds,mean_syncs,mean_iterations_moved,"
+                      "mean_p50_sojourn_seconds,mean_p99_sojourn_seconds,"
+                      "mean_p999_sojourn_seconds,mean_throughput_jobs_per_sec,mean_utilization\n"),
+            std::string::npos)
+      << text;
+}
+
 TEST(ExpReport, OrderRowsRankEachPointByAscendingP) {
   const auto grid = two_size_grid("ranked");
   const auto rows = dlb::exp::order_rows(grid, Runner(RunnerOptions{}).run(grid));
