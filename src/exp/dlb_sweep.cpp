@@ -41,12 +41,9 @@ int main(int argc, char** argv) {
   using namespace dlb;
   try {
     const support::Cli cli(argc, argv);
-    cli.reject_unknown({"figure", "app", "procs", "strategies", "tl", "max-load", "seeds",
-                        "seed0", "loop", "threads", "format", "timing", "faults", "R", "C",
-                        "R2", "n", "iters", "ops", "bytes", "trace-out", "metrics",
-                        "topology", "rack-size", "shards", "iters-per-proc", "arrivals",
-                        "rate", "jobs", "hysteresis", "load-variants", "mix",
-                        "service-backend"});
+    auto known = exp::grid_flag_names();
+    known.insert(known.end(), {"threads", "format", "timing", "trace-out", "metrics"});
+    cli.reject_unknown(known);
     const auto format = cli.get("format", "summary");
     if (format != "summary" && format != "csv" && format != "json") {
       throw std::invalid_argument("--format must be summary, csv or json");

@@ -510,6 +510,12 @@ void reject_unread_flags(const support::Cli& cli, GridKind kind, const std::stri
 
 }  // namespace
 
+std::vector<std::string> grid_flag_names() {
+  std::vector<std::string> names{"figure"};
+  for (const auto& flag : kGridFlags) names.emplace_back(flag.name);
+  return names;
+}
+
 ExperimentGrid parse_grid(const support::Cli& cli) {
   const auto figure = cli.get("figure", "");
   GridKind kind = kPaper;

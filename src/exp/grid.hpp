@@ -157,6 +157,10 @@ struct ExperimentGrid {
 /// Throws std::invalid_argument on unknown app, strategy or fault names.
 [[nodiscard]] ExperimentGrid parse_grid(const support::Cli& cli);
 
+/// Every flag parse_grid reads: --figure and each grid's flags.  A front
+/// end adds its own flags to these to reject the rest as unknown.
+[[nodiscard]] std::vector<std::string> grid_flag_names();
+
 /// Cli::get_int for a flag the caller narrows: a value outside [lo, hi]
 /// (by default int's range) throws std::invalid_argument naming the flag,
 /// where a bare cast would wrap it (4294967297 to 1 for an int).
