@@ -10,6 +10,38 @@
 
 namespace dlb::sim {
 
+namespace detail {
+
+/// What a finished Task<T> holds: its value, or the exception that escaped
+/// it.  `take()` hands either back to the awaiting coroutine.
+template <typename T>
+struct TaskResult {
+  std::variant<std::monostate, T, std::exception_ptr> result;
+
+  template <typename U>
+  void return_value(U&& value) {
+    result.template emplace<1>(std::forward<U>(value));
+  }
+  void unhandled_exception() { result.template emplace<2>(std::current_exception()); }
+  T take() {
+    if (result.index() == 2) std::rethrow_exception(std::get<2>(result));
+    return std::move(std::get<1>(result));
+  }
+};
+
+template <>
+struct TaskResult<void> {
+  std::exception_ptr exception;
+
+  void return_void() noexcept {}
+  void unhandled_exception() { exception = std::current_exception(); }
+  void take() {
+    if (exception) std::rethrow_exception(exception);
+  }
+};
+
+}  // namespace detail
+
 /// Lazy coroutine task with symmetric transfer, used for composing simulated
 /// protocol steps (`co_await node.send(...)`, `co_await node.compute(...)`).
 /// A Task starts suspended and runs when awaited; completion resumes the
@@ -32,9 +64,8 @@ class [[nodiscard]] Task {
     void await_resume() const noexcept {}
   };
 
-  struct promise_type {
+  struct promise_type : detail::TaskResult<T> {
     std::coroutine_handle<> continuation;
-    std::variant<std::monostate, T, std::exception_ptr> result;
 
     static void* operator new(std::size_t bytes) { return FrameArena::allocate(bytes); }
     static void operator delete(void* p) noexcept { FrameArena::deallocate(p); }
@@ -42,11 +73,6 @@ class [[nodiscard]] Task {
     Task get_return_object() { return Task(Handle::from_promise(*this)); }
     std::suspend_always initial_suspend() noexcept { return {}; }
     FinalAwaiter final_suspend() noexcept { return {}; }
-    template <typename U>
-    void return_value(U&& value) {
-      result.template emplace<1>(std::forward<U>(value));
-    }
-    void unhandled_exception() { result.template emplace<2>(std::current_exception()); }
   };
 
   Task(Task&& other) noexcept : h_(std::exchange(other.h_, nullptr)) {}
@@ -66,71 +92,7 @@ class [[nodiscard]] Task {
     h_.promise().continuation = awaiting;
     return h_;
   }
-  T await_resume() {
-    auto& result = h_.promise().result;
-    if (result.index() == 2) std::rethrow_exception(std::get<2>(result));
-    return std::move(std::get<1>(result));
-  }
-
- private:
-  explicit Task(Handle h) noexcept : h_(h) {}
-  void destroy() noexcept {
-    if (h_) h_.destroy();
-    h_ = nullptr;
-  }
-  Handle h_;
-};
-
-/// Void specialization.
-template <>
-class [[nodiscard]] Task<void> {
- public:
-  struct promise_type;
-  using Handle = std::coroutine_handle<promise_type>;
-
-  struct FinalAwaiter {
-    bool await_ready() const noexcept { return false; }
-    std::coroutine_handle<> await_suspend(Handle h) const noexcept {
-      auto continuation = h.promise().continuation;
-      return continuation ? continuation : std::noop_coroutine();
-    }
-    void await_resume() const noexcept {}
-  };
-
-  struct promise_type {
-    std::coroutine_handle<> continuation;
-    std::exception_ptr exception;
-
-    static void* operator new(std::size_t bytes) { return FrameArena::allocate(bytes); }
-    static void operator delete(void* p) noexcept { FrameArena::deallocate(p); }
-
-    Task get_return_object() { return Task(Handle::from_promise(*this)); }
-    std::suspend_always initial_suspend() noexcept { return {}; }
-    FinalAwaiter final_suspend() noexcept { return {}; }
-    void return_void() noexcept {}
-    void unhandled_exception() { exception = std::current_exception(); }
-  };
-
-  Task(Task&& other) noexcept : h_(std::exchange(other.h_, nullptr)) {}
-  Task(const Task&) = delete;
-  Task& operator=(Task&& other) noexcept {
-    if (this != &other) {
-      destroy();
-      h_ = std::exchange(other.h_, nullptr);
-    }
-    return *this;
-  }
-  Task& operator=(const Task&) = delete;
-  ~Task() { destroy(); }
-
-  bool await_ready() const noexcept { return false; }
-  std::coroutine_handle<> await_suspend(std::coroutine_handle<> awaiting) noexcept {
-    h_.promise().continuation = awaiting;
-    return h_;
-  }
-  void await_resume() {
-    if (h_.promise().exception) std::rethrow_exception(h_.promise().exception);
-  }
+  T await_resume() { return h_.promise().take(); }
 
  private:
   explicit Task(Handle h) noexcept : h_(h) {}
