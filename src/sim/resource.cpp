@@ -3,13 +3,13 @@
 namespace dlb::sim {
 
 void Resource::release() {
-  if (in_use_ == 0) throw std::logic_error("Resource: release without acquire");
-  --in_use_;
-  if (!waiters_.empty() && in_use_ < capacity_) {
-    ++in_use_;  // the unit is transferred to the waiter before it resumes
-    const auto h = waiters_.pop_front();
-    engine_.schedule_resume(engine_.now(), h);
+  if (!held_) throw std::logic_error("Resource: release without acquire");
+  if (waiters_.empty()) {
+    held_ = false;
+    return;
   }
+  // The lock passes to the waiter before it resumes.
+  engine_.schedule_resume(engine_.now(), waiters_.pop_front());
 }
 
 }  // namespace dlb::sim

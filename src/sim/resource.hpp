@@ -9,30 +9,25 @@
 
 namespace dlb::sim {
 
-/// Counting FIFO resource (capacity-1 by default): the simulated analogue of
-/// a mutex / bounded server.  Used to model exclusive stations such as the
-/// centralized load balancer's CPU when explicit queueing is wanted in tests;
-/// the Ethernet medium itself uses the cheaper analytic reservation in
-/// net::Ethernet.
+/// Exclusive FIFO lock: the simulated analogue of a mutex.  Models a
+/// workstation's CPU, which computation, message packing and unpacking
+/// contend for; the Ethernet medium itself uses the cheaper analytic
+/// reservation in net::Ethernet.
 class Resource {
  public:
-  explicit Resource(Engine& engine, std::size_t capacity = 1)
-      : engine_(engine), capacity_(capacity) {
-    if (capacity == 0) throw std::invalid_argument("Resource: zero capacity");
-  }
+  explicit Resource(Engine& engine) noexcept : engine_(engine) {}
   Resource(const Resource&) = delete;
   Resource& operator=(const Resource&) = delete;
 
-  /// Awaitable acquire; resolves in FIFO order as capacity frees up.  The
-  /// unit is claimed synchronously (either here or inside release()), so a
-  /// later acquirer can never overtake a waiter that was already handed the
-  /// freed unit.
+  /// Awaitable acquire; resolves in FIFO order.  The lock is claimed
+  /// synchronously (either here or inside release()), so a later acquirer
+  /// can never overtake a waiter that was already handed the lock.
   [[nodiscard]] auto acquire() {
     struct Awaiter {
       Resource& resource;
       bool await_ready() const noexcept {
-        if (resource.in_use_ < resource.capacity_ && resource.waiters_.empty()) {
-          ++resource.in_use_;
+        if (!resource.held_ && resource.waiters_.empty()) {
+          resource.held_ = true;
           return true;
         }
         return false;
@@ -43,16 +38,15 @@ class Resource {
     return Awaiter{*this};
   }
 
-  /// Releases one unit; resumes the next waiter, if any, at the current time.
+  /// Releases the lock; hands it to the next waiter, if any, which resumes
+  /// at the current time.
   void release();
 
-  [[nodiscard]] std::size_t in_use() const noexcept { return in_use_; }
   [[nodiscard]] std::size_t waiting() const noexcept { return waiters_.size(); }
 
  private:
   Engine& engine_;
-  std::size_t capacity_;
-  std::size_t in_use_ = 0;
+  bool held_ = false;
   support::RingBuffer<std::coroutine_handle<>> waiters_;
 };
 

@@ -23,7 +23,7 @@ Process worker(Engine& engine, Resource& res, std::int64_t hold, std::vector<int
 
 TEST(Resource, ExclusiveAccessSerializes) {
   Engine engine;
-  Resource res(engine, 1);
+  Resource res(engine);
   std::vector<int> order;
   engine.spawn(worker(engine, res, 100, &order, 0));
   engine.spawn(worker(engine, res, 100, &order, 1));
@@ -31,29 +31,13 @@ TEST(Resource, ExclusiveAccessSerializes) {
   engine.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(engine.now(), 300);
-  EXPECT_EQ(res.in_use(), 0u);
-}
-
-TEST(Resource, CapacityTwoOverlaps) {
-  Engine engine;
-  Resource res(engine, 2);
-  std::vector<int> order;
-  engine.spawn(worker(engine, res, 100, &order, 0));
-  engine.spawn(worker(engine, res, 100, &order, 1));
-  engine.spawn(worker(engine, res, 100, &order, 2));
-  engine.run();
-  EXPECT_EQ(engine.now(), 200);  // two in parallel, then one
+  EXPECT_THROW(res.release(), std::logic_error);  // the last worker freed it
 }
 
 TEST(Resource, ReleaseWithoutAcquireThrows) {
   Engine engine;
-  Resource res(engine, 1);
+  Resource res(engine);
   EXPECT_THROW(res.release(), std::logic_error);
-}
-
-TEST(Resource, ZeroCapacityRejected) {
-  Engine engine;
-  EXPECT_THROW(Resource(engine, 0), std::invalid_argument);
 }
 
 Process late_acquirer(Engine& engine, Resource& res, std::vector<int>* order, int id,
@@ -66,7 +50,7 @@ Process late_acquirer(Engine& engine, Resource& res, std::vector<int>* order, in
 
 TEST(Resource, LateAcquirerCannotOvertakeWaiter) {
   Engine engine;
-  Resource res(engine, 1);
+  Resource res(engine);
   std::vector<int> order;
   // id 0 holds [0, 100); id 1 waits from t=0; id 2 arrives at t=100 exactly
   // when the release hands the unit to id 1.
