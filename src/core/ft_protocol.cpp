@@ -273,7 +273,7 @@ sim::Task<bool> peek_profiles(FtState& ft, int self, FtSlaveState& st) {
   auto& me = ft.ctx->cluster->station(self);
   const int g = st.group;
   for (;;) {
-    auto m = me.poll_range(ft_tag(g, kFtOffProfile), ft_tag(g, kFtOffProfile));
+    auto m = me.poll(ft_tag(g, kFtOffProfile));
     if (!m) co_return false;
     const auto pm = m->as<ProfileMsg>();
     note_heard(ft, self, pm.snapshot.proc);
@@ -425,7 +425,7 @@ sim::Task<bool> apply_window(FtState& ft, int self, FtSlaveState& st, sim::SimTi
   const int g = st.group;
   while (me.engine().now() < deadline && !settled()) {
     std::optional<sim::Message> m =
-        co_await me.receive_until(deadline, ft_tag(g, 0), ft_tag(g, kFtOffHeartbeat));
+        co_await me.receive_until(deadline, {ft_tag(g, 0), ft_tag(g, kFtOffHeartbeat)});
     if (!is_alive(ft, self)) co_return false;
     if (!m) break;
     if (m->tag == ft_tag(g, kFtOffInterrupt)) {
@@ -538,7 +538,7 @@ sim::Task<FtStatus> ft_coordinate(FtState& ft, int self, FtSlaveState& st) {
       // Wait on the whole block including the profile offset, so work
       // shipments from members still applying the previous round get
       // absorbed and acked instead of deadlocking against our collection.
-      auto m = co_await me.receive_until(deadline, ft_tag(g, 0), ft_tag(g, kFtOffProfile));
+      auto m = co_await me.receive_until(deadline, {ft_tag(g, 0), ft_tag(g, kFtOffProfile)});
       if (!is_alive(ft, self)) co_return FtStatus::kDead;
       if (!m) break;
       if (m->tag == ft_tag(g, kFtOffProfile)) {
@@ -626,7 +626,7 @@ sim::Task<FtStatus> ft_participate(FtState& ft, int self, FtSlaveState& st) {
     const sim::SimTime deadline = backoff_deadline(ft, attempt);
     bool resend_now = false;
     while (me.engine().now() < deadline) {
-      auto m = co_await me.receive_until(deadline, ft_tag(g, 0), ft_tag(g, kFtOffHeartbeat));
+      auto m = co_await me.receive_until(deadline, {ft_tag(g, 0), ft_tag(g, kFtOffHeartbeat)});
       if (!is_alive(ft, self)) co_return FtStatus::kDead;
       if (!m) break;
       if (m->tag == ft_tag(g, kFtOffOutcome)) {
@@ -700,7 +700,7 @@ sim::Process ft_dlb_slave(FtState& ft, int self, int group) {
 
   while (is_alive(ft, self) && ft.done[static_cast<std::size_t>(group)] == 0) {
     bool join_sync = false;
-    while (auto m = me.poll_range(ft_tag(group, 0), ft_tag(group, kFtOffHeartbeat))) {
+    while (auto m = me.poll({ft_tag(group, 0), ft_tag(group, kFtOffHeartbeat)})) {
       if (co_await handle_bg(ft, self, st, std::move(*m))) join_sync = true;
       if (!is_alive(ft, self)) break;
     }
@@ -745,7 +745,7 @@ sim::Process ft_dlb_slave(FtState& ft, int self, int group) {
         while (is_alive(ft, self) && ft.done[static_cast<std::size_t>(group)] == 0 &&
                mine.empty() && st.pending_sync < st.round) {
           auto m = co_await me.receive_until(me.engine().now() + kHeartbeatPeriod,
-                                             ft_tag(group, 0), ft_tag(group, kFtOffHeartbeat));
+                                             {ft_tag(group, 0), ft_tag(group, kFtOffHeartbeat)});
           if (!m) continue;
           if (co_await handle_bg(ft, self, st, std::move(*m))) {
             st.pending_sync = std::max(st.pending_sync, st.round);
@@ -774,9 +774,9 @@ sim::Process ft_central_balancer(FtState& ft, int station_id) {
 
   while (!ft.stop && ft.groups_done < ctx.groups.size()) {
     if (!is_alive(ft, station_id)) break;
-    auto first = co_await me.receive_until(me.engine().now() + kHeartbeatPeriod,
-                                           kFtCentralProfileBase,
-                                           kFtCentralProfileBase + ngroups - 1);
+    auto first = co_await me.receive_until(
+        me.engine().now() + kHeartbeatPeriod,
+        {kFtCentralProfileBase, kFtCentralProfileBase + ngroups - 1});
     if (!is_alive(ft, station_id)) break;
     if (!first) continue;
     const auto pm0 = first->as<ProfileMsg>();
@@ -793,7 +793,7 @@ sim::Process ft_central_balancer(FtState& ft, int station_id) {
       if (!is_alive(ft, station_id)) break;
       // Profiles of other groups queue behind this collection — the LCDLB
       // serialization delay, same as the fault-free balancer.
-      while (auto q = me.poll_range(kFtCentralProfileBase + g, kFtCentralProfileBase + g)) {
+      while (auto q = me.poll(kFtCentralProfileBase + g)) {
         collect_profile(ft, station_id, *q, got);
       }
       const auto missing = missing_members(ft, g, got);
@@ -803,8 +803,7 @@ sim::Process ft_central_balancer(FtState& ft, int station_id) {
       const sim::SimTime deadline = backoff_deadline(ft, attempt);
       bool heard = false;
       while (me.engine().now() < deadline) {
-        auto m = co_await me.receive_until(deadline, kFtCentralProfileBase + g,
-                                           kFtCentralProfileBase + g);
+        auto m = co_await me.receive_until(deadline, kFtCentralProfileBase + g);
         if (!m || !is_alive(ft, station_id)) break;
         if (collect_profile(ft, station_id, *m, got)) heard = true;
       }

@@ -459,8 +459,7 @@ sim::Process phase_master(cluster::Cluster& cluster, SequentialPhase phase, int 
     for (;;) {
       if (!alive(master)) co_return;
       if (!alive(p)) break;  // its share of the data died with it
-      auto m = co_await me.receive_until(me.engine().now() + kPhaseLivenessStep, kTagPhaseData,
-                                         kTagPhaseData, p);
+      auto m = co_await me.receive_until(me.engine().now() + kPhaseLivenessStep, kTagPhaseData, p);
       if (!alive(master)) co_return;
       if (m) break;
     }
@@ -488,7 +487,7 @@ sim::Process phase_slave(cluster::Cluster& cluster, int self, double gather_byte
   for (;;) {
     if (!injector->alive(self)) co_return;
     auto m = co_await me.receive_until(me.engine().now() + kPhaseLivenessStep, kTagPhaseScatter,
-                                       kTagPhaseScatter, master);
+                                       master);
     if (!injector->alive(self)) co_return;
     if (m) break;
     if (!injector->alive(master)) break;  // degraded: proceed without the scatter

@@ -6,7 +6,7 @@ void Mailbox::deliver(Message message) {
   message.delivered_at = engine_.now();
   // Serve the oldest suspended waiter whose filter matches.
   for (std::size_t i = 0; i < waiters_.size(); ++i) {
-    if (matches_range(message, waiters_[i].tag_lo, waiters_[i].tag_hi, waiters_[i].source)) {
+    if (matches(message, waiters_[i].tags, waiters_[i].source)) {
       Waiter waiter = waiters_.take(i);
       engine_.cancel(waiter.timer);  // no-op for plain receives
       *waiter.slot = std::move(message);
@@ -19,23 +19,16 @@ void Mailbox::deliver(Message message) {
   queue_.push_back(std::move(message));
 }
 
-std::optional<Message> Mailbox::try_receive(int tag, int source) {
+std::optional<Message> Mailbox::try_receive(Tags tags, int source) {
   for (std::size_t i = 0; i < queue_.size(); ++i) {
-    if (matches(queue_[i], tag, source)) return queue_.take(i);
+    if (matches(queue_[i], tags, source)) return queue_.take(i);
   }
   return std::nullopt;
 }
 
-std::optional<Message> Mailbox::try_receive_range(int tag_lo, int tag_hi, int source) {
+bool Mailbox::has_message(Tags tags, int source) const noexcept {
   for (std::size_t i = 0; i < queue_.size(); ++i) {
-    if (matches_range(queue_[i], tag_lo, tag_hi, source)) return queue_.take(i);
-  }
-  return std::nullopt;
-}
-
-bool Mailbox::has_message(int tag, int source) const noexcept {
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    if (matches(queue_[i], tag, source)) return true;
+    if (matches(queue_[i], tags, source)) return true;
   }
   return false;
 }
