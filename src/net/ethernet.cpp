@@ -8,9 +8,6 @@ sim::SimTime Ethernet::transmit(std::size_t bytes, sim::SimTime ready_at) noexce
   const sim::SimTime occupancy = params_.medium_occupancy(bytes);
   const sim::SimTime start = std::max(ready_at, free_at_);
   free_at_ = start + occupancy;
-  busy_time_ += occupancy;
-  ++messages_;
-  bytes_ += bytes;
   return free_at_ + params_.propagation;
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "net/params.hpp"
 #include "sim/time.hpp"
@@ -23,17 +22,10 @@ class Ethernet {
   sim::SimTime transmit(std::size_t bytes, sim::SimTime ready_at) noexcept;
 
   [[nodiscard]] const EthernetParams& params() const noexcept { return params_; }
-  [[nodiscard]] sim::SimTime busy_until() const noexcept { return free_at_; }
-  [[nodiscard]] std::uint64_t messages_carried() const noexcept { return messages_; }
-  [[nodiscard]] std::uint64_t bytes_carried() const noexcept { return bytes_; }
-  [[nodiscard]] sim::SimTime total_busy_time() const noexcept { return busy_time_; }
 
  private:
   EthernetParams params_;
   sim::SimTime free_at_ = 0;
-  sim::SimTime busy_time_ = 0;
-  std::uint64_t messages_ = 0;
-  std::uint64_t bytes_ = 0;
 };
 
 }  // namespace dlb::net

@@ -89,10 +89,7 @@ void Network::transmit(int dst, sim::Message message, bool droppable) {
     if (recorder_ != nullptr) {
       recorder_->message(src, dst, tag, bytes, message.sent_at, wire_done, dropped);
     }
-    if (dropped) {
-      ++counters.dropped;
-      return;
-    }
+    if (dropped) return;
     engine_.schedule_at(wire_done, [destination, m = std::move(message)]() mutable {
       destination->deliver(std::move(m));
     });

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 #include "sim/time.hpp"
@@ -52,21 +51,12 @@ class CrossbarPort {
   /// Reserves the port for one frame; returns when its last byte has left.
   sim::SimTime transmit(std::size_t bytes, sim::SimTime ready_at) noexcept {
     const sim::SimTime start = ready_at > free_at_ ? ready_at : free_at_;
-    const sim::SimTime occupancy = port_occupancy(bytes);
-    free_at_ = start + occupancy;
-    busy_time_ += occupancy;
-    ++messages_;
+    free_at_ = start + port_occupancy(bytes);
     return free_at_;
   }
 
-  [[nodiscard]] sim::SimTime busy_until() const noexcept { return free_at_; }
-  [[nodiscard]] sim::SimTime total_busy_time() const noexcept { return busy_time_; }
-  [[nodiscard]] std::uint64_t messages_carried() const noexcept { return messages_; }
-
  private:
   sim::SimTime free_at_ = 0;
-  sim::SimTime busy_time_ = 0;
-  std::uint64_t messages_ = 0;
 };
 
 /// Rack of a workstation: contiguous blocks of `rack_size` stations.

@@ -40,8 +40,6 @@ TEST(Ethernet, BackToBackTransmitsSerialize) {
   const auto first = eth.transmit(10, 0);
   const auto second = eth.transmit(10, 0);
   EXPECT_EQ(second - first, p.medium_occupancy(10));
-  EXPECT_EQ(eth.messages_carried(), 2u);
-  EXPECT_EQ(eth.bytes_carried(), 20u);
 }
 
 TEST(Ethernet, LateHandoffStartsWhenReady) {
@@ -56,10 +54,8 @@ TEST(Ethernet, GapLeavesMediumIdle) {
   const EthernetParams p;
   Ethernet eth(p);
   (void)eth.transmit(10, 0);
-  const auto busy_before = eth.total_busy_time();
   const auto deliver = eth.transmit(10, from_seconds(100.0));
   EXPECT_EQ(deliver, from_seconds(100.0) + p.medium_occupancy(10) + p.propagation);
-  EXPECT_EQ(eth.total_busy_time(), busy_before + p.medium_occupancy(10));
 }
 
 TEST(Ethernet, CustomParamsRespected) {

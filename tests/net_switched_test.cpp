@@ -98,8 +98,6 @@ TEST(Topology, CrossbarPortSerializesFrames) {
   EXPECT_EQ(port.transmit(1000, 150), 100 + 2 * occ);
   // Idle gap: starts at its own ready time.
   EXPECT_EQ(port.transmit(1000, 1'000'000), 1'000'000 + occ);
-  EXPECT_EQ(port.messages_carried(), 3u);
-  EXPECT_EQ(port.total_busy_time(), 3 * occ);
 }
 
 // Four stations in two racks of two, on a one-shard engine by default (the
