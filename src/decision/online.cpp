@@ -25,7 +25,6 @@ core::Strategy OnlineSelector::decide(std::span<const double> ranked_costs) {
       throw std::invalid_argument("OnlineSelector: costs must be positive and finite");
     }
   }
-  ++decisions_;
 
   int best = 0;
   for (int i = 1; i < core::kRankedStrategyCount; ++i) {

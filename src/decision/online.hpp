@@ -41,7 +41,6 @@ class OnlineSelector {
   core::Strategy decide(std::span<const double> ranked_costs);
 
   [[nodiscard]] core::Strategy current() const noexcept { return current_; }
-  [[nodiscard]] std::uint64_t decisions() const noexcept { return decisions_; }
   [[nodiscard]] std::uint64_t switches() const noexcept { return switches_; }
 
  private:
@@ -50,7 +49,6 @@ class OnlineSelector {
   bool committed_ = false;
   int challenger_id_ = -1;  // ranked id of the current streak's challenger
   int streak_ = 0;
-  std::uint64_t decisions_ = 0;
   std::uint64_t switches_ = 0;
 };
 

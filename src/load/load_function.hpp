@@ -44,9 +44,6 @@ class LoadFunction {
 
   [[nodiscard]] const LoadParams& params() const noexcept { return params_; }
 
-  /// Levels generated so far (grows as queried).
-  [[nodiscard]] const std::vector<int>& trace() const noexcept { return levels_; }
-
  private:
   void ensure_generated(std::int64_t block);
 

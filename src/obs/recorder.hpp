@@ -134,16 +134,15 @@ class Recorder {
   [[nodiscard]] const std::vector<ActivityEvent>& activities() const noexcept {
     return activities_;
   }
-  /// Latest end of any activity segment (0 when the log is empty).
-  [[nodiscard]] sim::SimTime activity_end() const noexcept { return activity_end_; }
 
   /// Compute-only time per processor from the activity log, seconds.
   [[nodiscard]] std::vector<double> compute_seconds(int procs) const;
-  /// Compute utilization per processor: compute time / activity_end().
+  /// Compute utilization per processor: compute time / the span, which runs
+  /// from 0 to the latest end of any activity segment.
   [[nodiscard]] std::vector<double> utilization(int procs) const;
 
   /// Renders the activity log as an ASCII Gantt chart: one row per
-  /// processor, `width` columns spanning [0, activity_end()]; '#' compute,
+  /// processor, `width` columns across the span; '#' compute,
   /// 's' sync, 'm' move, 'r' recover, '.' idle.  For a column covering
   /// several kinds, the most specific (r > m > s > #) wins.  Degenerate
   /// inputs (procs <= 0, width <= 0, or an empty log) render as

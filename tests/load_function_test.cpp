@@ -47,7 +47,6 @@ TEST(LoadFunction, QueriesAreCachedNotRedrawn) {
   const int first = f.level_of_block(10);
   const int again = f.level_of_block(10);
   EXPECT_EQ(first, again);
-  EXPECT_EQ(f.trace().size(), 11u);
 }
 
 TEST(LoadFunction, SegmentBoundaries) {

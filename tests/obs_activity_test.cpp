@@ -25,7 +25,6 @@ TEST(Trace, RecordsAndAggregates) {
   t.activity(0, ActivityKind::kSync, from_seconds(1.0), from_seconds(1.5));
   t.activity(1, ActivityKind::kCompute, 0, from_seconds(2.0));
   EXPECT_EQ(t.activities().size(), 3u);
-  EXPECT_EQ(t.activity_end(), from_seconds(2.0));
 
   const auto compute = t.compute_seconds(2);
   EXPECT_DOUBLE_EQ(compute[0], 1.0);
