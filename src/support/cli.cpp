@@ -21,9 +21,7 @@ Cli::Cli(int argc, const char* const* argv) {
     if (arg.rfind("--", 0) == 0) {
       const auto eq = arg.find('=');
       if (eq == std::string::npos) {
-        // A std::string, not the literal: assigning "1" here trips a GCC 12
-        // -Wrestrict false positive in the inlined char_traits copy.
-        options_[arg.substr(2)] = std::string("1");
+        options_[arg.substr(2)] = std::nullopt;
       } else {
         options_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
       }
@@ -33,17 +31,24 @@ Cli::Cli(int argc, const char* const* argv) {
   }
 }
 
+const std::string* Cli::value_of(const std::string& key) const {
+  const auto it = options_.find(key);
+  if (it == options_.end()) return nullptr;
+  if (!it->second) throw std::invalid_argument("--" + key + " needs a value");
+  return &*it->second;
+}
+
 bool Cli::has(const std::string& key) const { return options_.count(key) != 0; }
 
 std::string Cli::get(const std::string& key, const std::string& fallback) const {
-  const auto it = options_.find(key);
-  return it == options_.end() ? fallback : it->second;
+  const std::string* found = value_of(key);
+  return found == nullptr ? fallback : *found;
 }
 
 long Cli::get_int(const std::string& key, long fallback) const {
-  const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  const std::string& value = it->second;
+  const std::string* found = value_of(key);
+  if (found == nullptr) return fallback;
+  const std::string& value = *found;
   // strtol with an unchecked end pointer accepted "4x" as 4 and "x" as 0;
   // require the full string to be consumed and non-empty.
   errno = 0;
@@ -56,9 +61,9 @@ long Cli::get_int(const std::string& key, long fallback) const {
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {
-  const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  const std::string& value = it->second;
+  const std::string* found = value_of(key);
+  if (found == nullptr) return fallback;
+  const std::string& value = *found;
   errno = 0;
   char* end = nullptr;
   const double parsed = std::strtod(value.c_str(), &end);

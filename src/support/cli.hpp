@@ -13,7 +13,8 @@ namespace dlb::support {
 /// Numeric accessors parse strictly: the whole value must be a valid number
 /// (`--procs=4x` or `--tl=fast` throw std::invalid_argument instead of
 /// silently reading 0, which used to turn a typo into a zero-processor
-/// grid).  A bare `--flag` stores "1", so `has`/`get_int` agree on flags.
+/// grid).  A bare `--flag` has no value: `has` sees it, and the value
+/// accessors throw "--flag needs a value" rather than read a made-up one.
 class Cli {
  public:
   Cli(int argc, const char* const* argv);
@@ -32,7 +33,11 @@ class Cli {
   void reject_unknown(const std::vector<std::string>& known) const;
 
  private:
-  std::map<std::string, std::string> options_;
+  /// The value given for `key`, or nullptr when the flag is absent; throws
+  /// if the flag was passed bare.
+  [[nodiscard]] const std::string* value_of(const std::string& key) const;
+
+  std::map<std::string, std::optional<std::string>> options_;
   std::vector<std::string> positional_;
 };
 

@@ -83,6 +83,22 @@ TEST(Cli, ValidNumbersStillParse) {
   EXPECT_DOUBLE_EQ(cli.get_double("c", 0.0), 0.5);
 }
 
+TEST(Cli, BareFlagNeedsAValue) {
+  // A bare flag used to read as "1": a bare --trace-out wrote its traces
+  // into ./1 and a bare --procs ran one processor.
+  const char* argv[] = {"prog", "--trace-out", "--procs", "--tl"};
+  const Cli cli(4, argv);
+  EXPECT_TRUE(cli.has("trace-out"));
+  try {
+    (void)cli.get("trace-out", "");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--trace-out needs a value");
+  }
+  EXPECT_THROW((void)cli.get_int("procs", 4), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_double("tl", 2.0), std::invalid_argument);
+}
+
 TEST(Cli, RejectUnknownAcceptsKnownFlags) {
   const char* argv[] = {"prog", "--procs=4", "--verbose", "positional"};
   const Cli cli(4, argv);
