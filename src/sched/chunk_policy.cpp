@@ -16,13 +16,7 @@ class SelfScheduling final : public ChunkPolicy {
 
 class FixedChunk final : public ChunkPolicy {
  public:
-  explicit FixedChunk(std::int64_t k) : k_(k) {
-    if (k < 1) throw std::invalid_argument("FixedChunk: k must be >= 1");
-  }
-  std::int64_t next(std::int64_t remaining) override { return std::min(k_, remaining); }
-
- private:
-  std::int64_t k_;
+  std::int64_t next(std::int64_t remaining) override { return std::min(kFixedChunk, remaining); }
 };
 
 class Guided final : public ChunkPolicy {
@@ -98,14 +92,14 @@ const char* queue_scheme_name(QueueScheme s) noexcept {
 }
 
 std::unique_ptr<ChunkPolicy> make_chunk_policy(QueueScheme scheme, std::int64_t total_iterations,
-                                               int procs, std::int64_t fixed_chunk) {
+                                               int procs) {
   if (procs < 1) throw std::invalid_argument("make_chunk_policy: procs < 1");
   if (total_iterations < 0) throw std::invalid_argument("make_chunk_policy: negative total");
   switch (scheme) {
     case QueueScheme::kSelfScheduling:
       return std::make_unique<SelfScheduling>();
     case QueueScheme::kFixedChunk:
-      return std::make_unique<FixedChunk>(fixed_chunk);
+      return std::make_unique<FixedChunk>();
     case QueueScheme::kGuided:
       return std::make_unique<Guided>(procs);
     case QueueScheme::kFactoring:

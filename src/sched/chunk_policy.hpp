@@ -29,11 +29,12 @@ class ChunkPolicy {
   [[nodiscard]] virtual std::int64_t next(std::int64_t remaining) = 0;
 };
 
-/// Factory.  `total_iterations` and `procs` parameterize GSS/factoring/TSS;
-/// `fixed_chunk` is the K of fixed-size chunking.
+/// The K of fixed-size chunking.
+inline constexpr std::int64_t kFixedChunk = 8;
+
+/// Factory.  `total_iterations` and `procs` parameterize GSS/factoring/TSS.
 [[nodiscard]] std::unique_ptr<ChunkPolicy> make_chunk_policy(QueueScheme scheme,
                                                              std::int64_t total_iterations,
-                                                             int procs,
-                                                             std::int64_t fixed_chunk = 8);
+                                                             int procs);
 
 }  // namespace dlb::sched

@@ -10,7 +10,7 @@
 namespace dlb::sched {
 
 /// Runs a single-loop application under a central task queue handing out
-/// chunks by `scheme` (kFixedChunk hands out make_chunk_policy's default K)
+/// chunks by `scheme` (QueueScheme::kFixedChunk hands out sched::kFixedChunk)
 /// on the simulated NOW: the queue lives on processor 0 (which also computes);
 /// slaves request chunks over the network, paying the full message costs the
 /// shared-memory formulations of these schemes get for free — exactly the

@@ -14,9 +14,8 @@ using dlb::sched::QueueScheme;
 using dlb::sched::run_task_queue;
 
 /// Drains a policy over `total` iterations and returns the chunk sequence.
-std::vector<std::int64_t> drain(QueueScheme scheme, std::int64_t total, int procs,
-                                std::int64_t k = 8) {
-  auto policy = make_chunk_policy(scheme, total, procs, k);
+std::vector<std::int64_t> drain(QueueScheme scheme, std::int64_t total, int procs) {
+  auto policy = make_chunk_policy(scheme, total, procs);
   std::vector<std::int64_t> chunks;
   std::int64_t remaining = total;
   while (remaining > 0) {
@@ -40,7 +39,7 @@ TEST(ChunkPolicy, SelfSchedulingIsUnitChunks) {
 }
 
 TEST(ChunkPolicy, FixedChunkUsesK) {
-  const auto chunks = drain(QueueScheme::kFixedChunk, 20, 4, 8);
+  const auto chunks = drain(QueueScheme::kFixedChunk, 20, 4);
   EXPECT_EQ(chunks, (std::vector<std::int64_t>{8, 8, 4}));
 }
 
@@ -85,8 +84,6 @@ TEST(ChunkPolicy, AllSchemesConserveIterations) {
 
 TEST(ChunkPolicy, Rejections) {
   EXPECT_THROW((void)make_chunk_policy(QueueScheme::kGuided, 10, 0), std::invalid_argument);
-  EXPECT_THROW((void)make_chunk_policy(QueueScheme::kFixedChunk, 10, 4, 0),
-               std::invalid_argument);
   EXPECT_THROW((void)make_chunk_policy(QueueScheme::kGuided, -1, 4), std::invalid_argument);
 }
 
