@@ -48,18 +48,4 @@ double station_speed(const ClusterParams& params, int i) {
   return params.speeds.empty() ? 1.0 : params.speeds[static_cast<std::size_t>(i)];
 }
 
-std::vector<std::vector<int>> Cluster::kblock_groups(int procs, int group_size) {
-  if (procs < 1) throw std::invalid_argument("kblock_groups: procs < 1");
-  if (group_size < 1 || group_size > procs) {
-    throw std::invalid_argument("kblock_groups: group_size out of range");
-  }
-  std::vector<std::vector<int>> groups;
-  for (int start = 0; start < procs; start += group_size) {
-    std::vector<int> group;
-    for (int i = start; i < std::min(start + group_size, procs); ++i) group.push_back(i);
-    groups.push_back(std::move(group));
-  }
-  return groups;
-}
-
 }  // namespace dlb::cluster

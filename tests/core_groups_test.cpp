@@ -51,6 +51,18 @@ TEST(FormGroups, ConfigConvenienceUsesMode) {
   EXPECT_EQ(form_groups(8, config), (std::vector<std::vector<int>>{{0, 1, 2, 3, 4, 5, 6, 7}}));
 }
 
+TEST(FormGroups, RemainderGoesToLastGroup) {
+  DlbConfig config;
+  config.strategy = Strategy::kLDDLB;
+  config.group_size = 3;
+  const auto groups = form_groups(7, config);
+  expect_partition(groups, 7);
+  ASSERT_EQ(groups.size(), 3u);
+  EXPECT_EQ(groups[0], (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(groups[1], (std::vector<int>{3, 4, 5}));
+  EXPECT_EQ(groups[2], (std::vector<int>{6}));
+}
+
 TEST(FormGroups, Rejections) {
   DlbConfig config;
   config.strategy = Strategy::kLDDLB;
