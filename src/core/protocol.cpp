@@ -58,22 +58,36 @@ std::vector<int> remove_inactive(const std::vector<int>& active,
   return out;
 }
 
-sim::Task<void> execute_iteration(LoopContext& ctx, int self, std::int64_t index) {
+namespace {
+
+/// An iteration of a loop with intrinsic communication: the computation,
+/// then the ring send and the unpack of what arrived meanwhile.
+sim::Task<void> execute_with_intrinsic(LoopContext& ctx, int self, std::int64_t index) {
   auto& me = ctx.cluster->station(self);
   co_await me.compute(ctx.loop->ops_of(index));
   if (me.powered_off()) co_return;
-  if (ctx.loop->intrinsic_bytes_per_iteration > 0.0) {
-    const int neighbor = (self + 1) % ctx.procs();
-    if (neighbor != self) {
-      co_await me.send(neighbor, kTagIntrinsic, std::any{},
-                       static_cast<std::size_t>(ctx.loop->intrinsic_bytes_per_iteration));
-    }
-    int drained = 0;
-    while (me.poll(kTagIntrinsic)) ++drained;
-    if (drained > 0) {
-      co_await me.busy(drained * ctx.cluster->network().params().receiver_overhead);
-    }
+  const int neighbor = (self + 1) % ctx.procs();
+  if (neighbor != self) {
+    co_await me.send(neighbor, kTagIntrinsic, std::any{},
+                     static_cast<std::size_t>(ctx.loop->intrinsic_bytes_per_iteration));
   }
+  int drained = 0;
+  while (me.poll(kTagIntrinsic)) ++drained;
+  if (drained > 0) {
+    co_await me.busy(drained * ctx.cluster->network().params().receiver_overhead);
+  }
+}
+
+}  // namespace
+
+sim::Task<void> execute_iteration(LoopContext& ctx, int self, std::int64_t index) {
+  // Without intrinsic traffic an iteration is its computation alone: hand
+  // back the station's compute task, so the iteration costs one coroutine
+  // frame under the slave's, not two.
+  if (ctx.loop->intrinsic_bytes_per_iteration > 0.0) {
+    return execute_with_intrinsic(ctx, self, index);
+  }
+  return ctx.cluster->station(self).compute(ctx.loop->ops_of(index));
 }
 
 void count_iteration(LoopContext& ctx, int self, sim::SimTime began) {

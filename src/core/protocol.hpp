@@ -119,7 +119,9 @@ void record_event(LoopContext& ctx, int group, int round, int initiator, const D
 /// Executes one iteration: the computation, then — unless the station was
 /// powered off meanwhile — the intrinsic communication to the ring neighbour
 /// (IC, §4.1) and the unpack cost of inbound intrinsic traffic that
-/// accumulated since the last gap.  The caller counts the iteration.
+/// accumulated since the last gap.  A loop without IC gets the station's
+/// compute task itself, so its iteration holds no frame of its own.  The
+/// caller counts the iteration.
 [[nodiscard]] sim::Task<void> execute_iteration(LoopContext& ctx, int self, std::int64_t index);
 
 /// Counts one executed iteration of `self` that began at `began`: the

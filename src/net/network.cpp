@@ -45,8 +45,8 @@ void Network::attach(int id, sim::Mailbox& mailbox) {
   mailboxes_[static_cast<std::size_t>(id)] = &mailbox;
 }
 
-sim::Task<void> Network::send(int src, int dst, int tag, std::any payload, std::size_t bytes,
-                              double overhead_fraction, bool droppable) {
+sim::Message Network::frame(int src, int dst, int tag, std::any payload,
+                            std::size_t bytes) const {
   if (dst < 0 || static_cast<std::size_t>(dst) >= mailboxes_.size() ||
       mailboxes_[static_cast<std::size_t>(dst)] == nullptr) {
     throw std::invalid_argument("Network: send to unattached endpoint");
@@ -57,11 +57,7 @@ sim::Task<void> Network::send(int src, int dst, int tag, std::any payload, std::
   message.bytes = bytes;
   message.payload = std::move(payload);
   message.sent_at = engine_.now();
-
-  // Sender CPU: pack + transmit syscall.
-  co_await engine_.sleep_for(static_cast<sim::SimTime>(
-      static_cast<double>(params_.sender_overhead) * overhead_fraction));
-  transmit(dst, std::move(message), droppable);
+  return message;
 }
 
 void Network::transmit(int dst, sim::Message message, bool droppable) {
@@ -122,18 +118,6 @@ void Network::transmit(int dst, sim::Message message, bool droppable) {
           destination->deliver(std::move(m2));
         });
       });
-}
-
-sim::Task<void> Network::multicast(int src, std::span<const int> dsts, int tag,
-                                   std::any payload, std::size_t bytes, bool droppable) {
-  bool first = true;
-  for (const int dst : dsts) {
-    if (dst == src) continue;
-    // pvm_mcast packs once: follow-up sends pay only a fraction of o_s.
-    co_await send(src, dst, tag, payload, bytes,
-                  first ? 1.0 : kMulticastExtraFraction, droppable);
-    first = false;
-  }
 }
 
 }  // namespace dlb::net

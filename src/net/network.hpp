@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -15,15 +14,16 @@
 #include "obs/recorder.hpp"
 #include "sim/engine.hpp"
 #include "sim/mailbox.hpp"
-#include "sim/task.hpp"
 
 namespace dlb::net {
 
-/// PVM-like message layer over racks of shared Ethernet segments.
-/// Endpoints (workstations) register a mailbox under an integer id; `send`
-/// models the sender's CPU overhead, medium contention, and asynchronous
-/// delivery.  The receiver pays the unpack overhead o_r on its own CPU when
-/// it consumes a message (cluster::Workstation::receive).
+/// The wire under the PVM-like message layer: racks of shared Ethernet
+/// segments.  Endpoints (workstations) register a mailbox under an integer
+/// id.  The network is passive, like `Ethernet`: it models medium contention
+/// and asynchronous delivery and runs no coroutine.  The CPU costs live in
+/// cluster::Workstation: the sender pays o_s before it hands a frame to
+/// `transmit`, and the receiver pays the unpack overhead o_r on its own CPU
+/// when it consumes a message.
 ///
 /// Topology (§4.1 lists it as a network parameter): a network starts as one
 /// rack holding every endpoint — the paper's single shared Ethernet, with
@@ -67,7 +67,7 @@ class Network {
                                       bool droppable)>;
 
   /// Installs (or clears, with an empty function) the loss hook.  When no
-  /// hook is set, send takes the exact pre-fault code path.
+  /// hook is set, transmit takes the exact pre-fault code path.
   void set_drop_hook(DropHook hook) { drop_hook_ = std::move(hook); }
 
   /// Observability: when set, every frame is recorded (src, dst, tag, size,
@@ -76,22 +76,20 @@ class Network {
   /// same arming discipline as the drop hook.
   void set_recorder(obs::Recorder* recorder) noexcept { recorder_ = recorder; }
 
-  /// Sends one message.  Occupies the *calling coroutine* (the sender's CPU)
-  /// for o_s, then hands the frame to the medium and returns — delivery is
-  /// asynchronous, like pvm_send.  `overhead_fraction` scales the sender CPU
-  /// cost (1.0 for a standalone send; less for multicast follow-ups).  A
-  /// frame the drop hook claims still occupies the source segment and counts
-  /// in the traffic totals (the collision/garble happens on the wire); only
-  /// its delivery is suppressed.
-  [[nodiscard]] sim::Task<void> send(int src, int dst, int tag, std::any payload,
-                                     std::size_t bytes, double overhead_fraction = 1.0,
-                                     bool droppable = true);
+  /// The frame `src` is about to send to `dst`, stamped with the current
+  /// time as its `sent_at`.  Throws std::invalid_argument unless `dst` is an
+  /// attached endpoint, so a bad destination fails before the sender pays
+  /// o_s.
+  [[nodiscard]] sim::Message frame(int src, int dst, int tag, std::any payload,
+                                   std::size_t bytes) const;
 
-  /// Sends to every id in `dsts` (sequential sender-side, like a pvm_mcast
-  /// loop).  The payload is copied per destination.
-  [[nodiscard]] sim::Task<void> multicast(int src, std::span<const int> dsts, int tag,
-                                          std::any payload, std::size_t bytes,
-                                          bool droppable = true);
+  /// Puts a frame whose sender has paid o_s on the wire and returns:
+  /// delivery is asynchronous, like pvm_send.  The frame takes the source
+  /// rack segment, then is delivered within the rack or crosses the fabric to
+  /// another.  `message` comes from `frame`.  A frame the drop hook claims
+  /// still occupies the source segment and counts in the traffic totals (the
+  /// collision/garble happens on the wire); only its delivery is suppressed.
+  void transmit(int dst, sim::Message message, bool droppable = true);
 
   [[nodiscard]] const EthernetParams& params() const noexcept { return params_; }
   /// Rack segments: 1 until `set_switched` splits the network.
@@ -138,10 +136,6 @@ class Network {
     for (const Rack& rack : racks_) total += rack.counters.*field;
     return total;
   }
-
-  /// Puts a frame whose sender has paid o_s on the wire: the source rack
-  /// segment, then delivery within the rack or the fabric hop to another.
-  void transmit(int dst, sim::Message message, bool droppable);
 
   sim::Engine& engine_;
   EthernetParams params_;

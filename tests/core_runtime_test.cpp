@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "apps/mxm.hpp"
 #include "apps/synthetic.hpp"
@@ -10,6 +12,7 @@
 #include "cluster/cluster.hpp"
 #include "core/protocol.hpp"
 #include "core/types.hpp"
+#include "sim/frame_arena.hpp"
 #include "sim/time.hpp"
 
 namespace {
@@ -24,6 +27,7 @@ using dlb::core::run_app;
 using dlb::core::RunResult;
 using dlb::core::Runtime;
 using dlb::core::Strategy;
+using dlb::sim::FrameArena;
 
 ClusterParams base_params(int procs, bool load = false, std::uint64_t seed = 42) {
   ClusterParams p;
@@ -254,6 +258,23 @@ TEST(Runtime, DriveLoopOnAFreshClusterMatchesRunSingleLoop) {
   EXPECT_EQ(stats.syncs, reference.loops[0].syncs);
   EXPECT_EQ(stats.iterations_moved, reference.loops[0].iterations_moved);
   EXPECT_EQ(stats.executed_per_proc, reference.loops[0].executed_per_proc);
+}
+
+TEST(Runtime, NoDlbIterationHoldsTwoFramesPerStation) {
+  // The hot path's frame depth: mid-iteration, a NoDLB slave of a loop
+  // without intrinsic traffic holds its own frame and its station's compute
+  // task, and nothing between them.
+  constexpr int kProcs = 8;
+  const auto app = make_uniform(4 * kProcs, 100e3, 32.0);  // 0.1 s iterations
+  dlb::cluster::Cluster cluster(base_params(kProcs));
+  auto ctx = dlb::core::LoopContext::make(app.loops[0], config_for(Strategy::kNoDlb), cluster);
+  const std::uint64_t before = FrameArena::stats().live;
+  std::uint64_t during = 0;
+  cluster.engine().schedule_at(dlb::sim::from_seconds(0.05),
+                               [live = &during] { *live = FrameArena::stats().live; });
+  const auto stats = dlb::core::drive_loop(ctx);
+  EXPECT_EQ(during - before, 2u * kProcs);
+  EXPECT_EQ(stats.executed_per_proc, std::vector<std::int64_t>(kProcs, 4));
 }
 
 TEST(Runtime, DriveLoopConservesWorkAndAdvancesTheClock) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cluster/cluster.hpp"
 #include "net/params.hpp"
 #include "sim/engine.hpp"
 #include "sim/mailbox.hpp"
@@ -12,6 +14,8 @@
 
 namespace {
 
+using dlb::cluster::Cluster;
+using dlb::cluster::ClusterParams;
 using dlb::net::EthernetParams;
 using dlb::net::Network;
 using dlb::sim::Engine;
@@ -35,8 +39,12 @@ struct Fixture {
   }
 };
 
+/// The sender side of one message, as cluster::Workstation::send pays it:
+/// the stamped frame, o_s on the sending coroutine, then the wire.
 Process sender(Fixture& f, int src, int dst, int tag, int value, SimTime* done_at) {
-  co_await f.network.send(src, dst, tag, value, 64);
+  Message m = f.network.frame(src, dst, tag, value, 64);
+  co_await f.engine.sleep_for(f.network.params().sender_overhead);
+  f.network.transmit(dst, std::move(m));
   *done_at = f.engine.now();
 }
 
@@ -81,16 +89,21 @@ TEST(Network, NegativeAttachThrows) {
   EXPECT_THROW(f.network.attach(-1, extra), std::invalid_argument);
 }
 
-Process multicaster(Fixture& f, std::vector<int> dsts, SimTime* done_at) {
-  co_await f.network.multicast(0, dsts, 3, 1, 64);
-  *done_at = f.engine.now();
+Process multicaster(Cluster& c, std::vector<int> dsts, SimTime* done_at) {
+  co_await c.station(0).multicast(dsts, 3, 1, 64);
+  *done_at = c.engine().now();
 }
 
 TEST(Network, MulticastSkipsSelfAndPacksOnce) {
-  Fixture f;
+  // The pack-once discount is the sender's CPU (cluster::Workstation); the
+  // network carries one frame per destination.
+  ClusterParams params;
+  params.procs = 3;
+  params.load.max_load = 0;
+  Cluster c(params);
   SimTime done = 0;
-  f.engine.spawn(multicaster(f, {0, 1, 2}, &done));
-  f.engine.run();
+  c.engine().spawn(multicaster(c, {0, 1, 2}, &done));
+  c.engine().run();
   const EthernetParams p;
   // Self is skipped; the first send pays full o_s, follow-ups the mcast
   // fraction (pack once, send many).
@@ -98,10 +111,10 @@ TEST(Network, MulticastSkipsSelfAndPacksOnce) {
       p.sender_overhead + static_cast<SimTime>(static_cast<double>(p.sender_overhead) *
                                                dlb::net::kMulticastExtraFraction);
   EXPECT_EQ(done, expected);
-  EXPECT_EQ(f.network.messages_sent(), 2u);
-  EXPECT_TRUE(f.box1.has_message(3));
-  EXPECT_TRUE(f.box2.has_message(3));
-  EXPECT_FALSE(f.box0.has_message(3));
+  EXPECT_EQ(c.network().messages_sent(), 2u);
+  EXPECT_TRUE(c.station(1).mailbox().has_message(3));
+  EXPECT_TRUE(c.station(2).mailbox().has_message(3));
+  EXPECT_FALSE(c.station(0).mailbox().has_message(3));
 }
 
 TEST(Network, ConcurrentSendersContendOnMedium) {

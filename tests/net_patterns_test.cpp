@@ -29,10 +29,16 @@ constexpr int kTag = 7;
 /// order, full sender overhead each (the paper's §6.1 methodology; the DLB
 /// library's own broadcasts use the cheaper pack-once multicast), then
 /// `receives` receives, each paying the receiver's unpack overhead o_r.
+/// Each send is paid as cluster::Workstation::send pays it: o_s, then the
+/// frame goes on the wire.
 dlb::sim::Process endpoint(dlb::sim::Engine& engine, Network& network,
                            dlb::sim::Mailbox& mailbox, int self, std::vector<int> dsts,
                            int receives, std::size_t bytes, SimTime* finished_at) {
-  for (const int dst : dsts) co_await network.send(self, dst, kTag, std::any{}, bytes);
+  for (const int dst : dsts) {
+    dlb::sim::Message m = network.frame(self, dst, kTag, std::any{}, bytes);
+    co_await engine.sleep_for(network.params().sender_overhead);
+    network.transmit(dst, std::move(m));
+  }
   for (int i = 0; i < receives; ++i) {
     (void)co_await mailbox.receive(kTag);
     co_await engine.sleep_for(network.params().receiver_overhead);

@@ -120,8 +120,11 @@ struct SwitchedFixture {
   }
 };
 
+/// One message as a workstation sends it: o_s, then the wire.
 Process switched_sender(SwitchedFixture& f, int src, int dst, SimTime* done_at) {
-  co_await f.network.send(src, dst, 1, 7, 64);
+  Message m = f.network.frame(src, dst, 1, 7, 64);
+  co_await f.engine.sleep_for(f.network.params().sender_overhead);
+  f.network.transmit(dst, std::move(m));
   *done_at = f.engine.now();
 }
 

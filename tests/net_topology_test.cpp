@@ -42,8 +42,11 @@ struct Fixture {
   }
 };
 
+/// One message as a workstation sends it: o_s, then the wire.
 Process one_send(Fixture& f, int src, int dst) {
-  co_await f.network.send(src, dst, 1, std::any{}, 64);
+  dlb::sim::Message m = f.network.frame(src, dst, 1, std::any{}, 64);
+  co_await f.engine.sleep_for(f.network.params().sender_overhead);
+  f.network.transmit(dst, std::move(m));
 }
 
 Process one_recv(Fixture& f, int who, SimTime* at) {
