@@ -1,5 +1,7 @@
 #include "core/types.hpp"
 
+#include <cmath>
+
 namespace dlb::core {
 
 const char* strategy_name(Strategy s) noexcept {
@@ -95,8 +97,14 @@ void LoopDescriptor::validate() const {
   if (bytes_per_iteration < 0.0) {
     throw std::invalid_argument("LoopDescriptor: negative bytes_per_iteration");
   }
+  if (!std::isfinite(bytes_per_iteration)) {
+    throw std::invalid_argument("LoopDescriptor: non-finite bytes_per_iteration");
+  }
   if (intrinsic_bytes_per_iteration < 0.0) {
     throw std::invalid_argument("LoopDescriptor: negative intrinsic_bytes_per_iteration");
+  }
+  if (!std::isfinite(intrinsic_bytes_per_iteration)) {
+    throw std::invalid_argument("LoopDescriptor: non-finite intrinsic_bytes_per_iteration");
   }
 }
 

@@ -1,6 +1,7 @@
 #include "exp/grid.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <sstream>
@@ -13,6 +14,7 @@
 #include "apps/synthetic.hpp"
 #include "apps/trfd.hpp"
 #include "fault/plan.hpp"
+#include "sim/time.hpp"
 
 namespace dlb::exp {
 
@@ -85,6 +87,10 @@ double strict_double(const std::string& item, const char* flag) {
     throw std::invalid_argument(std::string("--") + flag + ": '" + item +
                                 "' is not a valid number");
   }
+  if (!std::isfinite(value)) {
+    throw std::invalid_argument(std::string("--") + flag + ": '" + item +
+                                "' is not a finite number");
+  }
   return value;
 }
 
@@ -128,6 +134,13 @@ void ExperimentGrid::validate() const {
   if (max_loads.empty()) throw std::invalid_argument("ExperimentGrid: no load amplitudes");
   for (const auto m : max_loads) {
     if (m < 0) throw std::invalid_argument("ExperimentGrid: --max-load values must be >= 0");
+  }
+  for (const double tl : tl_seconds) {
+    if (!sim::fits_sim_time(tl)) {
+      std::ostringstream what;
+      what << "ExperimentGrid: --tl=" << tl << " does not fit virtual time";
+      throw std::invalid_argument(what.str());
+    }
   }
   if (seeds <= 0) throw std::invalid_argument("ExperimentGrid: seeds must be positive");
   for (const auto p : procs) {

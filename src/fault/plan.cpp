@@ -3,6 +3,8 @@
 #include <set>
 #include <stdexcept>
 
+#include "sim/time.hpp"
+
 namespace dlb::fault {
 
 void FaultPlan::validate(int procs) const {
@@ -24,9 +26,14 @@ void FaultPlan::validate(int procs) const {
     if (progress && spec.trigger.at_progress > 1.0) {
       throw std::invalid_argument("FaultPlan: at_progress outside (0, 1]");
     }
+    if (timed && !sim::fits_sim_time(spec.trigger.at_seconds)) {
+      throw std::invalid_argument("FaultPlan: at_seconds does not fit virtual time");
+    }
     if (spec.trigger.loop_index < 0) throw std::invalid_argument("FaultPlan: negative loop_index");
-    if (spec.kind == FaultKind::kRevoke && spec.down_seconds <= 0.0) {
-      throw std::invalid_argument("FaultPlan: revocation needs down_seconds > 0");
+    if (spec.kind == FaultKind::kRevoke &&
+        !(spec.down_seconds > 0.0 && sim::fits_sim_time(spec.down_seconds))) {
+      throw std::invalid_argument(
+          "FaultPlan: revocation needs down_seconds > 0 that fits virtual time");
     }
     if (spec.kind == FaultKind::kCrash) {
       crashed.insert(spec.proc == -1 ? procs - 1 : spec.proc);

@@ -17,7 +17,16 @@ inline constexpr SimTime kNsPerSec = 1'000'000'000;
 /// Sentinel meaning "never" / unbounded.
 inline constexpr SimTime kTimeInfinity = INT64_MAX;
 
+/// True when `seconds` is finite and within SimTime's range, so that
+/// from_seconds is defined for it.  A value from outside the program (a
+/// flag, a plan) is checked with this before it is converted.
+[[nodiscard]] constexpr bool fits_sim_time(double seconds) noexcept {
+  const double ns = seconds * static_cast<double>(kNsPerSec);
+  return ns > -0x1p63 && ns < 0x1p63;  // false for nan and +-inf
+}
+
 /// Converts seconds (double) to SimTime, rounding to the nearest nanosecond.
+/// Requires fits_sim_time(seconds).
 [[nodiscard]] constexpr SimTime from_seconds(double seconds) noexcept {
   const double ns = seconds * static_cast<double>(kNsPerSec);
   return static_cast<SimTime>(ns + (ns >= 0 ? 0.5 : -0.5));

@@ -1,6 +1,7 @@
 #include "support/cli.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -70,6 +71,8 @@ double Cli::get_double(const std::string& key, double fallback) const {
   if (value.empty() || end != value.c_str() + value.size() || errno == ERANGE) {
     bad_number(key, value, "number");
   }
+  // strtod reads "inf" and "nan" whole; no flag means either.
+  if (!std::isfinite(parsed)) bad_number(key, value, "finite number");
   return parsed;
 }
 

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "sim/time.hpp"
+
 namespace dlb::svc {
 
 void JobClass::validate() const {
@@ -14,7 +16,9 @@ void JobClass::validate() const {
   if (bytes_per_iteration < 0.0) {
     throw std::invalid_argument("JobClass: bytes_per_iteration must be >= 0");
   }
-  if (!(tl_seconds > 0.0)) throw std::invalid_argument("JobClass: tl_seconds must be > 0");
+  if (!(tl_seconds > 0.0) || !sim::fits_sim_time(tl_seconds)) {
+    throw std::invalid_argument("JobClass: tl_seconds must be > 0 and fit virtual time");
+  }
   if (max_load < 0) throw std::invalid_argument("JobClass: max_load must be >= 0");
   if (!(weight > 0.0) || !std::isfinite(weight)) {
     throw std::invalid_argument("JobClass: weight must be finite and > 0");

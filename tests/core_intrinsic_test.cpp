@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "apps/synthetic.hpp"
 #include "core/runtime.hpp"
 #include "model/predictor.hpp"
@@ -31,6 +34,19 @@ TEST(IntrinsicComm, NegativeIntrinsicRejected) {
   auto app = make_stencil(8, 1e3, 0.0, 64.0);
   app.loops[0].intrinsic_bytes_per_iteration = -1.0;
   EXPECT_THROW(app.loops[0].validate(), std::invalid_argument);
+}
+
+TEST(IntrinsicComm, NonFiniteBytesRejected) {
+  // A non-finite size used to reach the byte-count casts of the sends.
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    auto app = make_stencil(8, 1e3, 0.0, 64.0);
+    app.loops[0].intrinsic_bytes_per_iteration = bad;
+    EXPECT_THROW(app.loops[0].validate(), std::invalid_argument);
+    app = make_stencil(8, 1e3, 0.0, 64.0);
+    app.loops[0].bytes_per_iteration = bad;
+    EXPECT_THROW(app.loops[0].validate(), std::invalid_argument);
+  }
 }
 
 class IntrinsicAllStrategies : public ::testing::TestWithParam<Strategy> {};

@@ -75,6 +75,21 @@ TEST(Cli, GarbageDoubleThrows) {
   EXPECT_THROW((void)cli.get_double("max", 0.0), std::invalid_argument);
 }
 
+TEST(Cli, NonFiniteDoubleThrows) {
+  // strtod parses these whole, so they passed the full-consumption check;
+  // --ops=inf then ran a grid whose work converted out of range.
+  const char* argv[] = {"prog", "--ops=inf", "--bytes=nan", "--tl=-Infinity"};
+  const Cli cli(4, argv);
+  try {
+    (void)cli.get_double("ops", 0.0);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--ops=inf: not a valid finite number");
+  }
+  EXPECT_THROW((void)cli.get_double("bytes", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_double("tl", 0.0), std::invalid_argument);
+}
+
 TEST(Cli, ValidNumbersStillParse) {
   const char* argv[] = {"prog", "--a=-3", "--b=1e3", "--c=.5"};
   const Cli cli(4, argv);
