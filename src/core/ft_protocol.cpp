@@ -221,14 +221,14 @@ bool group_has_ledger(const FtState& ft, int g) {
 // Message handling shared by the compute loop and every wait loop.
 // ---------------------------------------------------------------------------
 
-/// Handles one message from the slave's tag block.  Returns true for an
-/// interrupt that should pull the slave into a synchronization.
+/// Handles one message the slave waits on ([kTagInterrupt, kTagHeartbeat]).
+/// Returns true for an interrupt that should pull the slave into a
+/// synchronization.
 sim::Task<bool> handle_bg(FtState& ft, int self, FtSlaveState& st, sim::Message m) {
   auto& ctx = *ft.ctx;
-  const int off = m.tag - ft_tag(st.group, 0);
   note_heard(ft, self, m.source);
-  switch (off) {
-    case kFtOffWork: {
+  switch (m.tag) {
+    case kTagWork: {
       const std::uint64_t ship = m.as<WorkMsg>().ship;
       const auto it = std::find_if(ft.ledger.begin(), ft.ledger.end(),
                                    [ship](const FtShipment& s) { return s.id == ship; });
@@ -240,27 +240,27 @@ sim::Task<bool> handle_bg(FtState& ft, int self, FtSlaveState& st, sim::Message 
       // Ack unconditionally: a missing entry means a duplicate of a shipment
       // we already absorbed, and the sender needs the ack it lost.  The
       // sender's retry loop watches the ledger, so the ack carries nothing.
-      co_await ctx.cluster->station(self).send(m.source, ft_tag(st.group, kFtOffAck), std::any{},
+      co_await ctx.cluster->station(self).send(m.source, kTagAck, std::any{},
                                                 net::kControlMessageBytes, /*droppable=*/false);
       co_return false;
     }
-    case kFtOffInterrupt:
+    case kTagInterrupt:
       co_return m.as<InterruptMsg>().round >= st.round;
     default:  // a heartbeat, an ack (retry loops watch the ledger) or a stale outcome
       co_return false;
   }
 }
 
-/// A profile from a straggler that missed an outcome — its round is over, or
-/// the group finished — is answered from the outcome cache.  Returns true
-/// when `pm` was such a profile.
-sim::Task<bool> answer_stale_profile(FtState& ft, int station_id, ProfileMsg pm) {
-  const auto g = static_cast<std::size_t>(pm.group);
+/// A profile from a straggler of group `group` that missed an outcome — its
+/// round is over, or the group finished — is answered from the outcome cache.
+/// Returns true when `pm` was such a profile.
+sim::Task<bool> answer_stale_profile(FtState& ft, int station_id, int group, ProfileMsg pm) {
+  const auto g = static_cast<std::size_t>(group);
   if (ft.done[g] == 0 && pm.round >= ft.round[g]) co_return false;
   if (ft.last_outcome[g]) {
     co_await ft.ctx->cluster->station(station_id)
-        .send(pm.snapshot.proc, ft_tag(pm.group, kFtOffOutcome), *ft.last_outcome[g],
-              net::kControlMessageBytes, /*droppable=*/false);
+        .send(pm.snapshot.proc, kTagOutcome, *ft.last_outcome[g], net::kControlMessageBytes,
+              /*droppable=*/false);
   }
   co_return true;
 }
@@ -271,13 +271,12 @@ sim::Task<bool> answer_stale_profile(FtState& ft, int station_id, ProfileMsg pm)
 /// current one is requeued and reported as a sync trigger.
 sim::Task<bool> peek_profiles(FtState& ft, int self, FtSlaveState& st) {
   auto& me = ft.ctx->cluster->station(self);
-  const int g = st.group;
   for (;;) {
-    auto m = me.poll(ft_tag(g, kFtOffProfile));
+    auto m = me.poll(kTagProfile);
     if (!m) co_return false;
     const auto pm = m->as<ProfileMsg>();
     note_heard(ft, self, pm.snapshot.proc);
-    if (co_await answer_stale_profile(ft, self, pm)) continue;
+    if (co_await answer_stale_profile(ft, self, st.group, pm)) continue;
     // dlblint:allow(shard-isolation) re-queue into this proc's own mailbox: self to self
     me.mailbox().deliver(std::move(*m));  // put it back for the collection
     co_return true;
@@ -386,7 +385,6 @@ sim::Task<OutcomeMsg> ft_decide(FtState& ft, int station_id, int g, Collected& g
 
   OutcomeMsg out;
   out.round = round;
-  out.group = g;
   out.loop_done = loop_done;
   out.moved = d.moved;
   out.transfers = d.transfers;
@@ -422,13 +420,12 @@ template <typename Settled>
 sim::Task<bool> apply_window(FtState& ft, int self, FtSlaveState& st, sim::SimTime deadline,
                              Settled settled) {
   auto& me = ft.ctx->cluster->station(self);
-  const int g = st.group;
   while (me.engine().now() < deadline && !settled()) {
     std::optional<sim::Message> m =
-        co_await me.receive_until(deadline, {ft_tag(g, 0), ft_tag(g, kFtOffHeartbeat)});
+        co_await me.receive_until(deadline, {kTagInterrupt, kTagHeartbeat});
     if (!is_alive(ft, self)) co_return false;
     if (!m) break;
-    if (m->tag == ft_tag(g, kFtOffInterrupt)) {
+    if (m->tag == kTagInterrupt) {
       note_heard(ft, self, m->source);
       const int round = m->as<InterruptMsg>().round;
       if (round > st.round) st.pending_sync = round;
@@ -457,9 +454,10 @@ sim::Task<FtStatus> ft_apply(FtState& ft, int self, FtSlaveState& st, OutcomeMsg
       wm.round = out.round;
       wm.ship = ft.next_ship++;
       ft.ledger.push_back({wm.ship, self, t.to, g, out.round, mine.take_back(count)});
-      const auto bytes =
+      const std::size_t bytes =
           net::kControlMessageBytes +
-          static_cast<std::size_t>(static_cast<double>(count) * ctx.loop->bytes_per_iteration);
+          ctx.cluster->network().frame_bytes(static_cast<double>(count) *
+                                             ctx.loop->bytes_per_iteration);
       // Resolved once the receiver absorbed it or a death sweep reclaimed it.
       const auto resolved = [&ft, ship = wm.ship] {
         return std::none_of(ft.ledger.begin(), ft.ledger.end(),
@@ -469,7 +467,7 @@ sim::Task<FtStatus> ft_apply(FtState& ft, int self, FtSlaveState& st, OutcomeMsg
       while (!resolved()) {
         if (!is_alive(ft, self)) co_return FtStatus::kDead;
         if (!is_alive(ft, t.to)) break;  // the death sweep reclaimed the entry
-        co_await me.send(t.to, ft_tag(g, kFtOffWork), wm, bytes, /*droppable=*/attempt == 0);
+        co_await me.send(t.to, kTagWork, wm, bytes, /*droppable=*/attempt == 0);
         if (!is_alive(ft, self)) co_return FtStatus::kDead;
         if (!co_await apply_window(ft, self, st, backoff_deadline(ft, attempt), resolved)) {
           co_return FtStatus::kDead;
@@ -535,15 +533,15 @@ sim::Task<FtStatus> ft_coordinate(FtState& ft, int self, FtSlaveState& st) {
     // was dropped never learns the round started.
     const sim::SimTime deadline = backoff_deadline(ft, attempt);
     while (me.engine().now() < deadline && !missing_members(ft, g, got).empty()) {
-      // Wait on the whole block including the profile offset, so work
-      // shipments from members still applying the previous round get
-      // absorbed and acked instead of deadlocking against our collection.
-      auto m = co_await me.receive_until(deadline, {ft_tag(g, 0), ft_tag(g, kFtOffProfile)});
+      // Wait on the slave's tags and the profile tag, so work shipments
+      // from members still applying the previous round get absorbed and
+      // acked instead of deadlocking against our collection.
+      auto m = co_await me.receive_until(deadline, {kTagInterrupt, kTagProfile});
       if (!is_alive(ft, self)) co_return FtStatus::kDead;
       if (!m) break;
-      if (m->tag == ft_tag(g, kFtOffProfile)) {
+      if (m->tag == kTagProfile) {
         collect_profile(ft, self, *m, got);
-      } else if (m->tag == ft_tag(g, kFtOffInterrupt)) {
+      } else if (m->tag == kTagInterrupt) {
         note_heard(ft, self, m->source);  // members joining; already collecting
       } else {
         (void)co_await handle_bg(ft, self, st, std::move(*m));
@@ -554,10 +552,9 @@ sim::Task<FtStatus> ft_coordinate(FtState& ft, int self, FtSlaveState& st) {
     // Timeout: re-ping the missing.  They are alive by ground truth (death
     // erases a member from the active set synchronously), so the interrupt
     // reaches a live straggler — stuck in an old round or just slow.
-    const InterruptMsg im{round, g};
+    const InterruptMsg im{round};
     for (const int q : missing) {
-      co_await me.send(q, ft_tag(g, kFtOffInterrupt), im, net::kControlMessageBytes,
-                       /*droppable=*/false);
+      co_await me.send(q, kTagInterrupt, im, net::kControlMessageBytes, /*droppable=*/false);
       count_retry(ft, self);
       if (!is_alive(ft, self)) co_return FtStatus::kDead;
     }
@@ -574,7 +571,7 @@ sim::Task<FtStatus> ft_coordinate(FtState& ft, int self, FtSlaveState& st) {
   }
   // The final verdict must arrive: a straggler that misses loop_done would
   // retry forever against a group that no longer answers.
-  co_await me.multicast(others, ft_tag(g, kFtOffOutcome), out, net::kControlMessageBytes,
+  co_await me.multicast(others, kTagOutcome, out, net::kControlMessageBytes,
                         /*droppable=*/!out.loop_done);
   if (!is_alive(ft, self)) co_return FtStatus::kDead;
   co_return co_await ft_apply(ft, self, st, out);
@@ -616,9 +613,8 @@ sim::Task<FtStatus> ft_participate(FtState& ft, int self, FtSlaveState& st) {
     }
 
     const int coord = coordinator_of(ft, g);
-    const ProfileMsg pm{st.round, g, make_snapshot(ctx, self, st)};
-    const int profile_tag =
-        ctx.centralized ? kFtCentralProfileBase + g : ft_tag(g, kFtOffProfile);
+    const ProfileMsg pm{st.round, make_snapshot(ctx, self, st)};
+    const int profile_tag = ctx.centralized ? central_profile_tag(g) : kTagProfile;
     co_await me.send(coord, profile_tag, pm, net::kControlMessageBytes,
                      /*droppable=*/attempt == 0);
     if (!is_alive(ft, self)) co_return FtStatus::kDead;
@@ -626,10 +622,10 @@ sim::Task<FtStatus> ft_participate(FtState& ft, int self, FtSlaveState& st) {
     const sim::SimTime deadline = backoff_deadline(ft, attempt);
     bool resend_now = false;
     while (me.engine().now() < deadline) {
-      auto m = co_await me.receive_until(deadline, {ft_tag(g, 0), ft_tag(g, kFtOffHeartbeat)});
+      auto m = co_await me.receive_until(deadline, {kTagInterrupt, kTagHeartbeat});
       if (!is_alive(ft, self)) co_return FtStatus::kDead;
       if (!m) break;
-      if (m->tag == ft_tag(g, kFtOffOutcome)) {
+      if (m->tag == kTagOutcome) {
         const auto& om = m->as<OutcomeMsg>();
         note_heard(ft, self, m->source);
         if (om.round >= st.round) {
@@ -637,7 +633,7 @@ sim::Task<FtStatus> ft_participate(FtState& ft, int self, FtSlaveState& st) {
         }
         continue;  // stale duplicate
       }
-      if (m->tag == ft_tag(g, kFtOffInterrupt)) {
+      if (m->tag == kTagInterrupt) {
         note_heard(ft, self, m->source);
         if (m->as<InterruptMsg>().round >= st.round) {
           resend_now = true;  // a re-ping: the coordinator is collecting
@@ -700,7 +696,7 @@ sim::Process ft_dlb_slave(FtState& ft, int self, int group) {
 
   while (is_alive(ft, self) && ft.done[static_cast<std::size_t>(group)] == 0) {
     bool join_sync = false;
-    while (auto m = me.poll({ft_tag(group, 0), ft_tag(group, kFtOffHeartbeat)})) {
+    while (auto m = me.poll({kTagInterrupt, kTagHeartbeat})) {
       if (co_await handle_bg(ft, self, st, std::move(*m))) join_sync = true;
       if (!is_alive(ft, self)) break;
     }
@@ -727,9 +723,8 @@ sim::Process ft_dlb_slave(FtState& ft, int self, int group) {
     if (join_sync || initiate) {
       const sim::SimTime sync_began = me.engine().now();
       if (initiate) {
-        const InterruptMsg im{st.round, group};
-        co_await me.multicast(st.active, ft_tag(group, kFtOffInterrupt), im,
-                              net::kControlMessageBytes);
+        const InterruptMsg im{st.round};
+        co_await me.multicast(st.active, kTagInterrupt, im, net::kControlMessageBytes);
         if (!is_alive(ft, self)) break;
       }
       const FtStatus status = co_await ft_participate(ft, self, st);
@@ -745,7 +740,7 @@ sim::Process ft_dlb_slave(FtState& ft, int self, int group) {
         while (is_alive(ft, self) && ft.done[static_cast<std::size_t>(group)] == 0 &&
                mine.empty() && st.pending_sync < st.round) {
           auto m = co_await me.receive_until(me.engine().now() + kHeartbeatPeriod,
-                                             {ft_tag(group, 0), ft_tag(group, kFtOffHeartbeat)});
+                                             {kTagInterrupt, kTagHeartbeat});
           if (!m) continue;
           if (co_await handle_bg(ft, self, st, std::move(*m))) {
             st.pending_sync = std::max(st.pending_sync, st.round);
@@ -770,19 +765,19 @@ sim::Process ft_central_balancer(FtState& ft, int station_id) {
   auto& me = ctx.cluster->station(station_id);
   ft.balancer = station_id;
   ft.balancer_live = true;
-  const int ngroups = static_cast<int>(ctx.groups.size());
+  const sim::Tags any_group{central_profile_tag(0),
+                            central_profile_tag(static_cast<int>(ctx.groups.size()) - 1)};
 
   while (!ft.stop && ft.groups_done < ctx.groups.size()) {
     if (!is_alive(ft, station_id)) break;
-    auto first = co_await me.receive_until(
-        me.engine().now() + kHeartbeatPeriod,
-        {kFtCentralProfileBase, kFtCentralProfileBase + ngroups - 1});
+    auto first = co_await me.receive_until(me.engine().now() + kHeartbeatPeriod, any_group);
     if (!is_alive(ft, station_id)) break;
     if (!first) continue;
+    const int profile_tag = first->tag;
+    const int g = profile_tag - kTagCentralProfileBase;
     const auto pm0 = first->as<ProfileMsg>();
-    const int g = pm0.group;
     note_heard(ft, station_id, pm0.snapshot.proc);
-    if (co_await answer_stale_profile(ft, station_id, pm0)) continue;
+    if (co_await answer_stale_profile(ft, station_id, g, pm0)) continue;
 
     Collected got(static_cast<std::size_t>(ctx.procs()));
     got[static_cast<std::size_t>(pm0.snapshot.proc)] = pm0.snapshot;
@@ -793,7 +788,7 @@ sim::Process ft_central_balancer(FtState& ft, int station_id) {
       if (!is_alive(ft, station_id)) break;
       // Profiles of other groups queue behind this collection — the LCDLB
       // serialization delay, same as the fault-free balancer.
-      while (auto q = me.poll(kFtCentralProfileBase + g)) {
+      while (auto q = me.poll(profile_tag)) {
         collect_profile(ft, station_id, *q, got);
       }
       const auto missing = missing_members(ft, g, got);
@@ -803,16 +798,15 @@ sim::Process ft_central_balancer(FtState& ft, int station_id) {
       const sim::SimTime deadline = backoff_deadline(ft, attempt);
       bool heard = false;
       while (me.engine().now() < deadline) {
-        auto m = co_await me.receive_until(deadline, kFtCentralProfileBase + g);
+        auto m = co_await me.receive_until(deadline, profile_tag);
         if (!m || !is_alive(ft, station_id)) break;
         if (collect_profile(ft, station_id, *m, got)) heard = true;
       }
       if (!is_alive(ft, station_id)) break;
       if (heard) continue;  // progress: re-evaluate who is still missing
-      const InterruptMsg im{ft.round[static_cast<std::size_t>(g)], g};
+      const InterruptMsg im{ft.round[static_cast<std::size_t>(g)]};
       for (const int q : missing) {
-        co_await me.send(q, ft_tag(g, kFtOffInterrupt), im, net::kControlMessageBytes,
-                         /*droppable=*/false);
+        co_await me.send(q, kTagInterrupt, im, net::kControlMessageBytes, /*droppable=*/false);
         count_retry(ft, station_id);
       }
       ++attempt;
@@ -829,10 +823,10 @@ sim::Process ft_central_balancer(FtState& ft, int station_id) {
       recipients.push_back(p);
       if (p == station_id) self_in_group = true;
     }
-    co_await me.multicast(recipients, ft_tag(g, kFtOffOutcome), out, net::kControlMessageBytes,
+    co_await me.multicast(recipients, kTagOutcome, out, net::kControlMessageBytes,
                           /*droppable=*/!out.loop_done);
     if (self_in_group && is_alive(ft, station_id)) {
-      co_await me.send(station_id, ft_tag(g, kFtOffOutcome), out, net::kControlMessageBytes,
+      co_await me.send(station_id, kTagOutcome, out, net::kControlMessageBytes,
                        /*droppable=*/false);
     }
   }
@@ -857,8 +851,7 @@ sim::Process ft_heartbeat_emitter(FtState& ft, int self, int group) {
     const auto& peers = ft.active[static_cast<std::size_t>(group)];
     if (!peers.empty()) {
       // Receivers note the source; the beacon carries nothing.
-      co_await me.multicast(peers, ft_tag(group, kFtOffHeartbeat), std::any{},
-                            net::kControlMessageBytes);
+      co_await me.multicast(peers, kTagHeartbeat, std::any{}, net::kControlMessageBytes);
     }
   }
 }

@@ -13,6 +13,30 @@
 
 namespace dlb::core {
 
+const char* tag_name(int tag) noexcept {
+  switch (tag) {
+    case kTagInterrupt:
+      return "interrupt";
+    case kTagOutcome:
+      return "outcome";
+    case kTagWork:
+      return "work";
+    case kTagAck:
+      return "ack";
+    case kTagHeartbeat:
+      return "heartbeat";
+    case kTagProfile:
+      return "profile";
+    case kTagPhaseData:
+      return "phase gather";
+    case kTagPhaseScatter:
+      return "phase scatter";
+    case kTagIntrinsic:
+      return "intrinsic";
+  }
+  return tag >= kTagCentralProfileBase ? "profile" : "";
+}
+
 ProfileSnapshot make_snapshot(LoopContext& ctx, int self, SlaveState& st) {
   auto& me = ctx.cluster->station(self);
   const double elapsed = sim::to_seconds(me.engine().now() - st.window_start);
@@ -69,7 +93,7 @@ sim::Task<void> execute_with_intrinsic(LoopContext& ctx, int self, std::int64_t 
   const int neighbor = (self + 1) % ctx.procs();
   if (neighbor != self) {
     co_await me.send(neighbor, kTagIntrinsic, std::any{},
-                     static_cast<std::size_t>(ctx.loop->intrinsic_bytes_per_iteration));
+                     ctx.cluster->network().frame_bytes(ctx.loop->intrinsic_bytes_per_iteration));
   }
   int drained = 0;
   while (me.poll(kTagIntrinsic)) ++drained;
@@ -167,9 +191,10 @@ sim::Task<SyncStatus> apply_plan(LoopContext& ctx, int self, SlaveState& st, boo
       wm.round = st.round;
       wm.ranges = mine.take_back(t.count);
       iterations_shipped += t.count;
-      const auto bytes =
+      const std::size_t bytes =
           net::kControlMessageBytes +
-          static_cast<std::size_t>(static_cast<double>(t.count) * ctx.loop->bytes_per_iteration);
+          ctx.cluster->network().frame_bytes(static_cast<double>(t.count) *
+                                             ctx.loop->bytes_per_iteration);
       co_await me.send(t.to, kTagWork, wm, bytes);
     }
     for (const auto& t : transfers) {
@@ -203,9 +228,10 @@ sim::Task<SyncStatus> participate_centralized(LoopContext& ctx, int self, SlaveS
   const sim::SimTime profile_began = me.engine().now();
   ProfileMsg pm;
   pm.round = st.round;
-  pm.group = ctx.group_of[static_cast<std::size_t>(self)];
   pm.snapshot = make_snapshot(ctx, self, st);
-  co_await me.send(ctx.balancer_proc, kTagProfile, pm, net::kControlMessageBytes);
+  co_await me.send(ctx.balancer_proc,
+                   central_profile_tag(ctx.group_of[static_cast<std::size_t>(self)]), pm,
+                   net::kControlMessageBytes);
 
   const sim::Message m = co_await me.receive(kTagOutcome, ctx.balancer_proc);
   const auto& out = m.as<OutcomeMsg>();
@@ -225,7 +251,6 @@ sim::Task<SyncStatus> participate_distributed(LoopContext& ctx, int self, SlaveS
   const sim::SimTime profile_began = me.engine().now();
   ProfileMsg pm;
   pm.round = st.round;
-  pm.group = ctx.group_of[static_cast<std::size_t>(self)];
   pm.snapshot = make_snapshot(ctx, self, st);
 
   co_await me.multicast(st.active, kTagProfile, pm, net::kControlMessageBytes);
@@ -252,7 +277,8 @@ sim::Task<SyncStatus> participate_distributed(LoopContext& ctx, int self, SlaveS
   const std::vector<int> active_after = remove_inactive(st.active, d.newly_inactive);
 
   if (self == st.active.front()) {
-    record_event(ctx, pm.group, st.round, /*initiator=*/-1, d);
+    record_event(ctx, ctx.group_of[static_cast<std::size_t>(self)], st.round, /*initiator=*/-1,
+                 d);
   }
   co_return co_await apply_plan(ctx, self, st, loop_done, d.moved, d.transfers, active_after);
 }
@@ -339,7 +365,6 @@ sim::Process dlb_slave(LoopContext& ctx, int self) {
       // everyone else.
       InterruptMsg im;
       im.round = st.round;
-      im.group = ctx.group_of[static_cast<std::size_t>(self)];
       const sim::SimTime sync_began = me.engine().now();
       const int sync_round = st.round;
       if (ctx.obs != nullptr) {
@@ -365,19 +390,22 @@ sim::Process central_balancer(LoopContext& ctx) {
   std::vector<std::vector<int>> active(ctx.groups);
   std::vector<int> round(ngroups, 0);
   std::size_t done_groups = 0;
+  const sim::Tags any_group{central_profile_tag(0),
+                            central_profile_tag(static_cast<int>(ngroups) - 1)};
 
   while (done_groups < ngroups) {
     // Serve whichever group's profile arrives first; later groups queue in
     // the mailbox while this one is handled — the LCDLB delay factor g(j).
-    const sim::Message first = co_await me.receive(kTagProfile);
+    const sim::Message first = co_await me.receive(any_group);
     const auto& pm0 = first.as<ProfileMsg>();
-    const auto g = static_cast<std::size_t>(pm0.group);
+    const int group = first.tag - kTagCentralProfileBase;
+    const auto g = static_cast<std::size_t>(group);
     if (pm0.round != round[g]) throw std::logic_error("DLB: balancer round mismatch");
 
     std::vector<ProfileSnapshot> profiles{pm0.snapshot};
     for (const int member : active[g]) {
       if (member == pm0.snapshot.proc) continue;
-      const sim::Message m = co_await me.receive(kTagProfile, member);
+      const sim::Message m = co_await me.receive(first.tag, member);
       profiles.push_back(m.as<ProfileMsg>().snapshot);
     }
     std::sort(profiles.begin(), profiles.end(),
@@ -392,7 +420,6 @@ sim::Process central_balancer(LoopContext& ctx) {
 
     OutcomeMsg out;
     out.round = round[g];
-    out.group = pm0.group;
     out.loop_done = loop_done;
     out.moved = d.moved;
     out.transfers = d.transfers;
@@ -407,7 +434,7 @@ sim::Process central_balancer(LoopContext& ctx) {
       co_await me.send(ctx.balancer_proc, kTagOutcome, out, net::kControlMessageBytes);
     }
 
-    record_event(ctx, pm0.group, round[g], pm0.snapshot.proc, d);
+    record_event(ctx, group, round[g], pm0.snapshot.proc, d);
     active[g] = out.active_after;
     ++round[g];
     if (loop_done) ++done_groups;
@@ -480,11 +507,11 @@ sim::Process phase_master(cluster::Cluster& cluster, SequentialPhase phase, int 
   }
   co_await me.compute(phase.master_ops);
   if (!alive(master)) co_return;
-  const double share = phase.scatter_bytes_total / static_cast<double>(cluster.size());
+  const std::size_t share = cluster.network().frame_bytes(
+      phase.scatter_bytes_total / static_cast<double>(cluster.size()));
   for (int p = 0; p < cluster.size(); ++p) {
     if (p == master || !alive(p)) continue;
-    co_await me.send(p, kTagPhaseScatter, std::any{}, static_cast<std::size_t>(share),
-                     /*droppable=*/false);
+    co_await me.send(p, kTagPhaseScatter, std::any{}, share, /*droppable=*/false);
     if (!alive(master)) co_return;
   }
 }
@@ -492,7 +519,7 @@ sim::Process phase_master(cluster::Cluster& cluster, SequentialPhase phase, int 
 sim::Process phase_slave(cluster::Cluster& cluster, int self, double gather_bytes, int master,
                          const fault::FaultInjector* injector) {
   auto& me = cluster.station(self);
-  co_await me.send(master, kTagPhaseData, std::any{}, static_cast<std::size_t>(gather_bytes),
+  co_await me.send(master, kTagPhaseData, std::any{}, cluster.network().frame_bytes(gather_bytes),
                    /*droppable=*/false);
   if (injector == nullptr) {
     (void)co_await me.receive(kTagPhaseScatter, master);

@@ -16,26 +16,44 @@
 
 namespace dlb::core {
 
-/// Message tags of the DLB wire protocol (the paper's run-time library).
-inline constexpr int kTagInterrupt = 100;  // finisher -> active peers
-inline constexpr int kTagProfile = 101;    // slave -> balancer(s)
-inline constexpr int kTagOutcome = 102;    // central balancer -> group
-inline constexpr int kTagWork = 103;       // work shipment between slaves
-inline constexpr int kTagPhaseData = 104;  // sequential-phase gather
-inline constexpr int kTagPhaseScatter = 105;
-inline constexpr int kTagIntrinsic = 106;  // per-iteration algorithm traffic (IC)
+/// Message tags of the DLB wire protocol (the paper's run-time library): one
+/// table for the fault-free and the fault-tolerant protocol.  No tag names a
+/// group: every frame goes to a member of the sender's own group, or to the
+/// balancer on the group's own profile tag, so a station's mailbox only ever
+/// holds its own group's traffic.  The FT slave waits on [kTagInterrupt,
+/// kTagHeartbeat] and its coordinator on [kTagInterrupt, kTagProfile], one
+/// receive each, so those six tags stay contiguous and in this order.
+inline constexpr int kTagInterrupt = 100;  // finisher -> active peers; FT re-ping
+inline constexpr int kTagOutcome = 101;    // balancer's (FT: coordinator's) verdict -> group
+inline constexpr int kTagWork = 102;       // work shipment between slaves
+inline constexpr int kTagAck = 103;        // FT shipment acknowledgement
+inline constexpr int kTagHeartbeat = 104;  // FT liveness beacon
+inline constexpr int kTagProfile = 105;    // slave -> peers (FT: -> coordinator)
+inline constexpr int kTagPhaseData = 106;  // sequential-phase gather
+inline constexpr int kTagPhaseScatter = 107;
+inline constexpr int kTagIntrinsic = 108;  // per-iteration algorithm traffic (IC)
+/// Centralized strategies send profiles to the balancer on their group's own
+/// tag, far above the table, so the balancer waits on every group at once and
+/// then collects the first group's profiles by tag.
+inline constexpr int kTagCentralProfileBase = 1000;
+
+[[nodiscard]] constexpr int central_profile_tag(int group) noexcept {
+  return kTagCentralProfileBase + group;
+}
+
+/// The name of a protocol tag, for trace flow arrows: every table tag has its
+/// own, every central-profile tag reads "profile", and any other tag "".
+[[nodiscard]] const char* tag_name(int tag) noexcept;
 
 /// Interrupt: "I am out of work; synchronize" (§3.1).
 struct InterruptMsg {
   int round = 0;
-  int group = 0;
 };
 
 /// Performance profile (§3.2): iterations/second since the last sync point
 /// plus the remaining iterations.
 struct ProfileMsg {
   int round = 0;
-  int group = 0;
   ProfileSnapshot snapshot;
 };
 
@@ -44,7 +62,6 @@ struct ProfileMsg {
 /// locally, so no such message exists there.
 struct OutcomeMsg {
   int round = 0;
-  int group = 0;
   bool loop_done = false;
   bool moved = false;
   std::vector<Transfer> transfers;

@@ -89,10 +89,8 @@ void Runtime::execute_phase(const SequentialPhase& phase, const LoopRunStats& pr
 
 void Runtime::finish_result(RunResult& result) {
   if (injector_ != nullptr) {
-    // Unfired timed faults must not linger in the queue, and engine.now() is
-    // inflated by dead stations' drained residue — the survivors' loop finish
-    // times are the real makespan.
-    injector_->cancel_pending();
+    // engine.now() is inflated by dead stations' drained residue — the
+    // survivors' loop finish times are the real makespan.
     double makespan = 0.0;
     for (const auto& loop : result.loops) makespan = std::max(makespan, loop.finish_seconds);
     result.exec_seconds = makespan;

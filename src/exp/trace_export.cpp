@@ -6,31 +6,12 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "core/ft_protocol.hpp"
 #include "core/protocol.hpp"
 #include "obs/chrome_trace.hpp"
 
 namespace dlb::exp {
 
 namespace {
-
-const char* ft_offset_name(int offset) noexcept {
-  switch (offset) {
-    case core::kFtOffInterrupt:
-      return "ft interrupt";
-    case core::kFtOffOutcome:
-      return "ft outcome";
-    case core::kFtOffWork:
-      return "ft work";
-    case core::kFtOffAck:
-      return "ft ack";
-    case core::kFtOffHeartbeat:
-      return "ft heartbeat";
-    case core::kFtOffProfile:
-      return "ft profile";
-  }
-  return nullptr;
-}
 
 /// Keeps [a-zA-Z0-9.-] and folds every other run of characters to one '-',
 /// so "mxm[R=400,C=400,R2=400]" becomes "mxm-R-400-C-400-R2-400".
@@ -51,36 +32,6 @@ std::string sanitize(const std::string& s) {
 }
 
 }  // namespace
-
-std::string dlb_tag_name(int tag) {
-  switch (tag) {
-    case core::kTagInterrupt:
-      return "interrupt";
-    case core::kTagProfile:
-      return "profile";
-    case core::kTagOutcome:
-      return "outcome";
-    case core::kTagWork:
-      return "work";
-    case core::kTagPhaseData:
-      return "phase gather";
-    case core::kTagPhaseScatter:
-      return "phase scatter";
-    case core::kTagIntrinsic:
-      return "intrinsic";
-  }
-  if (tag >= core::kFtCentralProfileBase) {
-    return "ft profile g" + std::to_string(tag - core::kFtCentralProfileBase);
-  }
-  if (tag >= core::kFtTagBase) {
-    const int group = (tag - core::kFtTagBase) / core::kFtTagStride;
-    const int offset = (tag - core::kFtTagBase) % core::kFtTagStride;
-    if (const char* name = ft_offset_name(offset)) {
-      return std::string(name) + " g" + std::to_string(group);
-    }
-  }
-  return "";
-}
 
 std::string trace_file_name(const CellSpec& spec) {
   char index[16];
@@ -104,7 +55,7 @@ std::size_t write_cell_traces(const std::string& dir, const SweepResult& sweep) 
                            core::strategy_name(c.spec.config.strategy) + " seed " +
                            std::to_string(c.spec.seed());
     options.procs = c.spec.params.procs;
-    options.tag_namer = dlb_tag_name;
+    options.tag_namer = core::tag_name;
     obs::write_chrome_trace(os, *c.result.obs, options);
     ++written;
   }

@@ -7,12 +7,6 @@
 
 namespace dlb::exp {
 
-/// Names a DLB wire-protocol tag for the Chrome trace flow arrows: the
-/// fault-free tags (core/protocol.hpp), the fault-tolerant per-group tag
-/// blocks and the centralized profile tags (core/ft_protocol.hpp).  Unknown
-/// tags return "" so the exporter falls back to "tag N".
-[[nodiscard]] std::string dlb_tag_name(int tag);
-
 /// Deterministic per-cell trace filename: the canonical grid index plus a
 /// sanitized human-readable spec (app, procs, strategy, seed).  Pure
 /// function of the spec, so a sweep writes the same names at any --threads.

@@ -21,21 +21,12 @@ FaultInjector::FaultInjector(const FaultPlan& plan, int procs, std::uint64_t see
   for (FaultSpec& spec : plan_.events) {
     if (spec.proc == -1) spec.proc = procs - 1;
   }
+  pending_ = plan_.events;
 }
 
 void FaultInjector::arm(sim::Engine& engine, net::Network& network) {
   if (engine_ != nullptr) throw std::logic_error("FaultInjector: armed twice");
   engine_ = &engine;
-  for (const FaultSpec& spec : plan_.events) {
-    if (spec.trigger.at_seconds >= 0.0) {
-      timed_.push_back(engine.schedule_cancellable_at(
-          sim::from_seconds(spec.trigger.at_seconds),
-          // dlblint:allow(schedule-ref-capture) outlives the run; cancel_pending() drops its timers
-          [this, spec] { fire(spec); }));
-    } else {
-      progress_pending_.push_back(spec);
-    }
-  }
   network.set_drop_hook(
       [this](int src, int dst, int /*tag*/, std::size_t /*bytes*/, bool droppable) {
         if (alive_[static_cast<std::size_t>(src)] == 0 ||
@@ -69,13 +60,12 @@ std::vector<int> FaultInjector::alive_procs() const {
 }
 
 void FaultInjector::on_progress(int loop_index, std::int64_t covered, std::int64_t total) {
-  if (progress_pending_.empty() || total <= 0) return;
-  for (std::size_t i = 0; i < progress_pending_.size();) {
-    const FaultSpec& spec = progress_pending_[i];
-    if (spec.trigger.loop_index == loop_index &&
-        static_cast<double>(covered) >= spec.trigger.at_progress * static_cast<double>(total)) {
+  if (loop_index != 0 || pending_.empty() || total <= 0) return;
+  for (std::size_t i = 0; i < pending_.size();) {
+    const FaultSpec& spec = pending_[i];
+    if (static_cast<double>(covered) >= spec.at_progress * static_cast<double>(total)) {
       const FaultSpec firing = spec;
-      progress_pending_.erase(progress_pending_.begin() + static_cast<std::ptrdiff_t>(i));
+      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
       fire(firing);
     } else {
       ++i;
@@ -114,12 +104,6 @@ void FaultInjector::process_boundary_rejoins() {
     const sim::SimTime until = revoked_until_[static_cast<std::size_t>(p)];
     if (until != 0 && until <= now) revive(p);
   }
-}
-
-void FaultInjector::cancel_pending() {
-  if (engine_ == nullptr) return;
-  for (sim::Engine::Timer& t : timed_) engine_->cancel(t);
-  timed_.clear();
 }
 
 }  // namespace dlb::fault

@@ -27,10 +27,9 @@ struct FaultStats {
 };
 
 /// Ground truth of workstation liveness plus the machinery that flips it:
-/// time-triggered faults become engine events at `arm` time, progress
-/// triggers fire from the protocol's `on_progress` notifications, and the
-/// per-frame loss draw rides the network's drop hook.  Everything draws from
-/// a stream forked off the cell seed, so a fault scenario replays
+/// scheduled faults fire from the protocol's `on_progress` notifications,
+/// and the per-frame loss draw rides the network's drop hook.  Everything
+/// draws from a stream forked off the cell seed, so a fault scenario replays
 /// bit-identically and never perturbs the load streams.
 ///
 /// The injector knows nothing about protocols or clusters: reactions to a
@@ -45,8 +44,8 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// Schedules the time-triggered faults and installs the loss hook.  Call
-  /// once, before the first protocol process is spawned.
+  /// Installs the loss hook.  Call once, before the first protocol process
+  /// is spawned.
   void arm(sim::Engine& engine, net::Network& network);
 
   [[nodiscard]] bool alive(int p) const { return alive_.at(static_cast<std::size_t>(p)) != 0; }
@@ -56,9 +55,10 @@ class FaultInjector {
   [[nodiscard]] std::vector<int> alive_procs() const;
   [[nodiscard]] int procs() const noexcept { return procs_; }
 
-  /// Protocol notification: `covered` of `total` iterations of `loop_index`
-  /// are now complete.  Fires any pending progress-triggered faults, which
-  /// may kill the calling proc itself — callers re-check `alive` afterwards.
+  /// Protocol notification: `covered` of `total` iterations of the app's loop
+  /// `loop_index` are now complete.  Fires the pending faults whose progress
+  /// the first loop (index 0) has reached, which may kill the calling proc
+  /// itself — callers re-check `alive` afterwards.
   void on_progress(int loop_index, std::int64_t covered, std::int64_t total);
 
   /// Reaction hooks, run synchronously inside the fault event.  Installing a
@@ -82,9 +82,6 @@ class FaultInjector {
   /// past the real makespan when the queue drains.
   void process_boundary_rejoins();
 
-  /// Cancels time-triggered faults that never fired (the run ended first).
-  void cancel_pending();
-
   [[nodiscard]] FaultStats& stats() noexcept { return stats_; }
   [[nodiscard]] const FaultStats& stats() const noexcept { return stats_; }
 
@@ -97,8 +94,7 @@ class FaultInjector {
   support::Rng loss_rng_;
   std::vector<char> alive_;
   std::vector<sim::SimTime> revoked_until_;  // 0: not revoked
-  std::vector<sim::Engine::Timer> timed_;
-  std::vector<FaultSpec> progress_pending_;
+  std::vector<FaultSpec> pending_;
   std::function<void(int)> on_death_;
   std::function<void(int)> on_rejoin_;
   FaultStats stats_;

@@ -17,19 +17,9 @@ void FaultPlan::validate(int procs) const {
     if (spec.proc < -1 || spec.proc >= procs) {
       throw std::invalid_argument("FaultPlan: fault proc out of range");
     }
-    const bool timed = spec.trigger.at_seconds >= 0.0;
-    const bool progress = spec.trigger.at_progress > 0.0;
-    if (timed == progress) {
-      throw std::invalid_argument(
-          "FaultPlan: trigger must set exactly one of at_seconds/at_progress");
-    }
-    if (progress && spec.trigger.at_progress > 1.0) {
+    if (!(spec.at_progress > 0.0 && spec.at_progress <= 1.0)) {
       throw std::invalid_argument("FaultPlan: at_progress outside (0, 1]");
     }
-    if (timed && !sim::fits_sim_time(spec.trigger.at_seconds)) {
-      throw std::invalid_argument("FaultPlan: at_seconds does not fit virtual time");
-    }
-    if (spec.trigger.loop_index < 0) throw std::invalid_argument("FaultPlan: negative loop_index");
     if (spec.kind == FaultKind::kRevoke &&
         !(spec.down_seconds > 0.0 && sim::fits_sim_time(spec.down_seconds))) {
       throw std::invalid_argument(
@@ -51,24 +41,24 @@ FaultPlan FaultPlan::preset(const std::string& name) {
   if (name == "crash-half") {
     // The canonical acceptance scenario: the highest rank dies the moment
     // half of loop 0 is covered.
-    plan.events.push_back({FaultKind::kCrash, -1, {-1.0, 0.5, 0}, 0.0});
+    plan.events.push_back({FaultKind::kCrash, -1, 0.5, 0.0});
     return plan;
   }
   if (name == "crash-coord") {
     // Kills rank 0 — the initial central manager — exercising successor
     // election on the centralized strategies.
-    plan.events.push_back({FaultKind::kCrash, 0, {-1.0, 0.5, 0}, 0.0});
+    plan.events.push_back({FaultKind::kCrash, 0, 0.5, 0.0});
     return plan;
   }
   if (name == "crash-two") {
-    plan.events.push_back({FaultKind::kCrash, -1, {-1.0, 0.3, 0}, 0.0});
-    plan.events.push_back({FaultKind::kCrash, 0, {-1.0, 0.6, 0}, 0.0});
+    plan.events.push_back({FaultKind::kCrash, -1, 0.3, 0.0});
+    plan.events.push_back({FaultKind::kCrash, 0, 0.6, 0.0});
     return plan;
   }
   if (name == "revoke-half") {
     // Owner reclaims the highest rank for 5 virtual seconds at 40% coverage;
     // it rejoins at the next loop boundary after that.
-    plan.events.push_back({FaultKind::kRevoke, -1, {-1.0, 0.4, 0}, 5.0});
+    plan.events.push_back({FaultKind::kRevoke, -1, 0.4, 5.0});
     return plan;
   }
   if (name == "loss10") {
@@ -76,7 +66,7 @@ FaultPlan FaultPlan::preset(const std::string& name) {
     return plan;
   }
   if (name == "crash-loss") {
-    plan.events.push_back({FaultKind::kCrash, -1, {-1.0, 0.5, 0}, 0.0});
+    plan.events.push_back({FaultKind::kCrash, -1, 0.5, 0.0});
     plan.message_loss_rate = 0.05;
     return plan;
   }

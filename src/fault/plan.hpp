@@ -11,21 +11,14 @@ enum class FaultKind {
   kRevoke,  // owner reclaims the workstation; it rejoins after down_seconds
 };
 
-/// When a scheduled fault fires.  Exactly one trigger form must be set:
-/// either an absolute virtual time, or a coverage fraction of one loop
-/// ("crash the moment 50% of loop 0's iterations have completed") — the
-/// latter is what makes a preset meaningful across applications whose
-/// absolute runtimes differ by orders of magnitude.
-struct FaultTrigger {
-  double at_seconds = -1.0;   // >= 0: absolute virtual time
-  double at_progress = -1.0;  // in (0, 1]: fraction of loop `loop_index` covered
-  int loop_index = 0;         // which loop a progress trigger watches
-};
-
+/// One scheduled fault.  It fires the moment a fraction `at_progress` of the
+/// app's first loop is covered ("crash the highest rank when 50 % of loop 0
+/// has executed"): a coverage trigger makes a preset meaningful across
+/// applications whose absolute runtimes differ by orders of magnitude.
 struct FaultSpec {
   FaultKind kind = FaultKind::kCrash;
-  int proc = -1;  // -1: the highest rank (resolved when the injector is built)
-  FaultTrigger trigger;
+  int proc = -1;              // -1: the highest rank (resolved when the injector is built)
+  double at_progress = 0.0;   // in (0, 1]
   double down_seconds = 0.0;  // kRevoke: how long the owner keeps the machine
 };
 

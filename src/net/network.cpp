@@ -1,5 +1,7 @@
 #include "net/network.hpp"
 
+#include <algorithm>
+#include <sstream>
 #include <utility>
 
 namespace dlb::net {
@@ -58,6 +60,18 @@ sim::Message Network::frame(int src, int dst, int tag, std::any payload,
   message.payload = std::move(payload);
   message.sent_at = engine_.now();
   return message;
+}
+
+std::size_t Network::frame_bytes(double bytes) const {
+  const double rate = std::min(params_.bandwidth_bytes_per_sec, kPortBandwidthBytesPerSec);
+  const double hold =
+      sim::to_seconds(std::max(params_.medium_overhead, kPortOverhead)) + bytes / rate;
+  if (!(bytes >= 0.0) || !sim::fits_sim_time(hold)) {
+    std::ostringstream what;
+    what << "Network: a frame of " << bytes << " bytes does not fit virtual time";
+    throw std::invalid_argument(what.str());
+  }
+  return static_cast<std::size_t>(bytes);
 }
 
 void Network::transmit(int dst, sim::Message message, bool droppable) {

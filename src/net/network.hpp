@@ -83,6 +83,13 @@ class Network {
   [[nodiscard]] sim::Message frame(int src, int dst, int tag, std::any payload,
                                    std::size_t bytes) const;
 
+  /// The frame size of a modelled byte count (a shipment's iterations times
+  /// their bytes, a share of a phase's data), truncated like a cast.  Throws
+  /// std::invalid_argument, naming the count, unless it is non-negative and
+  /// the slowest hop a frame can take (a rack segment or a crossbar port)
+  /// holds it for a time that fits SimTime.
+  [[nodiscard]] std::size_t frame_bytes(double bytes) const;
+
   /// Puts a frame whose sender has paid o_s on the wire and returns:
   /// delivery is asynchronous, like pvm_send.  The frame takes the source
   /// rack segment, then is delivered within the rack or crosses the fabric to

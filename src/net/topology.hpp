@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <string>
 
+#include "net/ethernet.hpp"
 #include "sim/time.hpp"
 
 namespace dlb::net {
@@ -49,9 +50,12 @@ inline constexpr double kPortBandwidthBytesPerSec = 100e6;
 class CrossbarPort {
  public:
   /// Reserves the port for one frame; returns when its last byte has left.
-  sim::SimTime transmit(std::size_t bytes, sim::SimTime ready_at) noexcept {
+  /// Throws std::overflow_error when that is past SimTime's range.
+  sim::SimTime transmit(std::size_t bytes, sim::SimTime ready_at) {
     const sim::SimTime start = ready_at > free_at_ ? ready_at : free_at_;
-    free_at_ = start + port_occupancy(bytes);
+    const sim::SimTime occupancy = port_occupancy(bytes);
+    check_busy_horizon("CrossbarPort", bytes, start, occupancy);
+    free_at_ = start + occupancy;
     return free_at_;
   }
 

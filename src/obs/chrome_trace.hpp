@@ -15,7 +15,7 @@ struct ChromeTraceOptions {
   /// Number of workstation tracks; tracks referenced by events beyond this
   /// still get a lane, this only guarantees a minimum.
   int procs = 0;
-  /// Optional pretty-printer for message tags (e.g. 101 -> "profile").
+  /// Optional pretty-printer for message tags (a profile tag -> "profile").
   /// Nameless tags render as "tag <n>".
   std::function<std::string(int)> tag_namer;
 };

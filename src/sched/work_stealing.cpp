@@ -65,8 +65,8 @@ sim::Task<void> answer_request(StealState& st, int self, sim::Message request) {
     const std::int64_t amount = steal_amount(req.share, mine.size(), st.cluster->size());
     if (amount > 0) {
       reply.ranges = mine.take_back(amount);
-      bytes += static_cast<std::size_t>(static_cast<double>(amount) *
-                                        st.loop->bytes_per_iteration);
+      bytes += st.cluster->network().frame_bytes(static_cast<double>(amount) *
+                                                 st.loop->bytes_per_iteration);
       core::SyncEvent e;
       e.at_seconds = sim::to_seconds(me.engine().now());
       e.round = static_cast<int>(st.stats.events.size());

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <numeric>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "apps/mxm.hpp"
@@ -294,6 +297,29 @@ TEST(Runtime, DriveLoopConservesWorkAndAdvancesTheClock) {
     EXPECT_EQ(cluster.engine().now(), dlb::sim::from_seconds(stats.finish_seconds));
     previous_finish = stats.finish_seconds;
   }
+}
+
+TEST(ProtocolTags, OneTableNamesEveryTag) {
+  namespace core = dlb::core;
+  const int table[] = {core::kTagInterrupt, core::kTagOutcome,   core::kTagWork,
+                       core::kTagAck,       core::kTagHeartbeat, core::kTagProfile,
+                       core::kTagPhaseData, core::kTagPhaseScatter, core::kTagIntrinsic};
+  std::set<std::string> names;
+  for (const int tag : table) {
+    const std::string name = core::tag_name(tag);
+    EXPECT_FALSE(name.empty()) << "tag " << tag;
+    names.insert(name);
+  }
+  EXPECT_EQ(names.size(), std::size(table));  // distinct
+  // The FT slave's and coordinator's one-range receives.
+  EXPECT_EQ(core::kTagHeartbeat - core::kTagInterrupt, 4);
+  EXPECT_EQ(core::kTagProfile - core::kTagInterrupt, 5);
+  for (const int group : {0, 1, 7, 4095}) {
+    EXPECT_GT(core::central_profile_tag(group), core::kTagIntrinsic);
+    EXPECT_STREQ(core::tag_name(core::central_profile_tag(group)), "profile");
+  }
+  EXPECT_STREQ(core::tag_name(50), "");  // the trace exporter prints "tag 50"
+  EXPECT_STREQ(core::tag_name(core::kTagIntrinsic + 1), "");
 }
 
 TEST(Runtime, DifferentSeedsDifferentTimes) {

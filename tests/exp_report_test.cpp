@@ -17,8 +17,6 @@
 
 #include "apps/calibration.hpp"
 #include "apps/synthetic.hpp"
-#include "core/ft_protocol.hpp"
-#include "core/protocol.hpp"
 #include "exp/grid.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
@@ -356,16 +354,6 @@ TEST(ExpTraceExport, FileNamesAreDeterministic) {
   const auto spec = grid.cell(1);
   EXPECT_EQ(dlb::exp::trace_file_name(spec),
             "cell-000001-uniform-iters-32-p4-GD-s41001.json");
-}
-
-TEST(ExpTraceExport, TagNamerCoversTheWireProtocol) {
-  EXPECT_EQ(dlb::exp::dlb_tag_name(dlb::core::kTagProfile), "profile");
-  EXPECT_EQ(dlb::exp::dlb_tag_name(dlb::core::kTagWork), "work");
-  EXPECT_EQ(dlb::exp::dlb_tag_name(dlb::core::kFtTagBase + dlb::core::kFtTagStride +
-                                   dlb::core::kFtOffAck),
-            "ft ack g1");
-  EXPECT_EQ(dlb::exp::dlb_tag_name(dlb::core::kFtCentralProfileBase + 2), "ft profile g2");
-  EXPECT_EQ(dlb::exp::dlb_tag_name(50), "");  // exporter falls back to "tag 50"
 }
 
 TEST(ExpTraceExport, TraceFilesAreByteIdenticalAcrossThreadCounts) {

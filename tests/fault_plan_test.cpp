@@ -33,8 +33,8 @@ TEST(FaultPlan, PresetsRoundTrip) {
 
 TEST(FaultPlan, ValidateRejectsCrashingEveryone) {
   FaultPlan plan;
-  plan.events.push_back({FaultKind::kCrash, 0, {-1.0, 0.5, 0}, 0.0});
-  plan.events.push_back({FaultKind::kCrash, 1, {-1.0, 0.5, 0}, 0.0});
+  plan.events.push_back({FaultKind::kCrash, 0, 0.5, 0.0});
+  plan.events.push_back({FaultKind::kCrash, 1, 0.5, 0.0});
   EXPECT_THROW(plan.validate(2), std::invalid_argument);
   plan.validate(3);  // one survivor left
 }
@@ -42,13 +42,15 @@ TEST(FaultPlan, ValidateRejectsCrashingEveryone) {
 TEST(FaultPlan, ValidateRejectsBadSpecs) {
   {
     FaultPlan plan;
-    plan.events.push_back({FaultKind::kCrash, 7, {-1.0, 0.5, 0}, 0.0});
+    plan.events.push_back({FaultKind::kCrash, 7, 0.5, 0.0});
     EXPECT_THROW(plan.validate(4), std::invalid_argument);  // proc out of range
   }
   {
     FaultPlan plan;
-    plan.events.push_back({FaultKind::kCrash, 1, {-1.0, -1.0, 0}, 0.0});
-    EXPECT_THROW(plan.validate(4), std::invalid_argument);  // no trigger at all
+    plan.events.push_back({FaultKind::kCrash, 1, 0.0, 0.0});
+    EXPECT_THROW(plan.validate(4), std::invalid_argument);  // progress outside (0, 1]
+    plan.events.back().at_progress = 1.5;
+    EXPECT_THROW(plan.validate(4), std::invalid_argument);
   }
   {
     FaultPlan plan;
